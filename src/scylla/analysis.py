@@ -96,6 +96,7 @@ def diversification_report(image: Image, eimage: EncryptedImage) -> Diversificat
 
 
 SURVIVAL_CHECKPOINTS = (1, 2, 4, 8)
+MIN_SURVIVAL_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,8 @@ def fit_survival(samples, p: float,
                  checkpoints=SURVIVAL_CHECKPOINTS) -> SurvivalFit:
     """Empirical survival curve vs p^k, judged at 3 binomial stderr."""
     n = len(samples)
-    if n < 100:
-        raise ValueError(f"need at least 100 samples, got {n}")
+    if n < MIN_SURVIVAL_SAMPLES:
+        raise ValueError(f"need at least {MIN_SURVIVAL_SAMPLES} samples, got {n}")
     points = []
     worst = 0.0
     within = True

@@ -3,8 +3,11 @@
 The attacker gets what the threat model grants: arbitrary reads and
 writes of mapped memory, full knowledge of the program and its graph,
 control of the pc at a chosen step, and no key material. An attack is
-an intervention between two engine steps; everything after it runs
-under normal engine rules.
+an intervention between two engine steps: `Engine.advance` runs to the
+trigger, the scenario writes memory and the pc directly, and `Engine.run`
+carries on under normal engine rules. The key register is the engine's;
+a scenario reads it only through `Engine.current_block` and changes it
+only through `Engine.replay_patch`.
 
 Success is operationalized concretely: the attack "hijacked" the run
 if the sentinel memory cell holds the attacker-chosen value when the
@@ -19,7 +22,8 @@ import json
 import random
 from dataclasses import dataclass
 
-from .crypto import EncryptedImage, derive_next_key
+# derive_next_key is unused here but stays importable: perfbench/tracer.py wraps it by name
+from .crypto import EncryptedImage, derive_next_key  # noqa: F401
 from .engine import (
     DEFAULT_STEP_LIMIT,
     HALT,
@@ -116,6 +120,10 @@ class AttackOutcome:
             "counters": self.report.counters.as_dict(),
         }
 
+    def censored_latency(self, step_limit: int) -> int:
+        """Fault latency; an undetected trial is censored at `step_limit`."""
+        return self.instructions_until_fault if self.detected else step_limit
+
 
 def hijack_payload(sentinel_addr: int, sentinel_value: int) -> bytes:
     """Attacker shellcode: store the sentinel value, then halt."""
@@ -132,23 +140,14 @@ def hijack_payload(sentinel_addr: int, sentinel_value: int) -> bytes:
     return b"".join(encode(i).to_bytes(4, "little") for i in instrs)
 
 
-def _block_spans(image):
-    return [(entry, entry + 4 * length) for entry, length in image.blocks]
-
-
-def _current_block(engine: Engine) -> int:
-    block_id = engine.block_id_by_entry.get(engine.state.cur_block_base)
-    if block_id is None:
-        raise HarnessError("engine key state is not at a block entry")
-    return block_id
-
-
 def _apply_scenario(engine: Engine, eimage: EncryptedImage,
                     scenario: AttackScenario, rng: random.Random) -> None:
     state = engine.state
     image = eimage.image
-    pairs = {(src, target) for src, target, _ in eimage.patch_table}
-    cur = _current_block(engine)
+    cur = engine.current_block()
+    if cur is None:
+        raise HarnessError("engine key state is not at a block entry")
+    cur_entry = image.blocks[cur][0]
 
     if scenario.kind == CODE_INJECTION:
         if scenario.payload is None or scenario.target is None:
@@ -166,12 +165,12 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
         target = scenario.target
         if target is None:
             candidates = [entry for entry, _ in image.blocks
-                          if (cur, entry) not in pairs
-                          and entry != state.cur_block_base]
+                          if (cur, entry) not in eimage.patch_map
+                          and entry != cur_entry]
             if not candidates:
                 raise HarnessError("no rogue target available from current block")
             target = rng.choice(candidates)
-        elif engine.block_len_by_entry.get(target) is None:
+        elif target not in image.block_index:
             raise HarnessError(f"rogue target {target:#x} is not a block entry")
         state.pc = target
 
@@ -182,15 +181,15 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
                 entry + 4 * off
                 for entry, length in image.blocks
                 for off in range(1, length)
-                if entry != state.cur_block_base  # same-block skips are out of scope
+                if entry != cur_entry  # same-block skips are out of scope
             ]
             if not candidates:
                 raise HarnessError("no multi-word block to enter mid-body")
             target = rng.choice(candidates)
         else:
-            spans = _block_spans(image)
-            inside = any(lo < target < hi for lo, hi in spans)
-            if not inside or target in engine.block_len_by_entry:
+            inside = any(entry < target < entry + 4 * length
+                         for entry, length in image.blocks)
+            if not inside or target in image.block_index:
                 raise HarnessError(f"{target:#x} is not a mid-block address")
         state.pc = target
 
@@ -203,31 +202,23 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
             raise HarnessError("no replayable patch from a different source block")
         src, target, patch = records[0] if scenario.target is not None \
             else rng.choice(records)
-        # the replayed update: key register absorbs a patch minted for src
-        state.cur_key = derive_next_key(state.cur_key, patch)
-        state.cur_block_base = target
-        state.pc = target
+        engine.replay_patch(patch, target)
 
 
 def run_attack(eimage: EncryptedImage, scenario: AttackScenario, seed: int = 0,
                step_limit: int = DEFAULT_STEP_LIMIT) -> AttackOutcome:
     """Run to the trigger, apply the scenario, keep executing engine rules."""
-    rng = random.Random(seed)
     engine = encrypted_engine(eimage)
-    fired = {"at": None}
-
-    def intervene(eng: Engine):
-        fired["at"] = eng.state.counters.instructions_retired
-        _apply_scenario(eng, eimage, scenario, rng)
-
-    report = engine.run(step_limit, intervene=intervene,
-                        trigger_step=scenario.trigger_step)
+    fired = (scenario.trigger_step <= step_limit
+             and engine.advance(scenario.trigger_step))
+    if fired:
+        _apply_scenario(engine, eimage, scenario, random.Random(seed))
+    report = engine.run(step_limit)
 
     detected = report.outcome in (INTEGRITY_FAULT, MEMORY_FAULT)
     latency = None
     if detected:
-        since = fired["at"] or 0
-        latency = report.instructions_until_fault - since
+        latency = report.instructions_until_fault - (scenario.trigger_step if fired else 0)
     hijacked = False
     if scenario.sentinel_addr is not None:
         hijacked = (engine.state.mem.load_word(scenario.sentinel_addr)
@@ -258,8 +249,7 @@ def survival_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
                     step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
     """Fault-latency sample; undetected runs are censored at step_limit."""
     outcomes = run_trials(eimage, kind, n_trials, seed, step_limit)
-    return [o.instructions_until_fault if o.detected else step_limit
-            for o in outcomes]
+    return [o.censored_latency(step_limit) for o in outcomes]
 
 
 def write_trials_csv(outcomes: list[AttackOutcome], fh,
@@ -267,5 +257,5 @@ def write_trials_csv(outcomes: list[AttackOutcome], fh,
     writer = csv.writer(fh)
     writer.writerow(["trial", "detected", "latency"])
     for trial, outcome in enumerate(outcomes):
-        latency = outcome.instructions_until_fault if outcome.detected else step_limit
-        writer.writerow([trial, int(outcome.detected), latency])
+        writer.writerow([trial, int(outcome.detected),
+                         outcome.censored_latency(step_limit)])

@@ -45,13 +45,6 @@ class ControlFlowGraph:
     blocks: tuple[BasicBlock, ...]
     edges: tuple[tuple[int, int, str], ...]   # (source id, target id, kind)
 
-    def block_at(self, addr: int) -> BasicBlock | None:
-        """Block whose entry is exactly `addr`, if any."""
-        for block in self.blocks:
-            if block.entry_addr == addr:
-                return block
-        return None
-
     def successors(self, block_id: int) -> tuple[int, ...]:
         return tuple(t for s, t, _ in self.edges if s == block_id)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
+    MIN_SURVIVAL_SAMPLES,
     MismatchError,
     diversification_report,
     fit_survival,
@@ -181,11 +182,14 @@ def cmd_attack(args, parser) -> int:
         return 0
     if not args.kind:
         parser.error("attack needs a scenario file or --kind/--trials")
+    if args.trials < 1:
+        parser.error("--trials must be positive")
+    if args.curve and args.trials < MIN_SURVIVAL_SAMPLES:
+        parser.error(f"--curve needs --trials of at least {MIN_SURVIVAL_SAMPLES}")
     outcomes = run_trials(eimage, args.kind, args.trials, seed=args.harness_seed,
                           step_limit=config.step_limit)
     if args.curve:
-        latencies = [o.instructions_until_fault if o.detected else config.step_limit
-                     for o in outcomes]
+        latencies = [o.censored_latency(config.step_limit) for o in outcomes]
         fit = fit_survival(latencies, exact_valid_decode_fraction())
         with open(args.curve, "w", newline="") as fh:
             write_survival_csv(fit, fh)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -107,7 +107,9 @@ class EncryptedImage:
     patch_table: tuple[tuple[int, int, bytes], ...]  # (source id, target entry, patch)
     entry_key: bytes
 
+    @cached_property
     def patch_map(self) -> dict[tuple[int, int], bytes]:
+        """(source id, target entry) -> patch, built once per image."""
         return {(src, tgt): patch for src, tgt, patch in self.patch_table}
 
 
@@ -124,9 +126,8 @@ def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
         raise KeyScheduleError(
             f"schedule covers {len(schedule.block_keys)} blocks, "
             f"image has {len(image.blocks)}")
-    entries = {entry for entry, _ in image.blocks}
     for (_, target) in schedule.patches:
-        if target not in entries:
+        if target not in image.block_index:
             raise KeyScheduleError(f"patch target {target:#x} is not a block entry")
 
     words = image.text_words()
@@ -178,11 +179,6 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
         table.append(_PATCH_REC.unpack_from(blob, offset))
         offset += _PATCH_REC.size
     return EncryptedImage(image=image, patch_table=tuple(table), entry_key=entry_key)
-
-
-def save_encrypted_image(eimage: EncryptedImage, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_encrypted_image(eimage))
 
 
 def load_encrypted_image(path) -> EncryptedImage:

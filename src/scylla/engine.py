@@ -34,6 +34,7 @@ DEFAULT_SWITCH_COST = 4
 
 MASK32 = 0xFFFFFFFF
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
+_NO_BLOCK = (None, 0)   # block_index miss: no block id, zero length
 
 
 class ReportError(ValueError):
@@ -155,7 +156,11 @@ def _signed(value: int) -> int:
 
 
 class Engine:
-    """One engine instance owns one MachineState; single-threaded."""
+    """One engine instance owns one MachineState; single-threaded.
+
+    Only the engine touches the key state; an adversary between two steps
+    uses `current_block()` and `replay_patch()` (see attacks.py).
+    """
 
     def __init__(self, image: Image, *, patch_map=None, entry_key: bytes | None = None,
                  decrypt_cost: int = DEFAULT_DECRYPT_COST,
@@ -165,35 +170,52 @@ class Engine:
         self.patch_map = patch_map or {}
         self.decrypt_cost = decrypt_cost
         self.switch_cost = switch_cost
-        self.block_len_by_entry = {entry: length for entry, length in image.blocks}
-        self.block_id_by_entry = {entry: i for i, (entry, _) in enumerate(image.blocks)}
         self.state = MachineState(mem=Memory(image), pc=image.entry,
                                   cur_key=entry_key, cur_block_base=image.entry)
         self.trace: list[tuple[int, Instruction]] = []
         self.prev_pc: int | None = None
+        self._end: tuple | None = None   # (outcome, fault_pc, fault_word); it sticks
 
-    def run(self, step_limit: int = DEFAULT_STEP_LIMIT, *, intervene=None,
-            trigger_step: int | None = None, record_trace: bool = False) -> RunReport:
+    def run(self, step_limit: int = DEFAULT_STEP_LIMIT, *,
+            record_trace: bool = False) -> RunReport:
+        if self._end is None:
+            self._end = self._fetch_loop(step_limit, record_trace)
+        return self._report(*(self._end or (STEP_LIMIT,)))
+
+    def advance(self, steps: int) -> bool:
+        """Run until `steps` instructions have retired; False if the run ended first."""
+        if self._end is None:
+            self._end = self._fetch_loop(steps)
+        return self._end is None
+
+    def current_block(self) -> int | None:
+        """Id of the block the key register belongs to; None off a block entry."""
+        return self.image.block_index.get(self.state.cur_block_base, _NO_BLOCK)[0]
+
+    def replay_patch(self, patch: bytes, target: int) -> None:
+        """Transfer to `target`, absorbing `patch` whichever block it was minted for."""
+        self._absorb_patch(patch, target)
+        self.state.pc = target
+
+    def _absorb_patch(self, patch: bytes, entry: int) -> None:
+        state = self.state
+        state.cur_key = derive_next_key(state.cur_key, patch)
+        state.cur_block_base = entry
+
+    def _fetch_loop(self, limit: int, record_trace: bool = False) -> tuple | None:
+        """Fetch until `limit` instructions have retired (None) or the run ends."""
         state = self.state
         counters = state.counters
-        fired = False
-        while True:
-            if not fired and trigger_step is not None \
-                    and counters.instructions_retired == trigger_step:
-                fired = True
-                if intervene is not None:
-                    intervene(self)
-            if counters.instructions_retired >= step_limit:
-                return self._report(STEP_LIMIT)
-
+        block_index = self.image.block_index
+        while counters.instructions_retired < limit:
             pc = state.pc
             raw = state.mem.load_word(pc)
             if raw is None:
-                return self._report(MEMORY_FAULT)
+                return MEMORY_FAULT, None, None
 
             if self.prev_pc is not None:
                 sequential = pc == self.prev_pc + 4
-                cur_len = self.block_len_by_entry.get(state.cur_block_base, 0)
+                cur_len = block_index.get(state.cur_block_base, _NO_BLOCK)[1]
                 crosses_end = pc == state.cur_block_base + 4 * cur_len
                 if not sequential or crosses_end:
                     counters.control_transfers += 1
@@ -208,31 +230,29 @@ class Engine:
 
             instr = decode(word)
             if not isinstance(instr, Instruction):
-                return self._report(INTEGRITY_FAULT, fault_pc=pc, fault_word=word)
+                return INTEGRITY_FAULT, pc, word
 
             if not self._execute(instr):
-                return self._report(MEMORY_FAULT)
+                return MEMORY_FAULT, None, None
             counters.instructions_retired += 1
             if record_trace:
                 self.trace.append((pc, instr))
             self.prev_pc = pc
             if state.halted:
-                return self._report(HALT)
+                return HALT, None, None
+        return None
 
     def _edge_event(self, new_pc: int) -> None:
         """Patch lookup on a transfer or block-boundary crossing."""
         state = self.state
         if self.encrypted:
             state.counters.patch_lookups += 1
-            src = self.block_id_by_entry.get(state.cur_block_base)
-            patch = self.patch_map.get((src, new_pc))
+            patch = self.patch_map.get((self.current_block(), new_pc))
             if patch is not None:
-                state.cur_key = derive_next_key(state.cur_key, patch)
-                state.cur_block_base = new_pc
+                self._absorb_patch(patch, new_pc)
                 state.counters.key_switches += 1
-        else:
-            if new_pc in self.block_len_by_entry:
-                state.cur_block_base = new_pc
+        elif new_pc in self.image.block_index:
+            state.cur_block_base = new_pc
 
     def _execute(self, instr: Instruction) -> bool:
         """Architectural semantics; False signals a memory fault."""
@@ -317,17 +337,14 @@ def plaintext_engine(image: Image, *, decrypt_cost: int = DEFAULT_DECRYPT_COST,
 def encrypted_engine(eimage: EncryptedImage, *,
                      decrypt_cost: int = DEFAULT_DECRYPT_COST,
                      switch_cost: int = DEFAULT_SWITCH_COST) -> Engine:
-    return Engine(eimage.image, patch_map=eimage.patch_map(),
+    return Engine(eimage.image, patch_map=eimage.patch_map,
                   entry_key=eimage.entry_key,
                   decrypt_cost=decrypt_cost, switch_cost=switch_cost)
 
 
-def run_plaintext(image: Image, entry: int | None = None,
-                  step_limit: int = DEFAULT_STEP_LIMIT, **costs) -> RunReport:
-    engine = plaintext_engine(image, **costs)
-    if entry is not None:
-        engine.state.pc = engine.state.cur_block_base = entry
-    return engine.run(step_limit)
+def run_plaintext(image: Image, step_limit: int = DEFAULT_STEP_LIMIT,
+                  **costs) -> RunReport:
+    return plaintext_engine(image, **costs).run(step_limit)
 
 
 def run_encrypted(eimage: EncryptedImage,

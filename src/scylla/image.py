@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .asm import Program
 from .cfg import EDGE_KINDS, EDGE_KIND_CODES, build_cfg
@@ -57,11 +58,11 @@ class Image:
         return [int.from_bytes(self.text[i:i + 4], "little")
                 for i in range(0, len(self.text), 4)]
 
-    def block_id_at(self, addr: int) -> int | None:
-        for block_id, (entry, _) in enumerate(self.blocks):
-            if entry == addr:
-                return block_id
-        return None
+    @cached_property
+    def block_index(self) -> dict[int, tuple[int, int]]:
+        """Block entry address -> (block id, length in words), built once."""
+        return {entry: (block_id, length)
+                for block_id, (entry, length) in enumerate(self.blocks)}
 
     def digest(self) -> str:
         return hashlib.sha256(dump_image(self)).hexdigest()
@@ -145,11 +146,6 @@ def load_image_bytes(blob: bytes) -> Image:
     if flags & FLAG_ENCRYPTED:
         raise ImageFormatError("container holds an encrypted image")
     return image
-
-
-def save_image(image: Image, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_image(image))
 
 
 def load_image(path) -> Image:

@@ -296,10 +296,6 @@ def decode(word: int) -> Instruction | DecodeError:
     return DecodeError(word, UNKNOWN_OPCODE)
 
 
-def is_legal(word: int) -> bool:
-    return isinstance(decode(word), Instruction)
-
-
 def exact_valid_decode_count() -> int:
     """Census of legal 32-bit words, by walking the opcode/funct structure.
 

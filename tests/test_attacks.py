@@ -1,3 +1,7 @@
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from scylla.attacks import (
@@ -11,8 +15,8 @@ from scylla.attacks import (
     survival_trials,
     write_trials_csv,
 )
-from scylla.crypto import cfg_view, gen_keys
-from scylla.engine import HALT, INTEGRITY_FAULT, run_encrypted
+from scylla.crypto import cfg_view, encrypt_pipeline, gen_keys
+from scylla.engine import HALT, INTEGRITY_FAULT, STEP_LIMIT, encrypted_engine, run_encrypted
 from scylla.isa import exact_valid_decode_fraction
 
 SENT_ADDR, SENT_VAL = 0x10030, 0xC0FFEE42
@@ -95,6 +99,7 @@ def test_rogue_edge_to_legal_successor_not_detected(fib):
     assert not outcome.detected
     assert outcome.report.outcome == HALT
     assert not outcome.hijack_succeeded
+    assert outcome.censored_latency(123) == 123  # undetected: censored
 
 
 def test_mid_block_entry_detected(fib):
@@ -109,16 +114,13 @@ def test_mid_block_entry_rejects_block_entry_target(fib):
 
 def test_patch_replay_wrong_source_key_mismatch(fib, corpus_images):
     # introspect the key register right after the replayed update
-    from scylla.attacks import _apply_scenario
-    from scylla.engine import encrypted_engine
-    import random
-
     schedule = gen_keys(cfg_view(corpus_images["fib"]), 42)
     engine = encrypted_engine(fib)
     engine.run(step_limit=10)  # stop inside the loop (block 3)
-    scenario = AttackScenario("patch-replay", 10, target=12, patch_source=4)
-    _apply_scenario(engine, fib, scenario, random.Random(0))
+    assert engine.current_block() == 3
+    engine.replay_patch(fib.patch_map[(4, 12)], 12)
     target_block = 1  # entry 12
+    assert engine.state.pc == 12
     assert engine.state.cur_key != schedule.block_keys[target_block]
 
 
@@ -136,6 +138,73 @@ def test_disabled_trigger_reproduces_unattacked_run(fib):
     assert outcome.report == unattacked
     assert not outcome.detected
     assert not outcome.hijack_succeeded
+
+
+def test_trigger_at_step_zero_fires_before_first_fetch(fib):
+    outcome = run_attack(fib, AttackScenario("rogue-edge", 0, target=12), seed=5)
+    assert outcome.detected
+    assert outcome.instructions_until_fault == outcome.report.instructions_until_fault
+
+
+def test_trigger_at_step_limit_applies_then_stops(fib):
+    limit = 4
+    payload = hijack_payload(SENT_ADDR, SENT_VAL)
+    scenario = AttackScenario("code-injection", limit, target=0x10010, payload=payload)
+    outcome = run_attack(fib, scenario, seed=3, step_limit=limit)
+    unattacked = run_encrypted(fib, step_limit=limit)
+    assert outcome.report.outcome == STEP_LIMIT
+    assert outcome.report.counters == unattacked.counters
+    assert not outcome.detected
+
+    # the injected words are dirty memory, so they show in the digest
+    expected = encrypted_engine(fib)
+    expected.run(limit)
+    for i in range(0, len(payload), 4):
+        expected.state.mem.store_word(
+            0x10010 + i, int.from_bytes(payload[i:i + 4], "little"))
+    assert outcome.report.final_state_digest == expected.state.digest()
+    assert outcome.report.final_state_digest != unattacked.final_state_digest
+
+
+def test_trigger_at_or_after_halt_reproduces_unattacked_run(fib):
+    unattacked = run_encrypted(fib)
+    halt_step = unattacked.counters.instructions_retired
+    for trigger in (halt_step, halt_step + 1, 10 * halt_step):
+        outcome = run_attack(fib, AttackScenario("rogue-edge", trigger, target=12), seed=9)
+        assert outcome.report == unattacked, trigger
+        assert not outcome.detected
+
+
+def test_fault_before_trigger_reports_as_unattacked(fib):
+    bad = replace(fib, entry_key=bytes(16))
+    unattacked = run_encrypted(bad)
+    assert unattacked.outcome == INTEGRITY_FAULT
+    trigger = unattacked.instructions_until_fault + 5
+    outcome = run_attack(bad, AttackScenario("rogue-edge", trigger, target=12), seed=9)
+    assert outcome.report == unattacked
+    assert outcome.detected
+    assert outcome.instructions_until_fault == unattacked.instructions_until_fault
+
+
+# pins trigger placement, target choice, latencies and final digests of
+# randomized campaigns on two key schedules and of the committed scenarios
+GOLDEN_ATTACKS_SHA256 = "54818da67763e2a9abbd5a0222de82048f0772ff2a537df8be64a998ae467438"
+
+
+def test_attack_outputs_match_golden(corpus_images, corpus_dir):
+    doc = []
+    for key_seed in (42, 7):
+        eimage = encrypt_pipeline(corpus_images["fib"], key_seed)
+        for kind in ("rogue-edge", "mid-block-entry", "patch-replay"):
+            outcomes = run_trials(eimage, kind, 40, seed=5, step_limit=4096)
+            doc.append([{**o.to_json_dict(), "digest": o.report.final_state_digest}
+                        for o in outcomes])
+    eimage = encrypt_pipeline(corpus_images["fib"], 42)
+    for path in sorted((corpus_dir / "scenarios").glob("*.json")):
+        o = run_attack(eimage, load_scenario(path), seed=1)
+        doc.append({**o.to_json_dict(), "digest": o.report.final_state_digest})
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_ATTACKS_SHA256
 
 
 def test_committed_scenarios_all_fault_before_sentinel(fib, corpus_dir):

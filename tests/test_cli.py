@@ -154,3 +154,23 @@ def test_run_human_format(workdir, capsys):
     code, out = run_cli(capsys, "run", workdir / "diamond.img", "--format", "human")
     assert code == 0
     assert "outcome: halt" in out
+
+
+@pytest.mark.parametrize("extra", [("--trials", "0"), ("--trials", "-3"),
+                                   ("--trials", "99", "--curve", "curve.csv")])
+def test_attack_trial_count_usage_errors(workdir, capsys, monkeypatch, extra):
+    run_cli(capsys, "assemble", workdir / "fib.s")
+    run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the usage check")
+
+    monkeypatch.setattr("scylla.cli.run_trials", no_trials)
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", str(workdir / "fib.eimg"), "--kind", "rogue-edge", *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not (workdir / "curve.csv").exists()

@@ -229,3 +229,16 @@ def test_cycles_model(corpus_encrypted):
     assert c.cycles == (c.instructions_retired
                         + eng.DEFAULT_DECRYPT_COST * c.keystream_invocations
                         + eng.DEFAULT_SWITCH_COST * c.key_switches)
+
+
+def test_advance_then_run_equals_single_run(corpus_images, corpus_encrypted):
+    for name in corpus_images:
+        for target, make in ((corpus_images[name], plaintext_engine),
+                             (corpus_encrypted[name], encrypted_engine)):
+            whole = make(target).run()
+            retired = whole.counters.instructions_retired
+            for k in sorted({0, 1, retired // 2, retired - 1, retired, retired + 3}):
+                engine = make(target)
+                assert engine.advance(k) == (k < retired), (name, k)
+                assert engine.run() == whole, (name, k)
+
