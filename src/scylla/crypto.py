@@ -75,7 +75,8 @@ def keystream_word(key: bytes, word_offset: int) -> int:
 
 
 def derive_next_key(current: bytes, patch: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(current, patch))
+    return (int.from_bytes(current, "big") ^ int.from_bytes(patch, "big")).to_bytes(
+        KEY_BYTES, "big")
 
 
 @dataclass(frozen=True)

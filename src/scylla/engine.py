@@ -12,16 +12,29 @@ fails to decode raises an integrity fault immediately.
 
 The cycle model is deliberately two scalars: cycles = instructions
 + decrypt_cost * keystream invocations + switch_cost * key switches.
+
+The host serves fetches from a decoded-fetch cache, one dict per image
+(`Image.fetch_cache`) shared by every engine and attack trial on it. A
+(key, word offset, raw word) triple maps to the decode result of the
+decrypted word; a plaintext word maps to its own decode result, which
+also interns results, so equal words share one Instruction. Keying on
+the raw word keeps the cache exact under code injection and stores into
+the text, so nothing is invalidated; a full cache is cleared. The cache
+is host-side only: every counter still counts every modelled fetch and
+transfer, whether the host served the word from the cache or not.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
+import sys
+from array import array
 from dataclasses import dataclass, field, replace
 
 from .crypto import MAX_WORD_OFFSET, EncryptedImage, derive_next_key, keystream_word
 from .image import Image
-from .isa import Instruction, decode
+from .isa import DecodeError, Instruction, decode
 
 HALT = "halt"
 INTEGRITY_FAULT = "integrity-fault"
@@ -31,6 +44,7 @@ MEMORY_FAULT = "memory-fault"
 DEFAULT_STEP_LIMIT = 10 ** 6
 DEFAULT_DECRYPT_COST = 1
 DEFAULT_SWITCH_COST = 4
+FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache is cleared
 
 MASK32 = 0xFFFFFFFF
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
@@ -88,38 +102,39 @@ class RunReport:
 
 
 class Memory:
-    """Two mapped segments (text, data); word loads/stores, dirty tracking."""
+    """Text as a word array, data as bytes; word loads/stores, dirty tracking."""
 
     def __init__(self, image: Image):
-        self.segments: list[tuple[int, bytearray]] = [
-            (image.text_base, bytearray(image.text))]
-        if image.data:
-            self.segments.append((image.data_base, bytearray(image.data)))
+        self.text_base = image.text_base
+        self.words = array("I", image.text)
+        if sys.byteorder == "big":   # container words are little-endian
+            self.words.byteswap()
+        self.data_base = image.data_base
+        self.data = bytearray(image.data)
         self.dirty: set[int] = set()
 
-    def _locate(self, addr: int) -> tuple[bytearray, int] | None:
-        for base, buf in self.segments:
-            if base <= addr and addr + 4 <= base + len(buf):
-                return buf, addr - base
+    def load_word(self, addr: int) -> int | None:
+        if addr & 3:
+            return None
+        index = (addr - self.text_base) >> 2
+        if 0 <= index < len(self.words):
+            return self.words[index]
+        at = addr - self.data_base
+        if 0 <= at <= len(self.data) - 4:
+            return int.from_bytes(self.data[at:at + 4], "little")
         return None
 
-    def load_word(self, addr: int) -> int | None:
-        if addr % 4:
-            return None
-        found = self._locate(addr)
-        if found is None:
-            return None
-        buf, at = found
-        return int.from_bytes(buf[at:at + 4], "little")
-
     def store_word(self, addr: int, value: int) -> bool:
-        if addr % 4:
+        if addr & 3:
             return False
-        found = self._locate(addr)
-        if found is None:
-            return False
-        buf, at = found
-        buf[at:at + 4] = (value & MASK32).to_bytes(4, "little")
+        index = (addr - self.text_base) >> 2
+        if 0 <= index < len(self.words):
+            self.words[index] = value & MASK32
+        else:
+            at = addr - self.data_base
+            if not 0 <= at <= len(self.data) - 4:
+                return False
+            self.data[at:at + 4] = (value & MASK32).to_bytes(4, "little")
         self.dirty.add(addr)
         return True
 
@@ -153,6 +168,91 @@ class MachineState:
 
 def _signed(value: int) -> int:
     return value - (1 << 32) if value & 0x80000000 else value
+
+
+# Op handlers: (state, instruction, pc) -> next pc before masking, None on
+# a memory fault.
+
+def _writes(value):
+    """Handler writing value(regs, instr) to rd, masked to 32 bits; x0 stays zero."""
+    def handler(state, i, pc):
+        if i.rd:
+            state.regs[i.rd] = value(state.regs, i) & MASK32
+        return pc + 4
+    return handler
+
+
+def _branch(taken):
+    def handler(state, i, pc):
+        return pc + i.imm if taken(state.regs[i.rs1], state.regs[i.rs2]) else pc + 4
+    return handler
+
+
+def _lw(state, i, pc):
+    value = state.mem.load_word((state.regs[i.rs1] + i.imm) & MASK32)
+    if value is None:
+        return None
+    state.set_reg(i.rd, value)
+    return pc + 4
+
+
+def _sw(state, i, pc):
+    stored = state.mem.store_word((state.regs[i.rs1] + i.imm) & MASK32, state.regs[i.rs2])
+    return pc + 4 if stored else None
+
+
+def _jal(state, i, pc):
+    state.set_reg(i.rd, pc + 4)
+    return pc + i.imm
+
+
+def _jalr(state, i, pc):
+    target = (state.regs[i.rs1] + i.imm) & ~1
+    state.set_reg(i.rd, pc + 4)
+    return target
+
+
+def _ecall(state, i, pc):
+    state.halted = True
+    return pc + 4
+
+
+_HANDLERS = {
+    "add": _writes(lambda r, i: r[i.rs1] + r[i.rs2]),
+    "sub": _writes(lambda r, i: r[i.rs1] - r[i.rs2]),
+    "and": _writes(lambda r, i: r[i.rs1] & r[i.rs2]),
+    "or": _writes(lambda r, i: r[i.rs1] | r[i.rs2]),
+    "xor": _writes(lambda r, i: r[i.rs1] ^ r[i.rs2]),
+    "slt": _writes(lambda r, i: _signed(r[i.rs1]) < _signed(r[i.rs2])),
+    "addi": _writes(lambda r, i: r[i.rs1] + i.imm),
+    "andi": _writes(lambda r, i: r[i.rs1] & i.imm),   # the mask makes a negative imm 32-bit
+    "ori": _writes(lambda r, i: r[i.rs1] | i.imm),
+    "xori": _writes(lambda r, i: r[i.rs1] ^ i.imm),
+    "slti": _writes(lambda r, i: _signed(r[i.rs1]) < i.imm),
+    "lui": _writes(lambda r, i: i.imm << 12),
+    "lw": _lw,
+    "sw": _sw,
+    "beq": _branch(operator.eq),
+    "bne": _branch(operator.ne),
+    "blt": _branch(lambda a, b: _signed(a) < _signed(b)),
+    "bge": _branch(lambda a, b: _signed(a) >= _signed(b)),
+    "jal": _jal,
+    "jalr": _jalr,
+    "ecall": _ecall,
+}
+
+
+def _remember(cache: dict, key, value):
+    if len(cache) >= FETCH_CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+def _decoded(cache: dict, word: int) -> Instruction | DecodeError:
+    """Decode result of a plaintext word, one per distinct word of the image."""
+    result = cache.get(word)
+    return _remember(cache, word, decode(word)) if result is None else result
 
 
 class Engine:
@@ -206,34 +306,40 @@ class Engine:
         """Fetch until `limit` instructions have retired (None) or the run ends."""
         state = self.state
         counters = state.counters
-        block_index = self.image.block_index
+        load_word = state.mem.load_word
+        cache = self.image.fetch_cache
+        encrypted = self.encrypted
+        block_end = self._block_end()
         while counters.instructions_retired < limit:
             pc = state.pc
-            raw = state.mem.load_word(pc)
+            raw = load_word(pc)
             if raw is None:
                 return MEMORY_FAULT, None, None
 
-            if self.prev_pc is not None:
-                sequential = pc == self.prev_pc + 4
-                cur_len = block_index.get(state.cur_block_base, _NO_BLOCK)[1]
-                crosses_end = pc == state.cur_block_base + 4 * cur_len
-                if not sequential or crosses_end:
-                    counters.control_transfers += 1
-                    self._edge_event(pc)
+            if self.prev_pc is not None and (pc != self.prev_pc + 4 or pc == block_end):
+                counters.control_transfers += 1
+                self._edge_event(pc)
+                block_end = self._block_end()
 
-            if self.encrypted:
-                offset = ((pc - state.cur_block_base) >> 2) & _OFFSET_MASK
+            if encrypted:
                 counters.keystream_invocations += 1
-                word = raw ^ keystream_word(state.cur_key, offset)
+                offset = ((pc - state.cur_block_base) >> 2) & _OFFSET_MASK
+                key = (state.cur_key, offset, raw)
+                instr = cache.get(key)
+                if instr is None:
+                    word = raw ^ keystream_word(state.cur_key, offset)
+                    instr = _remember(cache, key, _decoded(cache, word))
             else:
-                word = raw
+                instr = cache.get(raw)
+                if instr is None:
+                    instr = _decoded(cache, raw)
+            if instr.__class__ is not Instruction:
+                return INTEGRITY_FAULT, pc, instr.word
 
-            instr = decode(word)
-            if not isinstance(instr, Instruction):
-                return INTEGRITY_FAULT, pc, word
-
-            if not self._execute(instr):
+            next_pc = _HANDLERS[instr.op](state, instr, pc)
+            if next_pc is None:
                 return MEMORY_FAULT, None, None
+            state.pc = next_pc & MASK32
             counters.instructions_retired += 1
             if record_trace:
                 self.trace.append((pc, instr))
@@ -241,6 +347,11 @@ class Engine:
             if state.halted:
                 return HALT, None, None
         return None
+
+    def _block_end(self) -> int:
+        """First address past the key register's block (its entry if none)."""
+        base = self.state.cur_block_base
+        return base + 4 * self.image.block_index.get(base, _NO_BLOCK)[1]
 
     def _edge_event(self, new_pc: int) -> None:
         """Patch lookup on a transfer or block-boundary crossing."""
@@ -253,67 +364,6 @@ class Engine:
                 state.counters.key_switches += 1
         elif new_pc in self.image.block_index:
             state.cur_block_base = new_pc
-
-    def _execute(self, instr: Instruction) -> bool:
-        """Architectural semantics; False signals a memory fault."""
-        state = self.state
-        regs = state.regs
-        op, pc = instr.op, state.pc
-        next_pc = (pc + 4) & MASK32
-
-        if op == "addi":
-            state.set_reg(instr.rd, regs[instr.rs1] + instr.imm)
-        elif op == "add":
-            state.set_reg(instr.rd, regs[instr.rs1] + regs[instr.rs2])
-        elif op == "sub":
-            state.set_reg(instr.rd, regs[instr.rs1] - regs[instr.rs2])
-        elif op == "and":
-            state.set_reg(instr.rd, regs[instr.rs1] & regs[instr.rs2])
-        elif op == "or":
-            state.set_reg(instr.rd, regs[instr.rs1] | regs[instr.rs2])
-        elif op == "xor":
-            state.set_reg(instr.rd, regs[instr.rs1] ^ regs[instr.rs2])
-        elif op == "slt":
-            state.set_reg(instr.rd,
-                          int(_signed(regs[instr.rs1]) < _signed(regs[instr.rs2])))
-        elif op == "andi":
-            state.set_reg(instr.rd, regs[instr.rs1] & (instr.imm & MASK32))
-        elif op == "ori":
-            state.set_reg(instr.rd, regs[instr.rs1] | (instr.imm & MASK32))
-        elif op == "xori":
-            state.set_reg(instr.rd, regs[instr.rs1] ^ (instr.imm & MASK32))
-        elif op == "slti":
-            state.set_reg(instr.rd, int(_signed(regs[instr.rs1]) < instr.imm))
-        elif op == "lui":
-            state.set_reg(instr.rd, instr.imm << 12)
-        elif op == "lw":
-            value = state.mem.load_word((regs[instr.rs1] + instr.imm) & MASK32)
-            if value is None:
-                return False
-            state.set_reg(instr.rd, value)
-        elif op == "sw":
-            if not state.mem.store_word((regs[instr.rs1] + instr.imm) & MASK32,
-                                        regs[instr.rs2]):
-                return False
-        elif op in ("beq", "bne", "blt", "bge"):
-            a, b = regs[instr.rs1], regs[instr.rs2]
-            taken = (a == b if op == "beq" else
-                     a != b if op == "bne" else
-                     _signed(a) < _signed(b) if op == "blt" else
-                     _signed(a) >= _signed(b))
-            if taken:
-                next_pc = (pc + instr.imm) & MASK32
-        elif op == "jal":
-            state.set_reg(instr.rd, pc + 4)
-            next_pc = (pc + instr.imm) & MASK32
-        elif op == "jalr":
-            target = (regs[instr.rs1] + instr.imm) & MASK32 & ~1
-            state.set_reg(instr.rd, pc + 4)
-            next_pc = target
-        elif op == "ecall":
-            state.halted = True
-        state.pc = next_pc
-        return True
 
     def _report(self, outcome: str, fault_pc: int | None = None,
                 fault_word: int | None = None) -> RunReport:

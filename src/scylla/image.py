@@ -64,6 +64,11 @@ class Image:
         return {entry: (block_id, length)
                 for block_id, (entry, length) in enumerate(self.blocks)}
 
+    @cached_property
+    def fetch_cache(self) -> dict:
+        """The engine's host-side decoded-fetch cache (see engine.py)."""
+        return {}
+
     def digest(self) -> str:
         return hashlib.sha256(dump_image(self)).hexdigest()
 
@@ -115,30 +120,25 @@ def parse_container(blob: bytes) -> tuple[Image, int, int]:
      block_count, edge_count) = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise ImageFormatError(f"unsupported container version {version}")
+    if text_base % 4 or text_len % 4:
+        raise ImageFormatError("text base and text length must be multiples of 4")
+    blocks_end = _HEADER.size + block_count * _BLOCK_REC.size
+    text_at = blocks_end + edge_count * _EDGE_REC.size
+    data_at = text_at + text_len
+    if data_at + data_len > len(blob):
+        raise ImageFormatError("container truncated")
 
-    offset = _HEADER.size
-    blocks = []
-    for _ in range(block_count):
-        blocks.append(_BLOCK_REC.unpack_from(blob, offset))
-        offset += _BLOCK_REC.size
+    blocks = tuple(_BLOCK_REC.iter_unpack(blob[_HEADER.size:blocks_end]))
     edges = []
-    for _ in range(edge_count):
-        src, tgt, code = _EDGE_REC.unpack_from(blob, offset)
+    for src, tgt, code in _EDGE_REC.iter_unpack(blob[blocks_end:text_at]):
         if code >= len(EDGE_KINDS):
             raise ImageFormatError(f"bad edge kind code {code}")
         edges.append((src, tgt, EDGE_KINDS[code]))
-        offset += _EDGE_REC.size
-    if offset + text_len + data_len > len(blob):
-        raise ImageFormatError("container truncated")
-    text = blob[offset:offset + text_len]
-    offset += text_len
-    data = blob[offset:offset + data_len]
-    offset += data_len
 
-    image = Image(text_base=text_base, entry=entry, text=text,
-                  data_base=data_base, data=data,
-                  blocks=tuple(blocks), edges=tuple(edges))
-    return image, flags, offset
+    image = Image(text_base=text_base, entry=entry, text=blob[text_at:data_at],
+                  data_base=data_base, data=blob[data_at:data_at + data_len],
+                  blocks=blocks, edges=tuple(edges))
+    return image, flags, data_at + data_len
 
 
 def load_image_bytes(blob: bytes) -> Image:

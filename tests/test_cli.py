@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -174,3 +175,25 @@ def test_attack_trial_count_usage_errors(workdir, capsys, monkeypatch, extra):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert not (workdir / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("suffix", ["img", "eimg"])
+@pytest.mark.parametrize("field, value", [
+    (12, 2),          # text_base not a multiple of 4
+    (20, 246),        # text length not a multiple of 4
+    (32, 10 ** 6),    # block records overrun the container
+    (36, 10 ** 6),    # edge records overrun the container
+])
+def test_run_rejects_malformed_container(workdir, capsys, suffix, field, value):
+    run_cli(capsys, "assemble", workdir / "fib.s")
+    run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
+    path = workdir / f"fib.{suffix}"
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, field, value)
+    path.write_bytes(bytes(blob))
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "scylla: error:" in captured.err

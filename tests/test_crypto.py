@@ -240,3 +240,11 @@ def test_encrypted_container_rejects_plain(corpus_sources):
     blob = dump_image(_image(corpus_sources["diamond"]))
     with pytest.raises(ImageFormatError):
         load_encrypted_image_bytes(blob)
+
+
+def test_derive_next_key_is_bytewise_xor():
+    rng = random.Random(17)
+    pairs = [(bytes(16), bytes(16)), (bytes(16), b"\xff" * 16)]
+    pairs += [(rng.randbytes(16), rng.randbytes(16)) for _ in range(200)]
+    for current, patch in pairs:
+        assert derive_next_key(current, patch) == bytes(a ^ b for a, b in zip(current, patch))

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from scylla import engine as eng
 from scylla.asm import parse_assembly
+from scylla.attacks import AttackScenario, hijack_payload, run_attack, run_trials
 from scylla.crypto import encrypt_pipeline
 from scylla.engine import (
     HALT,
@@ -242,3 +245,76 @@ def test_advance_then_run_equals_single_run(corpus_images, corpus_encrypted):
                 assert engine.advance(k) == (k < retired), (name, k)
                 assert engine.run() == whole, (name, k)
 
+
+def test_fetch_cache_follows_stores_into_text(corpus_sources):
+    # loop_sum's loop block starts at 12 and its data cell is at 0x10000.
+    # After 25 retired instructions the loop has run four times and its
+    # words sit in the decoded-fetch cache; the payload then overwrites the
+    # loop body and the pc re-enters it. The expected values were computed
+    # with the engine as it was before it had a fetch cache.
+    image = _image(corpus_sources["loop_sum"])
+    scenario = AttackScenario(
+        "code-injection", 25, target=12, payload=hijack_payload(0x10000, 0xC0FFEE42),
+        sentinel_addr=0x10000, sentinel_value=0xC0FFEE42)
+
+    plain = plaintext_engine(image)
+    assert plain.advance(scenario.trigger_step)
+    for i in range(0, len(scenario.payload), 4):
+        assert plain.state.mem.store_word(
+            scenario.target + i, int.from_bytes(scenario.payload[i:i + 4], "little"))
+    plain.state.pc = scenario.target
+    report = plain.run(4096)
+    assert report.outcome == HALT
+    assert report.instructions_until_fault is None
+    assert report.counters.instructions_retired == 31
+    assert report.final_state_digest == (
+        "11e783438f350892b999988958b02e3eae4fae5a47fb73ca6f337c2d5cbe4a1b")
+    assert plain.state.mem.load_word(scenario.sentinel_addr) == scenario.sentinel_value
+
+    outcome = run_attack(encrypt_pipeline(image, 42), scenario, step_limit=4096)
+    assert outcome.report.outcome == INTEGRITY_FAULT
+    assert outcome.detected and not outcome.hijack_succeeded
+    assert outcome.instructions_until_fault == 1
+    assert outcome.report.instructions_until_fault == 26
+    assert outcome.report.final_state_digest == (
+        "966a7d1d63a6b3b0fc38ba518fb95d9f966f0b4d19cc48f5ec61f4f1ced8a118")
+
+
+def _corpus_fetch_results(sources):
+    """Every corpus run report, plain and encrypted, plus a fib rogue-edge campaign."""
+    reports = []
+    for source in sources.values():
+        image = _image(source)
+        reports += [run_plaintext(image), run_encrypted(encrypt_pipeline(image, 42))]
+    fib = encrypt_pipeline(_image(sources["fib"]), 42)
+    trials = [{**o.to_json_dict(), "digest": o.report.final_state_digest}
+              for o in run_trials(fib, "rogue-edge", 40, seed=5, step_limit=4096)]
+    return reports, trials, fib.image.fetch_cache
+
+
+def test_fetch_cache_bound_changes_no_result(corpus_sources, monkeypatch):
+    reports, trials, _ = _corpus_fetch_results(corpus_sources)
+    monkeypatch.setattr(eng, "FETCH_CACHE_SIZE", 2)
+    small_reports, small_trials, cache = _corpus_fetch_results(corpus_sources)
+    assert small_reports == reports
+    assert small_trials == trials
+    assert len(cache) <= 2
+
+
+def test_fetch_misses_decode_and_decrypt_through_module_globals(corpus_sources, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(eng, "decode", counting("decode", eng.decode))
+    monkeypatch.setattr(eng, "keystream_word", counting("keystream", eng.keystream_word))
+    report = run_encrypted(encrypt_pipeline(_image(corpus_sources["loop_sum"]), 42))
+    assert report.outcome == HALT
+    fetches = report.counters.instructions_retired   # a halted run retires every fetch
+    assert report.counters.keystream_invocations == fetches == 105
+    assert 1 <= calls["decode"] < fetches
+    assert 1 <= calls["keystream"] < fetches
