@@ -9,6 +9,12 @@ carries on under normal engine rules. The key register is the engine's;
 a scenario reads it only through `Engine.current_block` and changes it
 only through `Engine.replay_patch`.
 
+A randomized campaign (`run_trials`) runs the unattacked prefix once: a
+checkpoint engine advances through the sorted triggers and is forked
+(`Engine.fork`) at each, and every trial runs on a fork of the engine at
+its trigger. A trial's counters still count from reset, and every
+outcome, digest and CSV row is the one a trial run from reset would give.
+
 Success is operationalized concretely: the attack "hijacked" the run
 if the sentinel memory cell holds the attacker-chosen value when the
 run ends, and it was "detected" if the run died in an integrity or
@@ -206,9 +212,20 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
 
 
 def run_attack(eimage: EncryptedImage, scenario: AttackScenario, seed: int = 0,
-               step_limit: int = DEFAULT_STEP_LIMIT) -> AttackOutcome:
-    """Run to the trigger, apply the scenario, keep executing engine rules."""
-    engine = encrypted_engine(eimage)
+               step_limit: int = DEFAULT_STEP_LIMIT, *,
+               start: Engine | None = None) -> AttackOutcome:
+    """Run to the trigger, apply the scenario, keep executing engine rules.
+
+    The attack runs from reset, or from a fork of `start`, an unattacked
+    engine on `eimage` that has not retired more than `trigger_step`
+    instructions; `start` itself is left as it is.
+    """
+    if start is None:
+        engine = encrypted_engine(eimage)
+    elif start.state.counters.instructions_retired > scenario.trigger_step:
+        raise ValueError("start engine has run past the trigger")
+    else:
+        engine = start.fork()
     fired = (scenario.trigger_step <= step_limit
              and engine.advance(scenario.trigger_step))
     if fired:
@@ -229,20 +246,34 @@ def run_attack(eimage: EncryptedImage, scenario: AttackScenario, seed: int = 0,
 
 def run_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
                step_limit: int = DEFAULT_STEP_LIMIT) -> list[AttackOutcome]:
-    """Randomized attack instances with trigger/target drawn from `seed`."""
+    """Randomized attack instances with trigger/target drawn from `seed`.
+
+    One checkpoint engine runs the unattacked program forward through the
+    distinct triggers in ascending order and is forked at each, so a
+    campaign holds one fork per distinct trigger. The trials then run in
+    trial order, each from the fork at its trigger, and a campaign stops at
+    its first inapplicable trial, as it did when every trial ran from reset.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
+    if kind == CODE_INJECTION:
+        raise HarnessError("code-injection needs a scenario file: "
+                           "its target and payload are not drawn at random")
     baseline = run_encrypted(eimage, step_limit)
     if baseline.outcome != HALT:
         raise HarnessError("program does not halt unattacked; cannot place triggers")
     horizon = baseline.counters.instructions_retired
     rng = random.Random(seed)
-    outcomes = []
-    for trial in range(n_trials):
-        scenario = AttackScenario(kind=kind, trigger_step=rng.randrange(horizon))
-        outcomes.append(run_attack(eimage, scenario,
-                                   seed=rng.getrandbits(63), step_limit=step_limit))
-    return outcomes
+    trials = [(AttackScenario(kind=kind, trigger_step=rng.randrange(horizon)),
+               rng.getrandbits(63)) for _ in range(n_trials)]
+    checkpoint = encrypted_engine(eimage)
+    starts = {}
+    for trigger in sorted({scenario.trigger_step for scenario, _ in trials}):
+        checkpoint.advance(trigger)
+        starts[trigger] = checkpoint.fork()
+    return [run_attack(eimage, scenario, seed=trial_seed, step_limit=step_limit,
+                       start=starts[scenario.trigger_step])
+            for scenario, trial_seed in trials]
 
 
 def survival_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,

@@ -30,7 +30,7 @@ import hashlib
 import operator
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .crypto import MAX_WORD_OFFSET, EncryptedImage, derive_next_key, keystream_word
 from .image import Image
@@ -73,6 +73,11 @@ class PerfCounters:
             "keystream_invocations": self.keystream_invocations,
             "cycles": self.cycles,
         }
+
+    def copy(self) -> PerfCounters:
+        return PerfCounters(self.instructions_retired, self.control_transfers,
+                            self.key_switches, self.patch_lookups,
+                            self.keystream_invocations, self.cycles)
 
 
 def cycles_for(counters: PerfCounters, decrypt_cost: int, switch_cost: int) -> int:
@@ -138,6 +143,15 @@ class Memory:
         self.dirty.add(addr)
         return True
 
+    def fork(self) -> Memory:
+        clone = Memory.__new__(Memory)
+        clone.text_base = self.text_base
+        clone.words = self.words[:]
+        clone.data_base = self.data_base
+        clone.data = self.data[:]
+        clone.dirty = set(self.dirty)
+        return clone
+
 
 @dataclass
 class MachineState:
@@ -155,15 +169,21 @@ class MachineState:
         if index:  # x0 stays hardwired to zero
             self.regs[index] = value & MASK32
 
+    def fork(self) -> MachineState:
+        return MachineState(self.mem.fork(), self.pc, self.regs[:], self.cur_key,
+                            self.cur_block_base, self.halted, self.counters.copy())
+
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for value in self.regs:
-            h.update(value.to_bytes(4, "little"))
+        """sha256 of the registers, then (address, word) for each dirty
+        address in address order, as little-endian 32-bit words."""
+        load_word = self.mem.load_word
+        words = array("I", self.regs)
         for addr in sorted(self.mem.dirty):
-            h.update(addr.to_bytes(4, "little"))
-            word = self.mem.load_word(addr)
-            h.update((word or 0).to_bytes(4, "little"))
-        return h.hexdigest()
+            words.append(addr)
+            words.append(load_word(addr) or 0)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return hashlib.sha256(words).hexdigest()
 
 
 def _signed(value: int) -> int:
@@ -282,6 +302,18 @@ class Engine:
             self._end = self._fetch_loop(step_limit, record_trace)
         return self._report(*(self._end or (STEP_LIMIT,)))
 
+    def fork(self) -> Engine:
+        """An independent engine in exactly this engine's current state.
+
+        Memory, registers, counters, key register, pc and the sticky end of
+        the run are copied; the image, patch map and costs are shared.
+        """
+        clone = Engine.__new__(Engine)
+        clone.__dict__.update(self.__dict__)
+        clone.state = self.state.fork()
+        clone.trace = self.trace[:]
+        return clone
+
     def advance(self, steps: int) -> bool:
         """Run until `steps` instructions have retired; False if the run ended first."""
         if self._end is None:
@@ -367,7 +399,7 @@ class Engine:
 
     def _report(self, outcome: str, fault_pc: int | None = None,
                 fault_word: int | None = None) -> RunReport:
-        counters = replace(self.state.counters)
+        counters = self.state.counters.copy()
         counters.cycles = cycles_for(counters, self.decrypt_cost, self.switch_cost)
         until_fault = None
         if outcome in (INTEGRITY_FAULT, MEMORY_FAULT):

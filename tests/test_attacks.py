@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -205,6 +207,60 @@ def test_attack_outputs_match_golden(corpus_images, corpus_dir):
         doc.append({**o.to_json_dict(), "digest": o.report.final_state_digest})
     blob = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_ATTACKS_SHA256
+
+
+# pins every randomized campaign on every corpus program: JSON, CSV and
+# final digests per trial, or the HarnessError of an inapplicable campaign
+GOLDEN_CAMPAIGNS_SHA256 = "f1265b37790f57801635640e407d1f1a9a07160374d6308e977300b87d1761ca"
+
+
+def test_campaigns_match_golden(corpus_encrypted):
+    doc = []
+    for name in sorted(corpus_encrypted):
+        for kind in ("rogue-edge", "mid-block-entry", "patch-replay"):
+            for seed in (1, 2):
+                try:
+                    outcomes = run_trials(corpus_encrypted[name], kind, 40, seed=seed,
+                                          step_limit=4096)
+                except HarnessError as exc:
+                    doc.append([name, kind, seed, str(exc)])
+                    continue
+                csv_text = io.StringIO()
+                write_trials_csv(outcomes, csv_text, step_limit=4096)
+                doc.append([name, kind, seed, csv_text.getvalue(),
+                            [{**o.to_json_dict(), "digest": o.report.final_state_digest}
+                             for o in outcomes]])
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_CAMPAIGNS_SHA256
+
+
+def test_attack_from_a_start_engine(fib):
+    scenario = AttackScenario("rogue-edge", 10, target=12)
+    start = encrypted_engine(fib)
+    start.advance(6)
+    assert run_attack(fib, scenario, seed=5, start=start) == run_attack(fib, scenario, seed=5)
+    assert start.state.counters.instructions_retired == 6
+    start.advance(11)
+    with pytest.raises(ValueError, match="past the trigger"):
+        run_attack(fib, scenario, seed=5, start=start)
+
+
+def test_campaign_stops_at_first_inapplicable_trial(corpus_encrypted, monkeypatch):
+    # diamond's trials are inapplicable from some blocks; under seed 1 the
+    # first such trial is trial 12, so trials 0-12 run, in trial order
+    diamond = corpus_encrypted["diamond"]
+    calls = []
+
+    def recording(eimage, scenario, seed=0, step_limit=4096, *, start=None):
+        calls.append((scenario.trigger_step, seed))
+        return run_attack(eimage, scenario, seed, step_limit, start=start)
+
+    monkeypatch.setattr("scylla.attacks.run_attack", recording)
+    with pytest.raises(HarnessError, match="mid-body"):
+        run_trials(diamond, "mid-block-entry", 40, seed=1, step_limit=4096)
+    rng = random.Random(1)
+    horizon = run_encrypted(diamond).counters.instructions_retired
+    assert calls == [(rng.randrange(horizon), rng.getrandbits(63)) for _ in range(13)]
 
 
 def test_committed_scenarios_all_fault_before_sentinel(fib, corpus_dir):

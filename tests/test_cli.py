@@ -4,6 +4,7 @@ import struct
 import pytest
 
 from scylla.cli import main
+from scylla.engine import Engine
 
 SEED = "000102030405060708090a0b0c0d0e0f"
 
@@ -197,3 +198,28 @@ def test_run_rejects_malformed_container(workdir, capsys, suffix, field, value):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "scylla: error:" in captured.err
+
+
+def test_attack_code_injection_campaign_needs_scenario_file(workdir, capsys, monkeypatch):
+    run_cli(capsys, "assemble", workdir / "fib.s")
+    run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
+    runs = []
+
+    def counting(name):
+        method = getattr(Engine, name)
+
+        def wrapped(self, *args, **kwargs):
+            runs.append(name)
+            return method(self, *args, **kwargs)
+        return wrapped
+
+    for name in ("run", "advance"):
+        monkeypatch.setattr(Engine, name, counting(name))
+    code = main(["attack", str(workdir / "fib.eimg"), "--kind", "code-injection",
+                 "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "scenario file" in captured.err
+    assert runs == []

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -244,6 +245,83 @@ def test_advance_then_run_equals_single_run(corpus_images, corpus_encrypted):
                 engine = make(target)
                 assert engine.advance(k) == (k < retired), (name, k)
                 assert engine.run() == whole, (name, k)
+
+
+def test_fork_continues_like_a_fresh_engine(corpus_images, corpus_encrypted):
+    for name in corpus_images:
+        for target, make in ((corpus_images[name], plaintext_engine),
+                             (corpus_encrypted[name], encrypted_engine)):
+            whole = make(target).run()
+            retired = whole.counters.instructions_retired
+            checkpoint = make(target)
+            for k in range(retired + 1):
+                checkpoint.advance(k)
+                fresh = make(target)
+                fresh.advance(k)
+                assert checkpoint.fork().run() == fresh.run(), (name, k)
+            assert checkpoint.run() == whole, name
+
+
+def test_fork_leaves_checkpoint_untouched(corpus_encrypted):
+    fib = corpus_encrypted["fib"]
+    whole = encrypted_engine(fib).run()
+    checkpoint = encrypted_engine(fib)
+    checkpoint.advance(10)              # inside the loop, block 3
+    digest = checkpoint.state.digest()
+    mem = checkpoint.state.mem
+    text_addr, data_addr = checkpoint.state.pc, fib.image.data_base   # next fetch, a data word
+    words = mem.load_word(text_addr), mem.load_word(data_addr)
+
+    fork = checkpoint.fork()
+    fork.state.mem.store_word(text_addr, 0xDEADBEEF)
+    fork.state.mem.store_word(data_addr, 0x12345678)
+    fork.state.set_reg(5, 77)
+    fork.replay_patch(fib.patch_map[(4, 12)], 12)
+    fork.state.counters.instructions_retired += 7
+    forked = fork.run()
+    assert forked.final_state_digest != whole.final_state_digest
+    assert forked.counters != whole.counters
+
+    assert (mem.load_word(text_addr), mem.load_word(data_addr)) == words
+    assert checkpoint.state.digest() == digest
+    assert checkpoint.current_block() == 3
+    assert checkpoint.run() == whole
+
+
+def _per_word_digest(state):
+    """Reference digest: registers, then (address, word) per dirty address."""
+    h = hashlib.sha256()
+    for value in state.regs:
+        h.update(value.to_bytes(4, "little"))
+    for addr in sorted(state.mem.dirty):
+        h.update(addr.to_bytes(4, "little"))
+        h.update((state.mem.load_word(addr) or 0).to_bytes(4, "little"))
+    return h.hexdigest()
+
+
+def test_digest_matches_per_word_formula(corpus_images, corpus_encrypted):
+    for name in corpus_images:
+        for engine in (plaintext_engine(corpus_images[name]),
+                       encrypted_engine(corpus_encrypted[name])):
+            report = engine.run()
+            assert report.final_state_digest == _per_word_digest(engine.state), name
+
+    # a payload written over loop_sum's loop body dirties text; the
+    # program's own stores have already dirtied its data cell
+    image = corpus_images["loop_sum"]
+    payload = hijack_payload(image.data_base, 0xC0FFEE42)
+    for make, target in ((plaintext_engine, image),
+                         (encrypted_engine, corpus_encrypted["loop_sum"])):
+        engine = make(target)
+        engine.advance(25)
+        for i in range(0, len(payload), 4):
+            engine.state.mem.store_word(12 + i, int.from_bytes(payload[i:i + 4], "little"))
+        engine.state.pc = 12
+        report = engine.run(4096)
+        dirty = engine.state.mem.dirty
+        assert any(addr < image.data_base for addr in dirty)
+        assert image.data_base in dirty
+        assert report.final_state_digest == _per_word_digest(engine.state)
 
 
 def test_fetch_cache_follows_stores_into_text(corpus_sources):
