@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .crypto import EncryptedImage
@@ -74,17 +74,11 @@ def diversification_report(image: Image, eimage: EncryptedImage) -> Diversificat
     plain_words = image.text_words()
     cipher_words = enc.text_words()
 
-    positions = defaultdict(list)
-    for index, word in enumerate(plain_words):
-        positions[word].append(index)
-    pairs = diversified = 0
-    for indices in positions.values():
-        for i, a in enumerate(indices):
-            for b in indices[i + 1:]:
-                pairs += 1
-                if cipher_words[a] != cipher_words[b]:
-                    diversified += 1
-    repeated = diversified / pairs if pairs else 1.0  # vacuously diverse
+    # pairs of equal plaintext words, and those whose ciphertexts also agree
+    pairs = sum(n * (n - 1) // 2 for n in Counter(plain_words).values())
+    same = sum(n * (n - 1) // 2
+               for n in Counter(zip(plain_words, cipher_words)).values())
+    repeated = (pairs - same) / pairs if pairs else 1.0  # vacuously diverse
 
     return DiversificationReport(
         plaintext_entropy=byte_entropy(image.text),

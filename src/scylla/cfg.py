@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .asm import Program
+from .isa import ISA_TABLE
 
 FALLTHROUGH = "fallthrough"
 BRANCH_TAKEN = "branch-taken"
@@ -25,8 +26,7 @@ INDIRECT = "indirect"
 EDGE_KINDS = (FALLTHROUGH, BRANCH_TAKEN, JUMP, CALL, RETURN, INDIRECT)
 EDGE_KIND_CODES = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
-_BRANCHES = ("beq", "bne", "blt", "bge")
-_TERMINATORS = _BRANCHES + ("jal", "jalr", "ecall")
+_BRANCHES = frozenset(m for m, (fmt, *_) in ISA_TABLE.items() if fmt == "B")
 
 
 class AnalysisError(ValueError):

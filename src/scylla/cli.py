@@ -1,5 +1,10 @@
 """Command-line pipeline: assemble, encrypt, run, attack, analyze, bench.
 
+Each subcommand declares only the flags it reads, so any other flag is
+a usage error. `attack` takes a scenario file or `--kind` trials, never
+both; its counters use the default costs (1 and 4). `$SCYLLA_SEED`
+stands in for `--seed`, which only `encrypt` and `bench` take.
+
 Every command is deterministic given its flags and inputs; faults are
 data, so a run that ends in an integrity fault still exits 0. Exit
 code 1 means a domain error (bad program, malformed container), 2 a
@@ -13,7 +18,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
@@ -68,49 +72,33 @@ DOMAIN_ERRORS = (AsmError, AnalysisError, LayoutError, ImageFormatError,
                  FileNotFoundError, IsADirectoryError)
 
 
-@dataclass
-class CliConfig:
-    seed: bytes | None
-    step_limit: int
-    decrypt_cost: int
-    switch_cost: int
-    out: str | None
-    format: str
-
-
-def _parse_seed(text: str, parser: argparse.ArgumentParser) -> bytes:
+def _seed(text: str) -> bytes:
     cleaned = text.strip().lower().removeprefix("0x")
     if len(cleaned) != 32 or any(c not in "0123456789abcdef" for c in cleaned):
-        parser.error(f"--seed must be exactly 32 hex digits, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be exactly 32 hex digits (from --seed or ${SEED_ENV}), got {text!r}")
     return bytes.fromhex(cleaned)
 
 
-def _config(args, parser) -> CliConfig:
-    seed = None
-    raw = args.seed if getattr(args, "seed", None) else os.environ.get(SEED_ENV)
-    if raw:
-        seed = _parse_seed(raw, parser)
-    if args.decrypt_cost < 0 or args.switch_cost < 0:
-        parser.error("cost parameters must be non-negative")
-    if args.step_limit < 0:
-        parser.error("--step-limit must be non-negative")
-    return CliConfig(seed=seed, step_limit=args.step_limit,
-                     decrypt_cost=args.decrypt_cost, switch_cost=args.switch_cost,
-                     out=args.out, format=args.format)
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
-def _emit(text: str, config: CliConfig) -> None:
-    if config.out:
-        Path(config.out).write_text(text)
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_doc(doc: dict, config: CliConfig) -> None:
-    if config.format == "human":
-        _emit(_humanize(doc) + "\n", config)
+def _emit_doc(doc: dict, args) -> None:
+    if args.format == "human":
+        _emit(_humanize(doc) + "\n", args.out)
     else:
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config)
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _humanize(doc: dict, indent: str = "") -> str:
@@ -134,76 +122,73 @@ def _load_any_image(path: str):
 
 
 def cmd_assemble(args, parser) -> int:
-    config = _config(args, parser)
     program = parse_assembly(Path(args.source).read_text())
     image = layout_image(program, text_base=args.text_base)
-    out = config.out or str(Path(args.source).with_suffix(".img"))
+    out = args.out or str(Path(args.source).with_suffix(".img"))
     Path(out).write_bytes(dump_image(image))
     return 0
 
 
 def cmd_encrypt(args, parser) -> int:
-    config = _config(args, parser)
-    if config.seed is None:
-        parser.error(f"encrypt needs --seed or ${SEED_ENV}")
     image = load_image_bytes(Path(args.image).read_bytes())
-    eimage = encrypt_pipeline(image, config.seed)
-    out = config.out or str(Path(args.image).with_suffix(".eimg"))
+    eimage = encrypt_pipeline(image, args.seed)
+    out = args.out or str(Path(args.image).with_suffix(".eimg"))
     Path(out).write_bytes(dump_encrypted_image(eimage))
     return 0
 
 
 def cmd_run(args, parser) -> int:
-    config = _config(args, parser)
-    costs = {"decrypt_cost": config.decrypt_cost, "switch_cost": config.switch_cost}
+    costs = {"decrypt_cost": args.decrypt_cost, "switch_cost": args.switch_cost}
     kind, image = _load_any_image(args.image)
     if kind == "encrypted":
         engine = encrypted_engine(image, **costs)
     else:
         engine = plaintext_engine(image, **costs)
-    report = engine.run(config.step_limit)
+    report = engine.run(args.step_limit)
     doc = report.to_json_dict()
     doc["regs"] = {f"x{i}": value
                    for i, value in enumerate(engine.state.regs) if value}
-    _emit_doc(doc, config)
+    _emit_doc(doc, args)
     return 0
 
 
 def cmd_attack(args, parser) -> int:
-    config = _config(args, parser)
+    if args.scenario is not None:
+        if args.trials is not None or args.curve is not None or args.format == "csv":
+            parser.error("a scenario file takes no --trials, --curve or --format csv")
+    elif args.format == "human":
+        parser.error("--kind writes --format json or csv")
+    trials = 100 if args.trials is None else args.trials
+    if trials < 1:
+        parser.error("--trials must be positive")
+    if args.curve and trials < MIN_SURVIVAL_SAMPLES:
+        parser.error(f"--curve needs --trials of at least {MIN_SURVIVAL_SAMPLES}")
     kind, eimage = _load_any_image(args.image)
     if kind != "encrypted":
         raise HarnessError("attack needs an encrypted image (.eimg)")
-    if args.scenario:
+    if args.scenario is not None:
         scenario = load_scenario(args.scenario)
         outcome = run_attack(eimage, scenario, seed=args.harness_seed,
-                             step_limit=config.step_limit)
-        _emit_doc(outcome.to_json_dict(), config)
+                             step_limit=args.step_limit)
+        _emit_doc(outcome.to_json_dict(), args)
         return 0
-    if not args.kind:
-        parser.error("attack needs a scenario file or --kind/--trials")
-    if args.trials < 1:
-        parser.error("--trials must be positive")
-    if args.curve and args.trials < MIN_SURVIVAL_SAMPLES:
-        parser.error(f"--curve needs --trials of at least {MIN_SURVIVAL_SAMPLES}")
-    outcomes = run_trials(eimage, args.kind, args.trials, seed=args.harness_seed,
-                          step_limit=config.step_limit)
+    outcomes = run_trials(eimage, args.kind, trials, seed=args.harness_seed,
+                          step_limit=args.step_limit)
     if args.curve:
-        latencies = [o.censored_latency(config.step_limit) for o in outcomes]
+        latencies = [o.censored_latency(args.step_limit) for o in outcomes]
         fit = fit_survival(latencies, exact_valid_decode_fraction())
         with open(args.curve, "w", newline="") as fh:
             write_survival_csv(fit, fh)
-    if config.format == "json":
-        _emit_doc({"trials": [o.to_json_dict() for o in outcomes]}, config)
+    if args.format == "json":
+        _emit_doc({"trials": [o.to_json_dict() for o in outcomes]}, args)
     else:
         buf = io.StringIO()
-        write_trials_csv(outcomes, buf, step_limit=config.step_limit)
-        _emit(buf.getvalue(), config)
+        write_trials_csv(outcomes, buf, step_limit=args.step_limit)
+        _emit(buf.getvalue(), args.out)
     return 0
 
 
 def cmd_analyze(args, parser) -> int:
-    config = _config(args, parser)
     kind, image = _load_any_image(args.image)
     if kind != "plain":
         raise MismatchError("first operand must be the plaintext image")
@@ -211,31 +196,28 @@ def cmd_analyze(args, parser) -> int:
     if ekind != "encrypted":
         raise MismatchError("second operand must be the encrypted image")
     report = diversification_report(image, eimage)
-    _emit_doc(report.to_json_dict(), config)
+    _emit_doc(report.to_json_dict(), args)
     return 0
 
 
 def cmd_bench(args, parser) -> int:
-    config = _config(args, parser)
-    if config.seed is None:
-        parser.error(f"bench needs --seed or ${SEED_ENV}")
     sources = sorted(Path(args.corpus).glob("*.s"))
     if not sources:
         raise HarnessError(f"no .s files under {args.corpus}")
-    costs = {"decrypt_cost": config.decrypt_cost, "switch_cost": config.switch_cost}
+    costs = {"decrypt_cost": args.decrypt_cost, "switch_cost": args.switch_cost}
     rows = []
     for path in sources:
         image = layout_image(parse_assembly(path.read_text()))
-        eimage = encrypt_pipeline(image, config.seed)
-        plain = run_plaintext(image, step_limit=config.step_limit, **costs)
-        enc = run_encrypted(eimage, step_limit=config.step_limit, **costs)
-        overhead = overhead_report(plain, enc, config.decrypt_cost, config.switch_cost)
+        eimage = encrypt_pipeline(image, args.seed)
+        plain = run_plaintext(image, step_limit=args.step_limit, **costs)
+        enc = run_encrypted(eimage, step_limit=args.step_limit, **costs)
+        overhead = overhead_report(plain, enc, args.decrypt_cost, args.switch_cost)
         rows.append((path.stem, plain.counters.instructions_retired,
                      enc.counters.key_switches, plain.counters.cycles,
                      enc.counters.cycles, f"{overhead:.6f}"))
     lines = ["program,retired,key_switches,plain_cycles,enc_cycles,overhead"]
     lines += [",".join(str(field) for field in row) for row in rows]
-    _emit("\n".join(lines) + "\n", config)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -246,53 +228,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "basic block, run them on a fetch-decrypting simulator, "
                     "attack them, and measure the fallout.")
     sub = parser.add_subparsers(dest="command", required=True)
+    env_seed = os.environ.get(SEED_ENV) or None
+    flags = {
+        "--seed": dict(type=_seed, default=env_seed, required=env_seed is None,
+                       help=f"128-bit hex key seed (default ${SEED_ENV})"),
+        "--step-limit": dict(type=_non_negative, default=DEFAULT_STEP_LIMIT),
+        "--decrypt-cost": dict(type=_non_negative, default=DEFAULT_DECRYPT_COST,
+                               help="cycles charged per fetch decryption"),
+        "--switch-cost": dict(type=_non_negative, default=DEFAULT_SWITCH_COST,
+                              help="cycles charged per key switch"),
+        "--format": dict(choices=("json", "human"), default="json"),
+        "--out": dict(help="output path (default stdout or derived)"),
+    }
 
-    def common(p):
-        p.add_argument("--seed", help=f"128-bit hex key seed (default ${SEED_ENV})")
-        p.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
-        p.add_argument("--decrypt-cost", type=int, default=DEFAULT_DECRYPT_COST,
-                       help="cycles charged per fetch decryption")
-        p.add_argument("--switch-cost", type=int, default=DEFAULT_SWITCH_COST,
-                       help="cycles charged per key switch")
-        p.add_argument("--format", choices=("json", "csv", "human"), default="json")
-        p.add_argument("--out", help="output path (default stdout or derived)")
+    def command(name, func, help, positionals, names):
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("assemble", help="parse .s source into a .img container")
-    p.add_argument("source")
+    costs = ["--decrypt-cost", "--switch-cost"]
+    p = command("assemble", cmd_assemble, "parse .s source into a .img container",
+                ["source"], ["--out"])
     p.add_argument("--text-base", type=lambda v: int(v, 0), default=0)
-    common(p)
-    p.set_defaults(func=cmd_assemble)
-
-    p = sub.add_parser("encrypt", help="encrypt a .img into a .eimg")
-    p.add_argument("image")
-    common(p)
-    p.set_defaults(func=cmd_encrypt)
-
-    p = sub.add_parser("run", help="execute a .img or .eimg")
-    p.add_argument("image")
-    common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("attack", help="run a scenario or randomized trials")
-    p.add_argument("image")
-    p.add_argument("scenario", nargs="?", help="scenario JSON file")
-    p.add_argument("--kind", choices=SCENARIO_KINDS)
-    p.add_argument("--trials", type=int, default=100)
+    command("encrypt", cmd_encrypt, "encrypt a .img into a .eimg",
+            ["image"], ["--seed", "--out"])
+    command("run", cmd_run, "execute a .img or .eimg",
+            ["image"], ["--step-limit", *costs, "--format", "--out"])
+    p = command("attack", cmd_attack, "run a scenario or randomized trials",
+                ["image"], ["--step-limit", "--out"])
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("scenario", nargs="?", help="scenario JSON file")
+    mode.add_argument("--kind", choices=SCENARIO_KINDS, help="or randomized trials")
+    p.add_argument("--trials", type=int, help="number of --kind trials (default 100)")
     p.add_argument("--harness-seed", type=int, default=0)
-    p.add_argument("--curve", help="also write a survival-curve CSV here")
-    common(p)
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("analyze", help="diversification report for img/eimg pair")
-    p.add_argument("image")
-    p.add_argument("eimage")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("bench", help="overhead table over a corpus directory")
-    p.add_argument("corpus")
-    common(p)
-    p.set_defaults(func=cmd_bench)
+    p.add_argument("--curve", help="with --kind, also write a survival-curve CSV here")
+    p.add_argument("--format", choices=("json", "csv", "human"), default="json",
+                   help="csv with --kind only, human with a scenario file only")
+    command("analyze", cmd_analyze, "diversification report for img/eimg pair",
+            ["image", "eimage"], ["--format", "--out"])
+    command("bench", cmd_bench, "overhead table over a corpus directory",
+            ["corpus"], ["--seed", "--step-limit", *costs, "--out"])
     return parser
 
 

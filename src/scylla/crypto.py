@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .cfg import BasicBlock, ControlFlowGraph
-from .image import FLAG_ENCRYPTED, Image, dump_image, parse_container
+from .image import FLAG_ENCRYPTED, Image, ImageFormatError, dump_image, parse_container
 
 KEY_BYTES = 16
 MAX_WORD_OFFSET = 1 << 20
@@ -163,7 +163,6 @@ def dump_encrypted_image(eimage: EncryptedImage) -> bytes:
 
 
 def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
-    from .image import ImageFormatError
     image, flags, offset = parse_container(blob)
     if not flags & FLAG_ENCRYPTED:
         raise ImageFormatError("container holds a plaintext image")
@@ -173,18 +172,11 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
     if magic != _KEYT_MAGIC:
         raise ImageFormatError("bad KEYT magic")
     offset += _KEYT_HEADER.size
-    table = []
-    for _ in range(count):
-        if len(blob) < offset + _PATCH_REC.size:
-            raise ImageFormatError("KEYT section truncated")
-        table.append(_PATCH_REC.unpack_from(blob, offset))
-        offset += _PATCH_REC.size
-    return EncryptedImage(image=image, patch_table=tuple(table), entry_key=entry_key)
-
-
-def load_encrypted_image(path) -> EncryptedImage:
-    with open(path, "rb") as fh:
-        return load_encrypted_image_bytes(fh.read())
+    end = offset + count * _PATCH_REC.size
+    if len(blob) < end:
+        raise ImageFormatError("KEYT section truncated")
+    table = tuple(_PATCH_REC.iter_unpack(blob[offset:end]))
+    return EncryptedImage(image=image, patch_table=table, entry_key=entry_key)
 
 
 def encrypt_pipeline(image: Image, seed: int | bytes) -> EncryptedImage:

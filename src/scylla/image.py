@@ -146,8 +146,3 @@ def load_image_bytes(blob: bytes) -> Image:
     if flags & FLAG_ENCRYPTED:
         raise ImageFormatError("container holds an encrypted image")
     return image
-
-
-def load_image(path) -> Image:
-    with open(path, "rb") as fh:
-        return load_image_bytes(fh.read())

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import struct
 
 import pytest
 
@@ -10,6 +12,7 @@ from scylla.analysis import (
     survival_model,
     write_survival_csv,
 )
+from scylla.crypto import EncryptedImage
 from scylla.isa import exact_valid_decode_fraction
 
 
@@ -103,6 +106,41 @@ def test_diversification_corpus_entropy_never_drops(corpus_images, corpus_encryp
         assert 0.0 <= report.plaintext_entropy <= 8.0
         assert 0.0 <= report.distinct_ciphertext_words_fraction <= 1.0
         assert report.valid_decode_p == exact_valid_decode_fraction()
+
+
+def _with_ciphertext(image, words):
+    text = struct.pack(f"<{len(words)}I", *words)
+    return EncryptedImage(image=dataclasses.replace(image, text=text),
+                          patch_table=(), entry_key=bytes(16))
+
+
+def _pairwise_diversification(plain, cipher):
+    """Reference: scan every pair of positions holding the same plaintext word."""
+    pairs = diversified = 0
+    for a in range(len(plain)):
+        for b in range(a + 1, len(plain)):
+            if plain[a] == plain[b]:
+                pairs += 1
+                diversified += cipher[a] != cipher[b]
+    return diversified / pairs if pairs else 1.0
+
+
+def test_diversification_counts_repeated_ciphertext(corpus_images):
+    # ciphertexts drawn from three values: equal plaintext words often collide
+    rng = random.Random(5)
+    fractions = set()
+    for name, image in corpus_images.items():
+        plain = image.text_words()
+        cipher = [rng.randrange(3) for _ in plain]
+        report = diversification_report(image, _with_ciphertext(image, cipher))
+        expected = _pairwise_diversification(plain, cipher)
+        assert report.repeated_instruction_diversification == expected, name
+        fractions.add(expected)
+    assert any(0.0 < f < 1.0 for f in fractions)
+    # the identity "encryption" diversifies nothing
+    image = corpus_images["unrolled"]
+    report = diversification_report(image, _with_ciphertext(image, image.text_words()))
+    assert report.repeated_instruction_diversification == 0.0
 
 
 def test_diversification_mismatch_rejected(corpus_images, corpus_encrypted):

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import shlex
+import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +227,174 @@ def test_attack_code_injection_campaign_needs_scenario_file(workdir, capsys, mon
     assert "Traceback" not in captured.err
     assert "scenario file" in captured.err
     assert runs == []
+
+
+SEED_B = "0x" + "F0E1D2C3B4A5968778695A4B3C2D1E0F"
+
+# Every retained flag and value of every subcommand, run in order in a
+# directory holding a copy of corpus/. Each step is (environment, argv).
+GOLDEN_CLI_STEPS = [
+    ({}, ["assemble", "corpus/fib.s"]),
+    ({}, ["assemble", "corpus/diamond.s", "--out", "diamond.img"]),
+    ({}, ["assemble", "corpus/loop_sum.s", "--text-base", "0x100", "--out", "loop.img"]),
+    ({}, ["encrypt", "corpus/fib.img", "--seed", SEED]),
+    ({"SCYLLA_SEED": SEED_B}, ["encrypt", "diamond.img", "--out", "diamond.eimg"]),
+    ({"SCYLLA_SEED": SEED_B}, ["encrypt", "loop.img", "--seed", SEED, "--out", "loop.eimg"]),
+    ({}, ["run", "corpus/fib.img"]),
+    ({}, ["run", "corpus/fib.eimg", "--format", "human"]),
+    ({}, ["run", "corpus/fib.img", "--format", "human", "--step-limit", "20"]),
+    ({}, ["run", "diamond.eimg", "--format", "json", "--step-limit", "5",
+          "--decrypt-cost", "3", "--switch-cost", "9"]),
+    ({}, ["run", "loop.img", "--decrypt-cost", "2", "--switch-cost", "0",
+          "--out", "run_loop.json"]),
+    ({}, ["run", "loop.eimg", "--format", "human", "--decrypt-cost", "0",
+          "--switch-cost", "7", "--out", "run_loop.txt"]),
+    ({}, ["attack", "corpus/fib.eimg", "corpus/scenarios/rogue_fib.json"]),
+    ({}, ["attack", "corpus/fib.eimg", "corpus/scenarios/inject_fib_early.json",
+          "--format", "human", "--harness-seed", "7", "--step-limit", "300"]),
+    ({}, ["attack", "corpus/fib.eimg", "corpus/scenarios/replay_fib.json",
+          "--format", "json", "--harness-seed", "3", "--out", "replay.json"]),
+    ({}, ["attack", "corpus/fib.eimg", "corpus/scenarios/midblock_fib_loop.json",
+          "--format", "human", "--out", "midblock.txt"]),
+    ({}, ["attack", "corpus/fib.eimg", "--kind", "rogue-edge", "--trials", "100",
+          "--harness-seed", "5", "--step-limit", "500", "--curve", "rogue.curve.csv"]),
+    ({}, ["attack", "corpus/fib.eimg", "--kind", "patch-replay", "--trials", "20",
+          "--format", "csv", "--harness-seed", "2", "--out", "replay.csv"]),
+    ({}, ["attack", "loop.eimg", "--kind", "mid-block-entry", "--trials", "120",
+          "--format", "csv", "--curve", "mid.curve.csv"]),
+    ({}, ["attack", "loop.eimg", "--kind", "rogue-edge", "--format", "json",
+          "--out", "loop.trials.json"]),
+    ({}, ["analyze", "corpus/fib.img", "corpus/fib.eimg"]),
+    ({}, ["analyze", "diamond.img", "diamond.eimg", "--format", "human"]),
+    ({}, ["analyze", "loop.img", "loop.eimg", "--format", "json", "--out", "an.json"]),
+    ({}, ["bench", "corpus", "--seed", SEED, "--decrypt-cost", "2", "--switch-cost", "5"]),
+    ({"SCYLLA_SEED": SEED_B}, ["bench", "corpus", "--step-limit", "2000",
+                               "--out", "bench.csv"]),
+]
+
+# Computed before the per-subcommand parsers replaced the shared flags.
+GOLDEN_CLI_SHA256 = "4c77b4ae32590ff17270ef1eba0112e674459a09542b7b3895e1b53a3c74ec7e"
+
+
+def test_cli_outputs_match_golden(tmp_path, corpus_dir, monkeypatch, capsys):
+    monkeypatch.delenv("SCYLLA_SEED", raising=False)
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for env, argv in GOLDEN_CLI_STEPS:
+        with monkeypatch.context() as m:
+            for name, value in env.items():
+                m.setenv(name, value)
+            code = main(argv)
+        out = capsys.readouterr().out
+        digest.update(repr((argv, code, out)).encode())
+        for path in sorted(tmp_path.rglob("*")):
+            if path.is_file():
+                digest.update(repr((path.relative_to(tmp_path).as_posix(),
+                                    hashlib.sha256(path.read_bytes()).hexdigest())).encode())
+    assert digest.hexdigest() == GOLDEN_CLI_SHA256
+
+
+@pytest.fixture()
+def built(workdir, corpus_dir, capsys, monkeypatch):
+    """fib.img, fib.eimg and a scenario file in the working directory."""
+    monkeypatch.chdir(workdir)
+    run_cli(capsys, "assemble", "fib.s")
+    run_cli(capsys, "encrypt", "fib.img", "--seed", SEED)
+    shutil.copy(corpus_dir / "scenarios" / "rogue_fib.json", workdir / "scenario.json")
+    return workdir
+
+
+# A working command per subcommand; each writes new.out and nothing else.
+BASE_COMMANDS = {
+    "assemble": ["assemble", "fib.s", "--out", "new.out"],
+    "encrypt": ["encrypt", "fib.img", "--seed", SEED, "--out", "new.out"],
+    "run": ["run", "fib.eimg", "--out", "new.out"],
+    "attack": ["attack", "fib.eimg", "--kind", "rogue-edge", "--trials", "5",
+               "--out", "new.out"],
+    "analyze": ["analyze", "fib.img", "fib.eimg", "--out", "new.out"],
+    "bench": ["bench", ".", "--seed", SEED, "--out", "new.out"],
+}
+
+# Flags each subcommand parsed and then ignored before they were removed.
+REMOVED_FLAGS = [
+    ("assemble", "--seed", SEED), ("assemble", "--step-limit", "10"),
+    ("assemble", "--decrypt-cost", "1"), ("assemble", "--switch-cost", "4"),
+    ("assemble", "--format", "json"),
+    ("encrypt", "--step-limit", "10"), ("encrypt", "--decrypt-cost", "1"),
+    ("encrypt", "--switch-cost", "4"), ("encrypt", "--format", "json"),
+    ("run", "--seed", SEED),
+    ("attack", "--seed", SEED), ("attack", "--decrypt-cost", "100"),
+    ("attack", "--switch-cost", "4"),
+    ("analyze", "--seed", SEED), ("analyze", "--step-limit", "10"),
+    ("analyze", "--decrypt-cost", "1"), ("analyze", "--switch-cost", "4"),
+    ("bench", "--format", "csv"),
+]
+
+REJECTED_COMBINATIONS = [
+    ["attack", "fib.eimg", "--out", "new.out"],
+    ["attack", "fib.eimg", "scenario.json", "--kind", "rogue-edge", "--out", "new.out"],
+    ["attack", "fib.eimg", "scenario.json", "--trials", "7", "--out", "new.out"],
+    ["attack", "fib.eimg", "scenario.json", "--curve", "new.csv"],
+    ["attack", "fib.eimg", "scenario.json", "--kind", "rogue-edge", "--trials", "7",
+     "--curve", "new.csv"],
+    ["attack", "fib.eimg", "scenario.json", "--format", "csv", "--out", "new.out"],
+    ["attack", "fib.eimg", "--kind", "rogue-edge", "--format", "human",
+     "--out", "new.out"],
+    ["run", "fib.eimg", "--format", "csv", "--out", "new.out"],
+    ["analyze", "fib.img", "fib.eimg", "--format", "csv", "--out", "new.out"],
+]
+
+
+@pytest.mark.parametrize("command", sorted(BASE_COMMANDS))
+def test_base_commands_write_their_output(built, capsys, command):
+    code, out = run_cli(capsys, *BASE_COMMANDS[command])
+    assert code == 0 and out == ""
+    assert (built / "new.out").exists()
+
+
+@pytest.mark.parametrize("argv", [BASE_COMMANDS[command] + [flag, value]
+                                  for command, flag, value in REMOVED_FLAGS]
+                         + REJECTED_COMBINATIONS, ids=" ".join)
+def test_unread_flags_and_combinations_are_usage_errors(built, capsys, argv):
+    before = sorted(built.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert sorted(built.iterdir()) == before
+
+
+def test_seed_variable_is_read_only_by_seeded_commands(built, capsys, monkeypatch):
+    monkeypatch.setenv("SCYLLA_SEED", "zz")
+    for argv in (["assemble", "fib.s"], ["run", "fib.eimg"],
+                 ["attack", "fib.eimg", "--kind", "rogue-edge", "--trials", "5"],
+                 ["attack", "fib.eimg", "scenario.json"],
+                 ["analyze", "fib.img", "fib.eimg"],
+                 ["encrypt", "fib.img", "--seed", SEED]):
+        assert run_cli(capsys, *argv)[0] == 0
+    for argv in (["encrypt", "fib.img"], ["bench", ".", "--decrypt-cost", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def readme_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("scylla ")]
+
+
+def test_readme_commands_run(tmp_path, corpus_dir, capsys, monkeypatch):
+    monkeypatch.delenv("SCYLLA_SEED", raising=False)
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(BASE_COMMANDS)
+    for argv in commands:
+        assert main(argv) == 0, argv

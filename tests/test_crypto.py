@@ -248,3 +248,19 @@ def test_derive_next_key_is_bytewise_xor():
     pairs += [(rng.randbytes(16), rng.randbytes(16)) for _ in range(200)]
     for current, patch in pairs:
         assert derive_next_key(current, patch) == bytes(a ^ b for a, b in zip(current, patch))
+
+
+def test_encrypted_container_keyt_section_checks(corpus_sources):
+    from scylla.image import ImageFormatError, dump_image
+    eimage = encrypt_pipeline(_image(corpus_sources["fib"]), SEED)
+    blob = dump_encrypted_image(eimage)
+    keyt_at = len(dump_image(eimage.image))
+    records_at = keyt_at + crypto._KEYT_HEADER.size
+    for cut in range(keyt_at, len(blob)):
+        expected = "missing KEYT section" if cut < records_at else "KEYT section truncated"
+        with pytest.raises(ImageFormatError, match=expected):
+            load_encrypted_image_bytes(blob[:cut])
+    with pytest.raises(ImageFormatError, match="bad KEYT magic"):
+        load_encrypted_image_bytes(blob[:keyt_at] + b"KEYX" + blob[keyt_at + 4:])
+    # trailing bytes after the last patch record are still accepted
+    assert load_encrypted_image_bytes(blob + b"\0" * 5) == eimage
