@@ -17,13 +17,21 @@ keystream(key(block), m): text length never changes, the data segment
 is never touched, and identical instructions at different positions
 encrypt differently. Offsets count from the block entry, so even the
 correct key misaligns when entering a block mid-body.
+
+A block's keystream is the CTR keystream of its key, so
+`block_keystream(k, n)` and `keystream_word(k, m)` agree word for word
+for every m < n; the first takes one AES call per block, the second one
+per word and stays as the reference the frozen vectors test.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import xor
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -62,6 +70,11 @@ def _prf_block(key: bytes, index: int) -> bytes:
     return _encryptor(key).update(index.to_bytes(KEY_BYTES, "big"))
 
 
+def _prf_blocks(key: bytes, indices) -> bytes:
+    """AES-128(key, BE128(i)) for each i, concatenated, in one AES call."""
+    return _encryptor(key).update(b"".join([i.to_bytes(KEY_BYTES, "big") for i in indices]))
+
+
 def derive_block_key(master_seed: int | bytes, block_id: int) -> bytes:
     return _prf_block(seed_bytes(master_seed), block_id)
 
@@ -72,6 +85,14 @@ def keystream_word(key: bytes, word_offset: int) -> int:
     block = _prf_block(key, word_offset // 4)
     at = 4 * (word_offset % 4)
     return int.from_bytes(block[at:at + 4], "little")
+
+
+def block_keystream(key: bytes, n_words: int) -> array:
+    """Keystream words 0..n_words-1 under `key`, from one AES call."""
+    stream = array("I", _prf_blocks(key, range((n_words + 3) // 4))[:4 * n_words])
+    if sys.byteorder == "big":   # keystream words are read little-endian
+        stream.byteswap()
+    return stream
 
 
 def derive_next_key(current: bytes, patch: bytes) -> bytes:
@@ -90,7 +111,9 @@ class KeySchedule:
 def gen_keys(cfg: ControlFlowGraph, master_seed: int | bytes) -> KeySchedule:
     """One key per block, one patch per distinct (source, target-entry) pair."""
     seed = seed_bytes(master_seed)
-    block_keys = {b.id: _prf_block(seed, b.id) for b in cfg.blocks}
+    keys = _prf_blocks(seed, [b.id for b in cfg.blocks])
+    block_keys = {b.id: keys[KEY_BYTES * j:KEY_BYTES * (j + 1)]
+                  for j, b in enumerate(cfg.blocks)}
     entry_of = {b.id: b.entry_addr for b in cfg.blocks}
     patches = {}
     for src, tgt, _kind in cfg.edges:
@@ -131,17 +154,18 @@ def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
         if target not in image.block_index:
             raise KeyScheduleError(f"patch target {target:#x} is not a block entry")
 
-    words = image.text_words()
-    out = bytearray(len(image.text))
+    words = array("I", image.text)
+    if sys.byteorder == "big":   # container words are little-endian
+        words.byteswap()
     for block_id, (entry, length) in enumerate(image.blocks):
-        key = schedule.block_keys[block_id]
         start = (entry - image.text_base) // 4
-        for m in range(length):
-            cipher = words[start + m] ^ keystream_word(key, m)
-            out[4 * (start + m):4 * (start + m) + 4] = cipher.to_bytes(4, "little")
+        stream = block_keystream(schedule.block_keys[block_id], length)
+        words[start:start + length] = array("I", map(xor, words[start:start + length], stream))
+    if sys.byteorder == "big":
+        words.byteswap()
 
     encrypted = Image(text_base=image.text_base, entry=image.entry,
-                      text=bytes(out), data_base=image.data_base, data=image.data,
+                      text=words.tobytes(), data_base=image.data_base, data=image.data,
                       blocks=image.blocks, edges=image.edges)
     table = tuple(sorted(
         (src, target, patch) for (src, target), patch in schedule.patches.items()))
@@ -176,6 +200,11 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
     if len(blob) < end:
         raise ImageFormatError("KEYT section truncated")
     table = tuple(_PATCH_REC.iter_unpack(blob[offset:end]))
+    block_count, entries = len(image.blocks), image.block_index
+    for src, target, _patch in table:
+        if src >= block_count or target not in entries:
+            raise ImageFormatError(
+                f"patch {src} -> {target:#x} needs a source block and a target block entry")
     return EncryptedImage(image=image, patch_table=table, entry_key=entry_key)
 
 

@@ -17,11 +17,13 @@ The host serves fetches from a decoded-fetch cache, one dict per image
 (`Image.fetch_cache`) shared by every engine and attack trial on it. A
 (key, word offset, raw word) triple maps to the decode result of the
 decrypted word; a plaintext word maps to its own decode result, which
-also interns results, so equal words share one Instruction. Keying on
-the raw word keeps the cache exact under code injection and stores into
-the text, so nothing is invalidated; a full cache is cleared. The cache
-is host-side only: every counter still counts every modelled fetch and
-transfer, whether the host served the word from the cache or not.
+also interns results, so equal words share one Instruction. A key maps
+to its keystream array, from one AES call on the first miss under it.
+Keying on the raw word keeps the cache exact under code injection and
+stores into the text, so nothing is invalidated; a full cache is
+cleared. The cache is host-side only: every counter still counts every
+modelled fetch and transfer, whether the host served the word from the
+cache or not.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 
-from .crypto import MAX_WORD_OFFSET, EncryptedImage, derive_next_key, keystream_word
+from .crypto import (
+    MAX_WORD_OFFSET,
+    EncryptedImage,
+    block_keystream,
+    derive_next_key,
+    keystream_word,
+)
 from .image import Image
 from .isa import DecodeError, Instruction, decode
 
@@ -359,7 +367,7 @@ class Engine:
                 key = (state.cur_key, offset, raw)
                 instr = cache.get(key)
                 if instr is None:
-                    word = raw ^ keystream_word(state.cur_key, offset)
+                    word = raw ^ self._keystream(offset)
                     instr = _remember(cache, key, _decoded(cache, word))
             else:
                 instr = cache.get(raw)
@@ -379,6 +387,24 @@ class Engine:
             if state.halted:
                 return HALT, None, None
         return None
+
+    def _keystream(self, offset: int) -> int:
+        """Keystream word `offset` under the key register, for a fetch-cache miss.
+
+        The first miss under a key caches its stream over the length of the
+        block at the block base. An offset past it comes from wrong-key
+        execution (stale key, mid-block entry, rogue target) and is computed
+        on its own.
+        """
+        cache = self.image.fetch_cache
+        key = self.state.cur_key
+        stream = cache.get(key)
+        if stream is None:
+            length = self.image.block_index.get(self.state.cur_block_base, _NO_BLOCK)[1]
+            stream = _remember(cache, key, block_keystream(key, length))
+        if offset < len(stream):
+            return stream[offset]
+        return keystream_word(key, offset)
 
     def _block_end(self) -> int:
         """First address past the key register's block (its entry if none)."""

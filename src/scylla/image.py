@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,10 +130,27 @@ def parse_container(blob: bytes) -> tuple[Image, int, int]:
         raise ImageFormatError("container truncated")
 
     blocks = tuple(_BLOCK_REC.iter_unpack(blob[_HEADER.size:blocks_end]))
+    at = text_base
+    for block_id, (block_entry, length) in enumerate(blocks):   # blocks tile the text
+        if block_entry != at:
+            raise ImageFormatError(
+                f"block {block_id} starts at {block_entry:#x}, not at {at:#x}")
+        if length < 1:
+            raise ImageFormatError(f"block {block_id} is empty")
+        at += 4 * length
+    if at != text_base + text_len:
+        raise ImageFormatError(
+            f"blocks end at {at:#x}, the text at {text_base + text_len:#x}")
+    found = bisect_left(blocks, (entry,))   # tiled blocks are sorted by entry
+    if found == block_count or blocks[found][0] != entry:
+        raise ImageFormatError(f"entry {entry:#x} is not a block entry")
     edges = []
     for src, tgt, code in _EDGE_REC.iter_unpack(blob[blocks_end:text_at]):
         if code >= len(EDGE_KINDS):
             raise ImageFormatError(f"bad edge kind code {code}")
+        if src >= block_count or tgt >= block_count:
+            raise ImageFormatError(
+                f"edge {src} -> {tgt} names a block past the last id {block_count - 1}")
         edges.append((src, tgt, EDGE_KINDS[code]))
 
     image = Image(text_base=text_base, entry=entry, text=blob[text_at:data_at],

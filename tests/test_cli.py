@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
 import shlex
 import shutil
 import struct
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -202,6 +204,53 @@ def test_run_rejects_malformed_container(workdir, capsys, suffix, field, value):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "scylla: error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["encrypt", "run"])
+def test_forged_block_length_exits_at_once(workdir, capsys, command):
+    # block 0 of fib.img claims 2^28 words: a keystream of that length would
+    # take 1 GiB, so the load refuses the table before anything reads it
+    run_cli(capsys, "assemble", workdir / "fib.s")
+    path = workdir / "fib.img"
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 44, 1 << 28)
+    path.write_bytes(bytes(blob))
+    argv = [command, str(path)] + (["--seed", SEED] if command == "encrypt" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "block 1 starts at 0xc, not at 0x40000000" in captured.err
+    assert not (workdir / "fib.eimg").exists()
+
+
+def _mutants(blob: bytes, rng: random.Random, count: int):
+    """`count` copies of blob, each truncated or with 1-3 bits flipped."""
+    for _ in range(count):
+        mutant = bytearray(blob)
+        if rng.random() < 0.125:
+            del mutant[rng.randrange(len(mutant)):]
+        else:
+            for _ in range(rng.randint(1, 3)):
+                bit = rng.randrange(8 * len(mutant))
+                mutant[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(mutant)
+
+
+def test_mutated_containers_end_in_a_result_or_a_domain_error(workdir, capsys):
+    run_cli(capsys, "assemble", workdir / "fib.s")
+    run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
+    rng = random.Random(7)
+    path, out = workdir / "mutant.bin", workdir / "out.bin"
+    codes = Counter()
+    for name in ("fib.img", "fib.eimg"):
+        for mutant in _mutants((workdir / name).read_bytes(), rng, 150):
+            path.write_bytes(mutant)
+            # an exception other than a domain error escapes main as a traceback
+            for argv in (["run", path, "--step-limit", 2000],
+                         ["encrypt", path, "--seed", SEED, "--out", out]):
+                codes[main([str(a) for a in argv])] += 1
+                capsys.readouterr()
+    assert set(codes) == {0, 1}
 
 
 def test_attack_code_injection_campaign_needs_scenario_file(workdir, capsys, monkeypatch):

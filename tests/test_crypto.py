@@ -1,4 +1,6 @@
 import random
+import struct
+from array import array
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -53,6 +55,18 @@ def test_keystream_matches_library_ctr_mode():
     stream = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor().update(bytes(128))
     for m in range(32):
         assert keystream_word(key, m) == int.from_bytes(stream[4 * m:4 * m + 4], "little")
+
+
+def test_block_keystream_matches_per_word_keystream(fixtures_dir):
+    keys = {seed_bytes(0xA5A5), seed_bytes(7)}
+    for line in (fixtures_dir / "prf_vectors").read_text().splitlines():
+        if line.startswith("ks "):
+            keys.add(bytes.fromhex(line.split()[1]))
+    for key in keys:
+        for n in (*range(10), 17, 1000):
+            stream = crypto.block_keystream(key, n)
+            assert isinstance(stream, array) and stream.typecode == "I"
+            assert stream.tolist() == [keystream_word(key, m) for m in range(n)]
 
 
 def test_keystream_deterministic_and_offset_sensitive():
@@ -114,6 +128,8 @@ def test_gen_keys_patch_per_edge(corpus_sources):
     for name, source in corpus_sources.items():
         cfg = build_cfg(parse_assembly(source))
         schedule = gen_keys(cfg, SEED)
+        assert schedule.block_keys == {b.id: derive_block_key(SEED, b.id)
+                                       for b in cfg.blocks}, name
         entry_of = {b.id: b.entry_addr for b in cfg.blocks}
         assert set(schedule.patches) == {(s, entry_of[t]) for s, t, _ in cfg.edges}, name
         for (src, target), patch in schedule.patches.items():
@@ -264,3 +280,9 @@ def test_encrypted_container_keyt_section_checks(corpus_sources):
         load_encrypted_image_bytes(blob[:keyt_at] + b"KEYX" + blob[keyt_at + 4:])
     # trailing bytes after the last patch record are still accepted
     assert load_encrypted_image_bytes(blob + b"\0" * 5) == eimage
+    # fib has 5 blocks; its first patch record is (0, 24)
+    for field, value in ((0, 5), (4, 28)):
+        forged = bytearray(blob)
+        struct.pack_into("<I", forged, records_at + field, value)
+        with pytest.raises(ImageFormatError, match="needs a source block and a target"):
+            load_encrypted_image_bytes(bytes(forged))

@@ -1,4 +1,5 @@
 import hashlib
+from array import array
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from scylla import engine as eng
 from scylla.asm import parse_assembly
 from scylla.attacks import AttackScenario, hijack_payload, run_attack, run_trials
-from scylla.crypto import encrypt_pipeline
+from scylla.crypto import encrypt_pipeline, keystream_word
 from scylla.engine import (
     HALT,
     INTEGRITY_FAULT,
@@ -389,10 +390,44 @@ def test_fetch_misses_decode_and_decrypt_through_module_globals(corpus_sources, 
         return wrapped
 
     monkeypatch.setattr(eng, "decode", counting("decode", eng.decode))
-    monkeypatch.setattr(eng, "keystream_word", counting("keystream", eng.keystream_word))
+    monkeypatch.setattr(eng, "block_keystream", counting("keystream", eng.block_keystream))
     report = run_encrypted(encrypt_pipeline(_image(corpus_sources["loop_sum"]), 42))
     assert report.outcome == HALT
     fetches = report.counters.instructions_retired   # a halted run retires every fetch
     assert report.counters.keystream_invocations == fetches == 105
     assert 1 <= calls["decode"] < fetches
     assert 1 <= calls["keystream"] < fetches
+
+
+def _stale_key_mid_block_run(source):
+    """A run sent, after 3 steps, to a mid-block word past its key's block stream."""
+    eimage = encrypt_pipeline(_image(source), 42)
+    image = eimage.image
+    engine = encrypted_engine(eimage)
+    assert engine.advance(3)
+    state = engine.state
+    base = state.cur_block_base
+    past = base + 4 * image.block_index[base][1]
+    state.pc = next(addr for addr in range(past, image.text_base + len(image.text), 4)
+                    if addr not in image.block_index)
+    fetch = (state.pc, state.cur_key, (state.pc - base) >> 2, state.mem.load_word(state.pc))
+    return engine.run(100), fetch
+
+
+def test_stale_key_past_its_stream_takes_the_per_word_fallback(corpus_sources, monkeypatch):
+    calls = Counter()
+
+    def counting(key, offset):
+        calls[offset] += 1
+        return keystream_word(key, offset)
+
+    monkeypatch.setattr(eng, "keystream_word", counting)
+    report, (pc, key, offset, raw) = _stale_key_mid_block_run(corpus_sources["fib"])
+    assert calls == {offset: 1}
+    assert report.outcome == INTEGRITY_FAULT
+    assert report.fault_pc == pc
+    assert report.fault_word == raw ^ keystream_word(key, offset)
+
+    # with no block streams every fetch miss takes the per-word path
+    monkeypatch.setattr(eng, "block_keystream", lambda key, n_words: array("I"))
+    assert _stale_key_mid_block_run(corpus_sources["fib"]) == (report, (pc, key, offset, raw))

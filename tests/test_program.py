@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import pytest
 
@@ -187,6 +189,25 @@ def test_container_rejects_garbage():
         load_image_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ImageFormatError):
         load_image_bytes(b"SCY1")
+
+
+# fib's block records (0, 3) (12, 3) (24, 4) (40, 5) (60, 2) sit at byte
+# offsets 40-79 and cover its 68 text bytes; its first edge record
+# (0 -> 2, call) starts at offset 80.
+@pytest.mark.parametrize("field, value, message", [
+    (16, 4, "entry 0x4 is not a block entry"),
+    (40, 4, "block 0 starts at 0x4, not at 0x0"),
+    (44, 0, "block 0 is empty"),
+    (44, 4, "block 1 starts at 0xc, not at 0x10"),
+    (76, 1, "blocks end at 0x40, the text at 0x44"),
+    (80, 5, "edge 5 -> 2 names a block past the last id 4"),
+    (84, 7, "edge 0 -> 7 names a block past the last id 4"),
+])
+def test_container_rejects_broken_tables(corpus_sources, field, value, message):
+    blob = bytearray(dump_image(layout_image(parse_assembly(corpus_sources["fib"]))))
+    struct.pack_into("<I", blob, field, value)
+    with pytest.raises(ImageFormatError, match=re.escape(message)):
+        load_image_bytes(bytes(blob))
 
 
 def test_block_addresses_shift_with_base(corpus_sources):
