@@ -89,14 +89,25 @@ class AttackScenario:
 
 
 def scenario_from_json_dict(doc: dict) -> AttackScenario:
+    if not isinstance(doc, dict):
+        raise HarnessError("a scenario must be a JSON object")
     if "trigger_step" not in doc and "trigger" in doc:
         doc = {**doc, "trigger_step": doc["trigger"]}
+    for name in ("trigger_step", "target", "sentinel_addr", "sentinel_value", "patch_source"):
+        if name in doc and type(doc[name]) is not int:   # not a bool, float or string
+            raise HarnessError(f"{name} must be an integer, got {doc[name]!r}")
+    payload = doc.get("payload_hex")
+    if "payload_hex" in doc:
+        try:
+            payload = bytes.fromhex(payload)
+        except (TypeError, ValueError):
+            raise HarnessError(f"payload_hex must be hex digits, got {payload!r}") from None
     try:
         return AttackScenario(
             kind=doc["kind"],
             trigger_step=doc["trigger_step"],
             target=doc.get("target"),
-            payload=bytes.fromhex(doc["payload_hex"]) if "payload_hex" in doc else None,
+            payload=payload,
             sentinel_addr=doc.get("sentinel_addr"),
             sentinel_value=doc.get("sentinel_value", DEFAULT_SENTINEL_VALUE),
             patch_source=doc.get("patch_source"),
@@ -107,7 +118,10 @@ def scenario_from_json_dict(doc: dict) -> AttackScenario:
 
 def load_scenario(path) -> AttackScenario:
     with open(path) as fh:
-        return scenario_from_json_dict(json.load(fh))
+        try:
+            return scenario_from_json_dict(json.load(fh))
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise HarnessError(f"scenario file is not JSON: {exc}") from None
 
 
 @dataclass(frozen=True)

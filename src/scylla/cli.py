@@ -38,6 +38,7 @@ from .attacks import (
 )
 from .cfg import AnalysisError
 from .crypto import (
+    EncryptedImage,
     KeyScheduleError,
     encrypt_pipeline,
     dump_encrypted_image,
@@ -113,12 +114,12 @@ def _humanize(doc: dict, indent: str = "") -> str:
 
 
 def _load_any_image(path: str):
-    """Returns ('plain', Image) or ('encrypted', EncryptedImage) by container flag."""
+    """The Image or EncryptedImage in a container, by its flag."""
     blob = Path(path).read_bytes()
     _, flags, _ = parse_container(blob)
     if flags & FLAG_ENCRYPTED:
-        return "encrypted", load_encrypted_image_bytes(blob)
-    return "plain", load_image_bytes(blob)
+        return load_encrypted_image_bytes(blob)
+    return load_image_bytes(blob)
 
 
 def cmd_assemble(args, parser) -> int:
@@ -139,8 +140,8 @@ def cmd_encrypt(args, parser) -> int:
 
 def cmd_run(args, parser) -> int:
     costs = {"decrypt_cost": args.decrypt_cost, "switch_cost": args.switch_cost}
-    kind, image = _load_any_image(args.image)
-    if kind == "encrypted":
+    image = _load_any_image(args.image)
+    if isinstance(image, EncryptedImage):
         engine = encrypted_engine(image, **costs)
     else:
         engine = plaintext_engine(image, **costs)
@@ -163,8 +164,8 @@ def cmd_attack(args, parser) -> int:
         parser.error("--trials must be positive")
     if args.curve and trials < MIN_SURVIVAL_SAMPLES:
         parser.error(f"--curve needs --trials of at least {MIN_SURVIVAL_SAMPLES}")
-    kind, eimage = _load_any_image(args.image)
-    if kind != "encrypted":
+    eimage = _load_any_image(args.image)
+    if not isinstance(eimage, EncryptedImage):
         raise HarnessError("attack needs an encrypted image (.eimg)")
     if args.scenario is not None:
         scenario = load_scenario(args.scenario)
@@ -189,11 +190,11 @@ def cmd_attack(args, parser) -> int:
 
 
 def cmd_analyze(args, parser) -> int:
-    kind, image = _load_any_image(args.image)
-    if kind != "plain":
+    image = _load_any_image(args.image)
+    if isinstance(image, EncryptedImage):
         raise MismatchError("first operand must be the plaintext image")
-    ekind, eimage = _load_any_image(args.eimage)
-    if ekind != "encrypted":
+    eimage = _load_any_image(args.eimage)
+    if not isinstance(eimage, EncryptedImage):
         raise MismatchError("second operand must be the encrypted image")
     report = diversification_report(image, eimage)
     _emit_doc(report.to_json_dict(), args)

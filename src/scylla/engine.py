@@ -13,17 +13,16 @@ fails to decode raises an integrity fault immediately.
 The cycle model is deliberately two scalars: cycles = instructions
 + decrypt_cost * keystream invocations + switch_cost * key switches.
 
-The host serves fetches from a decoded-fetch cache, one dict per image
-(`Image.fetch_cache`) shared by every engine and attack trial on it. A
-(key, word offset, raw word) triple maps to the decode result of the
-decrypted word; a plaintext word maps to its own decode result, which
-also interns results, so equal words share one Instruction. A key maps
-to its keystream array, from one AES call on the first miss under it.
-Keying on the raw word keeps the cache exact under code injection and
-stores into the text, so nothing is invalidated; a full cache is
-cleared. The cache is host-side only: every counter still counts every
-modelled fetch and transfer, whether the host served the word from the
-cache or not.
+The host serves fetches from one dict per image (`Image.fetch_cache`),
+shared by every engine and attack trial on it. A key maps to its block
+keystream array, from one AES call when an engine first holds the key;
+an encrypted fetch XORs the raw word with the stream word at its offset,
+or with `keystream_word` past the stream (stale key, mid-block entry,
+rogue target). A word maps to its decode result: plaintext and
+decrypted words share this decode table, and equal words one
+Instruction. Neither entry depends on memory, so stores into the text
+invalidate nothing; a full cache is cleared. The cache is host-side
+only: every counter counts every modelled fetch and transfer.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .crypto import (
     keystream_word,
 )
 from .image import Image
-from .isa import DecodeError, Instruction, decode
+from .isa import Instruction, decode
 
 HALT = "halt"
 INTEGRITY_FAULT = "integrity-fault"
@@ -277,12 +276,6 @@ def _remember(cache: dict, key, value):
     return value
 
 
-def _decoded(cache: dict, word: int) -> Instruction | DecodeError:
-    """Decode result of a plaintext word, one per distinct word of the image."""
-    result = cache.get(word)
-    return _remember(cache, word, decode(word)) if result is None else result
-
-
 class Engine:
     """One engine instance owns one MachineState; single-threaded.
 
@@ -349,30 +342,28 @@ class Engine:
         load_word = state.mem.load_word
         cache = self.image.fetch_cache
         encrypted = self.encrypted
-        block_end = self._block_end()
+        block_end, stream = self._block()
         while counters.instructions_retired < limit:
             pc = state.pc
-            raw = load_word(pc)
-            if raw is None:
+            word = load_word(pc)
+            if word is None:
                 return MEMORY_FAULT, None, None
 
             if self.prev_pc is not None and (pc != self.prev_pc + 4 or pc == block_end):
                 counters.control_transfers += 1
                 self._edge_event(pc)
-                block_end = self._block_end()
+                block_end, stream = self._block()
 
             if encrypted:
                 counters.keystream_invocations += 1
                 offset = ((pc - state.cur_block_base) >> 2) & _OFFSET_MASK
-                key = (state.cur_key, offset, raw)
-                instr = cache.get(key)
-                if instr is None:
-                    word = raw ^ self._keystream(offset)
-                    instr = _remember(cache, key, _decoded(cache, word))
-            else:
-                instr = cache.get(raw)
-                if instr is None:
-                    instr = _decoded(cache, raw)
+                if offset < len(stream):
+                    word ^= stream[offset]
+                else:
+                    word ^= keystream_word(state.cur_key, offset)
+            instr = cache.get(word)
+            if instr is None:
+                instr = _remember(cache, word, decode(word))
             if instr.__class__ is not Instruction:
                 return INTEGRITY_FAULT, pc, instr.word
 
@@ -388,28 +379,19 @@ class Engine:
                 return HALT, None, None
         return None
 
-    def _keystream(self, offset: int) -> int:
-        """Keystream word `offset` under the key register, for a fetch-cache miss.
-
-        The first miss under a key caches its stream over the length of the
-        block at the block base. An offset past it comes from wrong-key
-        execution (stale key, mid-block entry, rogue target) and is computed
-        on its own.
-        """
-        cache = self.image.fetch_cache
+    def _block(self) -> tuple[int, array | None]:
+        """End of the key register's block (its entry if none) and the key's
+        stream over that block; no stream in a plaintext run."""
+        base = self.state.cur_block_base
+        length = self.image.block_index.get(base, _NO_BLOCK)[1]
         key = self.state.cur_key
+        if key is None:
+            return base + 4 * length, None
+        cache = self.image.fetch_cache
         stream = cache.get(key)
         if stream is None:
-            length = self.image.block_index.get(self.state.cur_block_base, _NO_BLOCK)[1]
             stream = _remember(cache, key, block_keystream(key, length))
-        if offset < len(stream):
-            return stream[offset]
-        return keystream_word(key, offset)
-
-    def _block_end(self) -> int:
-        """First address past the key register's block (its entry if none)."""
-        base = self.state.cur_block_base
-        return base + 4 * self.image.block_index.get(base, _NO_BLOCK)[1]
+        return base + 4 * length, stream
 
     def _edge_event(self, new_pc: int) -> None:
         """Patch lookup on a transfer or block-boundary crossing."""

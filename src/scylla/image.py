@@ -67,7 +67,7 @@ class Image:
 
     @cached_property
     def fetch_cache(self) -> dict:
-        """The engine's host-side decoded-fetch cache (see engine.py)."""
+        """The engine's decode table and key streams, host-side (see engine.py)."""
         return {}
 
     def digest(self) -> str:

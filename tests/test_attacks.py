@@ -38,6 +38,21 @@ def test_scenario_validation():
         AttackScenario("rogue-edge", 1, target=6)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trigger_step", True), ("trigger_step", None), ("trigger_step", 4.0),
+    ("sentinel_value", None), ("target", False), ("target", None),
+    ("sentinel_addr", "65584"), ("patch_source", 1.5), ("payload_hex", 12),
+    ("payload_hex", None), ("payload_hex", "13 00 0g"),
+])
+def test_scenario_fields_take_json_integers_and_hex(field, value):
+    doc = {"kind": "code-injection", "trigger_step": 4, "target": 0x10010,
+           "payload_hex": "13000000", "sentinel_addr": SENT_ADDR,
+           "sentinel_value": SENT_VAL, "patch_source": 1}
+    scenario_from_json_dict(doc)
+    with pytest.raises(HarnessError, match=field):
+        scenario_from_json_dict({**doc, field: value})
+
+
 def test_scenario_json_round_trip():
     scenario = AttackScenario("code-injection", 7, target=0x10010,
                               payload=b"\x13\x00\x00\x00",

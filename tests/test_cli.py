@@ -132,6 +132,34 @@ def test_attack_fault_is_still_exit_zero(workdir, corpus_dir, capsys):
     assert json.loads(out)["outcome"] == "integrity-fault"
 
 
+_INJECT = (Path(__file__).resolve().parent.parent / "corpus" / "scenarios"
+           / "inject_fib_early.json").read_text()
+
+
+@pytest.mark.parametrize("text", [
+    _INJECT.replace('"trigger_step": 4', '"trigger_step": "3"'),
+    _INJECT.replace('"target": 65552', '"target": "16"'),
+    "[1, 2]",
+    _INJECT.replace('"payload_hex": "b702', '"payload_hex": "zz'),
+    _INJECT.replace('"target": 65552', '"target": 1e3'),
+    "kind: code-injection\n",
+    "[" * 100_000 + "]" * 100_000,
+], ids=["string-trigger", "string-target", "not-an-object", "non-hex-payload",
+        "float-target", "not-json", "nested-too-deep"])
+def test_attack_rejects_malformed_scenario_file(workdir, capsys, text):
+    run_cli(capsys, "assemble", workdir / "fib.s")
+    run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
+    assert text != _INJECT
+    scenario = workdir / "scenario.json"
+    scenario.write_text(text)
+    code = main(["attack", str(workdir / "fib.eimg"), str(scenario)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("scylla: error:")
+
+
 def test_analyze_outputs_report(workdir, capsys):
     run_cli(capsys, "assemble", workdir / "fib.s")
     run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)

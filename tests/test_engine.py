@@ -328,7 +328,7 @@ def test_digest_matches_per_word_formula(corpus_images, corpus_encrypted):
 def test_fetch_cache_follows_stores_into_text(corpus_sources):
     # loop_sum's loop block starts at 12 and its data cell is at 0x10000.
     # After 25 retired instructions the loop has run four times and its
-    # words sit in the decoded-fetch cache; the payload then overwrites the
+    # words sit in the fetch cache; the payload then overwrites the
     # loop body and the pc re-enters it. The expected values were computed
     # with the engine as it was before it had a fetch cache.
     image = _image(corpus_sources["loop_sum"])
@@ -378,6 +378,25 @@ def test_fetch_cache_bound_changes_no_result(corpus_sources, monkeypatch):
     assert small_reports == reports
     assert small_trials == trials
     assert len(cache) <= 2
+
+
+def test_fetch_cache_holds_words_and_streams_only(corpus_sources):
+    eimages = {name: encrypt_pipeline(_image(source), 42)
+               for name, source in corpus_sources.items()}
+    for eimage in eimages.values():
+        assert run_encrypted(eimage).outcome == HALT
+    run_trials(eimages["fib"], "rogue-edge", 40, seed=5, step_limit=4096)
+    for name, eimage in eimages.items():
+        cache = eimage.image.fetch_cache
+        assert any(type(key) is int for key in cache), name
+        assert any(type(key) is bytes for key in cache), name
+        for key, value in cache.items():
+            if type(key) is int:
+                assert value == eng.decode(key), (name, key)
+            else:
+                assert type(key) is bytes and len(key) == 16, (name, key)
+                assert type(value) is array
+                assert value == eng.block_keystream(key, len(value)), (name, key)
 
 
 def test_fetch_misses_decode_and_decrypt_through_module_globals(corpus_sources, monkeypatch):
