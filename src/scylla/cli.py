@@ -9,6 +9,13 @@ Every command is deterministic given its flags and inputs; faults are
 data, so a run that ends in an integrity fault still exits 0. Exit
 code 1 means a domain error (bad program, malformed container), 2 a
 usage error.
+
+The parser is built once per process for each value of `$SCYLLA_SEED`,
+which sets `--seed`'s default and whether the flag is required; `main`
+reads the variable on every call, and argparse converts the default
+when it parses. The parser holds the `cmd_*` functions only; they look
+up the library functions they call through this module's globals when
+they run.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .analysis import (
@@ -59,10 +67,11 @@ from .image import (
     FLAG_ENCRYPTED,
     ImageFormatError,
     LayoutError,
+    container_flags,
     dump_image,
     layout_image,
     load_image_bytes,
-    parse_container,
+    parse_container,   # unused here but stays importable: perfbench/tracer.py wraps it by name
 )
 from .isa import exact_valid_decode_fraction
 
@@ -114,10 +123,10 @@ def _humanize(doc: dict, indent: str = "") -> str:
 
 
 def _load_any_image(path: str):
-    """The Image or EncryptedImage in a container, by its flag."""
+    """The Image or EncryptedImage in a container, by its flag; the loader
+    parses and validates the whole container once."""
     blob = Path(path).read_bytes()
-    _, flags, _ = parse_container(blob)
-    if flags & FLAG_ENCRYPTED:
+    if container_flags(blob) & FLAG_ENCRYPTED:
         return load_encrypted_image_bytes(blob)
     return load_image_bytes(blob)
 
@@ -222,14 +231,16 @@ def cmd_bench(args, parser) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache
+def build_parser(env_seed: str | None) -> argparse.ArgumentParser:
+    """The parser for `main`, given the value of `$SCYLLA_SEED` (None if
+    unset or empty); cached, so each value builds it once per process."""
     parser = argparse.ArgumentParser(
         prog="scylla",
         description="Execution-integrity laboratory: encrypt programs per "
                     "basic block, run them on a fetch-decrypting simulator, "
                     "attack them, and measure the fallout.")
     sub = parser.add_subparsers(dest="command", required=True)
-    env_seed = os.environ.get(SEED_ENV) or None
     flags = {
         "--seed": dict(type=_seed, default=env_seed, required=env_seed is None,
                        help=f"128-bit hex key seed (default ${SEED_ENV})"),
@@ -277,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(os.environ.get(SEED_ENV) or None)
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

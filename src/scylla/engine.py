@@ -23,12 +23,19 @@ decrypted words share this decode table, and equal words one
 Instruction. Neither entry depends on memory, so stores into the text
 invalidate nothing; a full cache is cleared. The cache is host-side
 only: every counter counts every modelled fetch and transfer.
+
+The fetch loop keeps pc, the previous pc, the retired count, the
+keystream invocations, the key register, its block base and the block's
+stream in locals, and writes them back to the engine on every exit, so
+between two `advance` calls the engine's fields are exact. An aligned
+fetch inside the text reads the text word array directly; any other
+fetch, and every `lw`, goes through `Memory.load_word`. Stores always go
+through `Memory.store_word` into that same array, so a fetch sees them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import operator
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -56,6 +63,7 @@ FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache 
 MASK32 = 0xFFFFFFFF
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
 _NO_BLOCK = (None, 0)   # block_index miss: no block id, zero length
+_NO_STREAM = array("I")   # a plaintext run's key stream
 
 
 class ReportError(ValueError):
@@ -193,79 +201,139 @@ class MachineState:
         return hashlib.sha256(words).hexdigest()
 
 
-def _signed(value: int) -> int:
-    return value - (1 << 32) if value & 0x80000000 else value
+# Op handlers: (regs, instruction, pc, state) -> next pc before masking,
+# None on a memory fault. Registers hold 32-bit values; a write to x0 is
+# dropped. Flipping bit 31 orders two's-complement words as unsigned ints.
+
+_SIGN = 0x80000000
 
 
-# Op handlers: (state, instruction, pc) -> next pc before masking, None on
-# a memory fault.
-
-def _writes(value):
-    """Handler writing value(regs, instr) to rd, masked to 32 bits; x0 stays zero."""
-    def handler(state, i, pc):
-        if i.rd:
-            state.regs[i.rd] = value(state.regs, i) & MASK32
-        return pc + 4
-    return handler
-
-
-def _branch(taken):
-    def handler(state, i, pc):
-        return pc + i.imm if taken(state.regs[i.rs1], state.regs[i.rs2]) else pc + 4
-    return handler
-
-
-def _lw(state, i, pc):
-    value = state.mem.load_word((state.regs[i.rs1] + i.imm) & MASK32)
-    if value is None:
-        return None
-    state.set_reg(i.rd, value)
+def _add(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = (regs[i.rs1] + regs[i.rs2]) & MASK32
     return pc + 4
 
 
-def _sw(state, i, pc):
-    stored = state.mem.store_word((state.regs[i.rs1] + i.imm) & MASK32, state.regs[i.rs2])
+def _sub(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = (regs[i.rs1] - regs[i.rs2]) & MASK32
+    return pc + 4
+
+
+def _and(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = regs[i.rs1] & regs[i.rs2]
+    return pc + 4
+
+
+def _or(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = regs[i.rs1] | regs[i.rs2]
+    return pc + 4
+
+
+def _xor(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = regs[i.rs1] ^ regs[i.rs2]
+    return pc + 4
+
+
+def _slt(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = 1 if regs[i.rs1] ^ _SIGN < regs[i.rs2] ^ _SIGN else 0
+    return pc + 4
+
+
+def _addi(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = (regs[i.rs1] + i.imm) & MASK32
+    return pc + 4
+
+
+def _andi(regs, i, pc, state):
+    if i.rd:   # the mask makes a negative imm 32-bit
+        regs[i.rd] = regs[i.rs1] & i.imm & MASK32
+    return pc + 4
+
+
+def _ori(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = (regs[i.rs1] | i.imm) & MASK32
+    return pc + 4
+
+
+def _xori(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = (regs[i.rs1] ^ i.imm) & MASK32
+    return pc + 4
+
+
+def _slti(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = 1 if (regs[i.rs1] ^ _SIGN) - _SIGN < i.imm else 0
+    return pc + 4
+
+
+def _lui(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = (i.imm << 12) & MASK32
+    return pc + 4
+
+
+def _beq(regs, i, pc, state):
+    return pc + i.imm if regs[i.rs1] == regs[i.rs2] else pc + 4
+
+
+def _bne(regs, i, pc, state):
+    return pc + i.imm if regs[i.rs1] != regs[i.rs2] else pc + 4
+
+
+def _blt(regs, i, pc, state):
+    return pc + i.imm if regs[i.rs1] ^ _SIGN < regs[i.rs2] ^ _SIGN else pc + 4
+
+
+def _bge(regs, i, pc, state):
+    return pc + i.imm if regs[i.rs1] ^ _SIGN >= regs[i.rs2] ^ _SIGN else pc + 4
+
+
+def _lw(regs, i, pc, state):
+    value = state.mem.load_word((regs[i.rs1] + i.imm) & MASK32)
+    if value is None:
+        return None
+    if i.rd:
+        regs[i.rd] = value
+    return pc + 4
+
+
+def _sw(regs, i, pc, state):
+    stored = state.mem.store_word((regs[i.rs1] + i.imm) & MASK32, regs[i.rs2])
     return pc + 4 if stored else None
 
 
-def _jal(state, i, pc):
-    state.set_reg(i.rd, pc + 4)
+def _jal(regs, i, pc, state):
+    if i.rd:
+        regs[i.rd] = (pc + 4) & MASK32
     return pc + i.imm
 
 
-def _jalr(state, i, pc):
-    target = (state.regs[i.rs1] + i.imm) & ~1
-    state.set_reg(i.rd, pc + 4)
+def _jalr(regs, i, pc, state):
+    target = (regs[i.rs1] + i.imm) & ~1
+    if i.rd:
+        regs[i.rd] = (pc + 4) & MASK32
     return target
 
 
-def _ecall(state, i, pc):
+def _ecall(regs, i, pc, state):
     state.halted = True
     return pc + 4
 
 
 _HANDLERS = {
-    "add": _writes(lambda r, i: r[i.rs1] + r[i.rs2]),
-    "sub": _writes(lambda r, i: r[i.rs1] - r[i.rs2]),
-    "and": _writes(lambda r, i: r[i.rs1] & r[i.rs2]),
-    "or": _writes(lambda r, i: r[i.rs1] | r[i.rs2]),
-    "xor": _writes(lambda r, i: r[i.rs1] ^ r[i.rs2]),
-    "slt": _writes(lambda r, i: _signed(r[i.rs1]) < _signed(r[i.rs2])),
-    "addi": _writes(lambda r, i: r[i.rs1] + i.imm),
-    "andi": _writes(lambda r, i: r[i.rs1] & i.imm),   # the mask makes a negative imm 32-bit
-    "ori": _writes(lambda r, i: r[i.rs1] | i.imm),
-    "xori": _writes(lambda r, i: r[i.rs1] ^ i.imm),
-    "slti": _writes(lambda r, i: _signed(r[i.rs1]) < i.imm),
-    "lui": _writes(lambda r, i: i.imm << 12),
-    "lw": _lw,
-    "sw": _sw,
-    "beq": _branch(operator.eq),
-    "bne": _branch(operator.ne),
-    "blt": _branch(lambda a, b: _signed(a) < _signed(b)),
-    "bge": _branch(lambda a, b: _signed(a) >= _signed(b)),
-    "jal": _jal,
-    "jalr": _jalr,
-    "ecall": _ecall,
+    "add": _add, "sub": _sub, "and": _and, "or": _or, "xor": _xor, "slt": _slt,
+    "addi": _addi, "andi": _andi, "ori": _ori, "xori": _xori, "slti": _slti,
+    "lui": _lui, "lw": _lw, "sw": _sw,
+    "beq": _beq, "bne": _bne, "blt": _blt, "bge": _bge,
+    "jal": _jal, "jalr": _jalr, "ecall": _ecall,
 }
 
 
@@ -327,83 +395,98 @@ class Engine:
 
     def replay_patch(self, patch: bytes, target: int) -> None:
         """Transfer to `target`, absorbing `patch` whichever block it was minted for."""
-        self._absorb_patch(patch, target)
-        self.state.pc = target
-
-    def _absorb_patch(self, patch: bytes, entry: int) -> None:
         state = self.state
         state.cur_key = derive_next_key(state.cur_key, patch)
-        state.cur_block_base = entry
+        state.cur_block_base = target
+        state.pc = target
 
     def _fetch_loop(self, limit: int, record_trace: bool = False) -> tuple | None:
-        """Fetch until `limit` instructions have retired (None) or the run ends."""
+        """Fetch until `limit` instructions have retired (None) or the run ends.
+
+        The fetch state lives in locals and is written back on every exit.
+        """
         state = self.state
         counters = state.counters
-        load_word = state.mem.load_word
+        mem = state.mem
+        words, text_base = mem.words, mem.text_base
+        n_words = len(words)
+        regs = state.regs
         cache = self.image.fetch_cache
+        block_index = self.image.block_index
+        patch_map = self.patch_map
         encrypted = self.encrypted
-        block_end, stream = self._block()
-        while counters.instructions_retired < limit:
-            pc = state.pc
-            word = load_word(pc)
-            if word is None:
-                return MEMORY_FAULT, None, None
-
-            if self.prev_pc is not None and (pc != self.prev_pc + 4 or pc == block_end):
-                counters.control_transfers += 1
-                self._edge_event(pc)
-                block_end, stream = self._block()
-
-            if encrypted:
-                counters.keystream_invocations += 1
-                offset = ((pc - state.cur_block_base) >> 2) & _OFFSET_MASK
-                if offset < len(stream):
-                    word ^= stream[offset]
+        trace = self.trace
+        handlers = _HANDLERS
+        pc, prev_pc = state.pc, self.prev_pc
+        retired, invocations = counters.instructions_retired, counters.keystream_invocations
+        key, base = state.cur_key, state.cur_block_base
+        block_end, stream = self._block(base, key)
+        n_stream = len(stream)
+        try:
+            while retired < limit:
+                index = (pc - text_base) >> 2
+                if 0 <= index < n_words and not pc & 3:
+                    word = words[index]
                 else:
-                    word ^= keystream_word(state.cur_key, offset)
-            instr = cache.get(word)
-            if instr is None:
-                instr = _remember(cache, word, decode(word))
-            if instr.__class__ is not Instruction:
-                return INTEGRITY_FAULT, pc, instr.word
+                    word = mem.load_word(pc)
+                    if word is None:
+                        return MEMORY_FAULT, None, None
 
-            next_pc = _HANDLERS[instr.op](state, instr, pc)
-            if next_pc is None:
-                return MEMORY_FAULT, None, None
-            state.pc = next_pc & MASK32
-            counters.instructions_retired += 1
-            if record_trace:
-                self.trace.append((pc, instr))
-            self.prev_pc = pc
-            if state.halted:
-                return HALT, None, None
-        return None
+                if prev_pc is not None and (pc != prev_pc + 4 or pc == block_end):
+                    # patch lookup on a transfer or block-boundary crossing
+                    counters.control_transfers += 1
+                    if encrypted:
+                        counters.patch_lookups += 1
+                        patch = patch_map.get((block_index.get(base, _NO_BLOCK)[0], pc))
+                        if patch is not None:
+                            key = derive_next_key(key, patch)
+                            base = pc
+                            counters.key_switches += 1
+                    elif pc in block_index:
+                        base = pc
+                    block_end, stream = self._block(base, key)
+                    n_stream = len(stream)
 
-    def _block(self) -> tuple[int, array | None]:
-        """End of the key register's block (its entry if none) and the key's
-        stream over that block; no stream in a plaintext run."""
-        base = self.state.cur_block_base
+                if encrypted:
+                    invocations += 1
+                    offset = ((pc - base) >> 2) & _OFFSET_MASK
+                    if offset < n_stream:
+                        word ^= stream[offset]
+                    else:
+                        word ^= keystream_word(key, offset)
+                instr = cache.get(word)
+                if instr is None:
+                    instr = _remember(cache, word, decode(word))
+                if instr.__class__ is not Instruction:
+                    return INTEGRITY_FAULT, pc, instr.word
+
+                next_pc = handlers[instr.op](regs, instr, pc, state)
+                if next_pc is None:
+                    return MEMORY_FAULT, None, None
+                retired += 1
+                if record_trace:
+                    trace.append((pc, instr))
+                prev_pc, pc = pc, next_pc & MASK32
+                if state.halted:
+                    return HALT, None, None
+            return None
+        finally:
+            state.pc, self.prev_pc = pc, prev_pc
+            counters.instructions_retired = retired
+            counters.keystream_invocations = invocations
+            state.cur_key, state.cur_block_base = key, base
+
+    def _block(self, base: int, key: bytes | None) -> tuple[int, array]:
+        """End of the block at `base` (`base` itself if none) and the key's
+        stream over that block; an empty stream in a plaintext run."""
         length = self.image.block_index.get(base, _NO_BLOCK)[1]
-        key = self.state.cur_key
         if key is None:
-            return base + 4 * length, None
+            return base + 4 * length, _NO_STREAM
         cache = self.image.fetch_cache
         stream = cache.get(key)
         if stream is None:
             stream = _remember(cache, key, block_keystream(key, length))
         return base + 4 * length, stream
-
-    def _edge_event(self, new_pc: int) -> None:
-        """Patch lookup on a transfer or block-boundary crossing."""
-        state = self.state
-        if self.encrypted:
-            state.counters.patch_lookups += 1
-            patch = self.patch_map.get((self.current_block(), new_pc))
-            if patch is not None:
-                self._absorb_patch(patch, new_pc)
-                state.counters.key_switches += 1
-        elif new_pc in self.image.block_index:
-            state.cur_block_base = new_pc
 
     def _report(self, outcome: str, fault_pc: int | None = None,
                 fault_word: int | None = None) -> RunReport:

@@ -113,12 +113,21 @@ def dump_image(image: Image, *, flags: int = 0) -> bytes:
     return bytes(out)
 
 
-def parse_container(blob: bytes) -> tuple[Image, int, int]:
-    """Parse the SCY1 part; returns (image, flags, offset past data bytes)."""
+def _header(blob: bytes) -> tuple:
     if len(blob) < _HEADER.size or blob[:4] != MAGIC:
         raise ImageFormatError("not a SCY1 container")
+    return _HEADER.unpack_from(blob)
+
+
+def container_flags(blob: bytes) -> int:
+    """The flags of a SCY1 container, from its header alone."""
+    return _header(blob)[2]
+
+
+def parse_container(blob: bytes) -> tuple[Image, int, int]:
+    """Parse the SCY1 part; returns (image, flags, offset past data bytes)."""
     (_, version, flags, text_base, entry, text_len, data_base, data_len,
-     block_count, edge_count) = _HEADER.unpack_from(blob)
+     block_count, edge_count) = _header(blob)
     if version != VERSION:
         raise ImageFormatError(f"unsupported container version {version}")
     if text_base % 4 or text_len % 4:

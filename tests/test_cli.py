@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from scylla import cli
 from scylla.cli import main
 from scylla.engine import Engine
 
@@ -475,3 +477,106 @@ def test_readme_commands_run(tmp_path, corpus_dir, capsys, monkeypatch):
     assert {argv[0] for argv in commands} == set(BASE_COMMANDS)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+# Steps run in order in one process, each (value of SCYLLA_SEED or None
+# for unset, argv, expected exit code); the variable changes between calls.
+SEED_ENV_STEPS = [
+    (None, ["encrypt", "fib.img", "--out", "a.eimg"], 2),
+    (SEED, ["encrypt", "fib.img", "--out", "a.eimg"], 0),
+    (SEED_B, ["encrypt", "fib.img", "--out", "b.eimg"], 0),
+    ("zz", ["encrypt", "fib.img", "--out", "c.eimg"], 2),
+    ("zz", ["run", "b.eimg", "--format", "human"], 0),
+    ("zz", ["bench", ".", "--out", "zz.csv"], 2),
+    ("zz", ["encrypt", "fib.img", "--seed", SEED, "--out", "c.eimg"], 0),
+    ("", ["encrypt", "fib.img", "--out", "d.eimg"], 2),
+    (SEED, ["bench", ".", "--out", "bench.csv"], 0),
+    (None, ["bench", ".", "--seed", SEED_B, "--out", "bench_b.csv"], 0),
+    (SEED_B, ["attack", "a.eimg", "--kind", "rogue-edge", "--trials", "5"], 0),
+    (None, ["analyze", "fib.img", "b.eimg"], 0),
+    (None, ["encrypt", "fib.img"], 2),
+]
+
+
+def call_cli(capsys, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one `main` call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_seed_env_steps(directory, capsys, monkeypatch, *, fresh_parser: bool) -> list:
+    monkeypatch.chdir(directory)
+    results = []
+    for value, argv, _ in SEED_ENV_STEPS:
+        if value is None:
+            monkeypatch.delenv("SCYLLA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SCYLLA_SEED", value)
+        if fresh_parser:   # as if each call were its own process
+            cli.build_parser.cache_clear()
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        results.append((argv, call_cli(capsys, argv), files))
+    return results
+
+
+def test_seed_variable_changes_between_calls_in_one_process(built, capsys, monkeypatch):
+    separate = built.parent / "separate"
+    shutil.copytree(built, separate)
+    together = built.parent / "together"
+    shutil.copytree(built, together)
+    expected = run_seed_env_steps(separate, capsys, monkeypatch, fresh_parser=True)
+    got = run_seed_env_steps(together, capsys, monkeypatch, fresh_parser=False)
+    assert got == expected
+    assert [code for _, (code, _, _), _ in got] == [step[2] for step in SEED_ENV_STEPS]
+    for (value, argv, code), (_, (_, out, err), _) in zip(SEED_ENV_STEPS, got):
+        if code == 2:
+            assert out == "" and "Traceback" not in err
+            assert ("'zz'" in err) == (value == "zz"), argv
+            assert argv[0] in ("encrypt", "bench"), argv
+
+
+def test_usage_error_leaves_the_next_call_correct(built, capsys, monkeypatch):
+    good = ["attack", "fib.eimg", "--kind", "patch-replay", "--trials", "7",
+            "--format", "csv", "--harness-seed", "3"]
+    cli.build_parser.cache_clear()
+    reference = call_cli(capsys, good)
+    assert reference[0] == 0 and reference[1]
+    for bad in (["attack", "fib.eimg", "--kind", "rogue-edge", "--format", "human"],
+                ["attack", "fib.eimg", "scenario.json", "--trials", "7"],
+                ["attack", "fib.eimg", "--kind", "no-such-kind"],
+                ["attack", "fib.eimg", "--kind", "rogue-edge", "--trials", "x"],
+                ["run", "fib.eimg", "--seed", SEED],
+                ["encrypt", "fib.img", "--seed", "zz"],
+                ["frobnicate"],
+                []):
+        code, out, err = call_cli(capsys, bad)
+        assert code == 2 and out == "" and "Traceback" not in err, bad
+        assert call_cli(capsys, good) == reference, bad
+    assert call_cli(capsys, ["run", "missing.eimg"])[0] == 1   # a domain error too
+    assert call_cli(capsys, good) == reference
+
+
+def test_parser_is_built_once_per_seed_value(built, capsys, monkeypatch):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "scylla":   # the top-level parser, not a subcommand's
+            builds.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argv = ["run", "fib.eimg"]
+    for value, total in ((None, 1), (None, 1), (SEED, 2), (SEED, 2), (None, 2),
+                         ("", 2), (SEED_B, 3), (SEED, 3)):
+        if value is None:
+            monkeypatch.delenv("SCYLLA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SCYLLA_SEED", value)
+        assert call_cli(capsys, argv)[0] == 0
+        assert len(builds) == total, value

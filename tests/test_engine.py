@@ -22,6 +22,7 @@ from scylla.engine import (
     trace,
 )
 from scylla.image import layout_image
+from scylla.isa import Instruction, encode
 
 
 def _image(source):
@@ -450,3 +451,66 @@ def test_stale_key_past_its_stream_takes_the_per_word_fallback(corpus_sources, m
     # with no block streams every fetch miss takes the per-word path
     monkeypatch.setattr(eng, "block_keystream", lambda key, n_words: array("I"))
     assert _stale_key_mid_block_run(corpus_sources["fib"]) == (report, (pc, key, offset, raw))
+
+
+def _fetch_state(engine):
+    state = engine.state
+    return (state.pc, engine.prev_pc, state.counters.copy(), state.cur_key,
+            state.cur_block_base, state.regs[:], state.halted, engine.trace[:])
+
+
+# a loop, then a load from an unmapped address
+_LW_FAULT = _image("addi x1, x0, 3\nloop:\naddi x1, x1, -1\nbne x1, x0, loop\n"
+                   "lui x5, 32\nlw x6, 0(x5)\necall")
+
+
+def _single_step_cases(corpus_images, corpus_encrypted):
+    """(name, engine factory, expected end) for every corpus program, plain
+    and encrypted, a run ending in an integrity fault and one ending in a
+    memory fault inside `lw`."""
+    cases = []
+    for name in corpus_images:
+        cases.append((name, lambda image=corpus_images[name]: plaintext_engine(image), HALT))
+        cases.append((name + " encrypted",
+                      lambda eimage=corpus_encrypted[name]: encrypted_engine(eimage), HALT))
+    fib = corpus_encrypted["fib"]
+    # without the return edge's patch the key register goes stale back in main
+    stale = {edge: patch for edge, patch in fib.patch_map.items() if edge != (4, 12)}
+    assert len(stale) == len(fib.patch_map) - 1
+    cases.append(("fib stale key", lambda: eng.Engine(
+        fib.image, patch_map=stale, entry_key=fib.entry_key), INTEGRITY_FAULT))
+    cases.append(("lw fault", lambda: plaintext_engine(_LW_FAULT), MEMORY_FAULT))
+    lw_fault_enc = encrypt_pipeline(_LW_FAULT, 42)
+    cases.append(("lw fault encrypted", lambda: encrypted_engine(lw_fault_enc), MEMORY_FAULT))
+    return cases
+
+
+def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encrypted):
+    # The fetch loop keeps its state in locals; stepping one instruction per
+    # call only works if every exit writes all of it back.
+    for name, make, end in _single_step_cases(corpus_images, corpus_encrypted):
+        stepped, stepped_traced = make(), make()
+        encrypted = stepped.encrypted
+        k, alive = 0, True
+        while alive:
+            k += 1
+            alive = stepped.advance(k)
+            stepped_traced.run(k, record_trace=True)
+            once, once_traced = make(), make()
+            assert once.advance(k) == alive, (name, k)
+            once_traced.run(k, record_trace=True)
+            assert _fetch_state(stepped) == _fetch_state(once), (name, k)
+            assert _fetch_state(stepped_traced) == _fetch_state(once_traced), (name, k)
+            counters = stepped.state.counters
+            if alive:
+                assert counters.instructions_retired == k, (name, k)
+                assert counters.keystream_invocations == (k if encrypted else 0), (name, k)
+        report = stepped.run()
+        assert report.outcome == end, name
+        assert report == once.run() == stepped_traced.run(), name
+        if end != HALT:
+            assert k > 5, name   # the run ended past its first few fetches
+        if end == MEMORY_FAULT:   # inside lw: the fetch at pc decoded and executed
+            assert report.counters.keystream_invocations == k * encrypted, name
+            assert _LW_FAULT.text_words()[stepped.state.pc >> 2] == encode(
+                Instruction("lw", rd=6, rs1=5, imm=0)), name
