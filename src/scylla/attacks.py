@@ -37,8 +37,6 @@ from .engine import (
     MEMORY_FAULT,
     Engine,
     RunReport,
-    encrypted_engine,
-    run_encrypted,
 )
 from .isa import Instruction, encode
 
@@ -235,7 +233,7 @@ def run_attack(eimage: EncryptedImage, scenario: AttackScenario, seed: int = 0,
     instructions; `start` itself is left as it is.
     """
     if start is None:
-        engine = encrypted_engine(eimage)
+        engine = Engine(eimage)
     elif start.state.counters.instructions_retired > scenario.trigger_step:
         raise ValueError("start engine has run past the trigger")
     else:
@@ -273,14 +271,14 @@ def run_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
     if kind == CODE_INJECTION:
         raise HarnessError("code-injection needs a scenario file: "
                            "its target and payload are not drawn at random")
-    baseline = run_encrypted(eimage, step_limit)
+    baseline = Engine(eimage).run(step_limit)
     if baseline.outcome != HALT:
         raise HarnessError("program does not halt unattacked; cannot place triggers")
     horizon = baseline.counters.instructions_retired
     rng = random.Random(seed)
     trials = [(AttackScenario(kind=kind, trigger_step=rng.randrange(horizon)),
                rng.getrandbits(63)) for _ in range(n_trials)]
-    checkpoint = encrypted_engine(eimage)
+    checkpoint = Engine(eimage)
     starts = {}
     for trigger in sorted({scenario.trigger_step for scenario, _ in trials}):
         checkpoint.advance(trigger)

@@ -4,6 +4,12 @@ Blocks are the unit of key assignment: leaders are the first
 instruction, every branch/jump target, and every instruction after a
 terminator. Edges carry a kind so call/return chaining stays visible.
 
+The graph's tables have the format of `Image.blocks` and `Image.edges`,
+which the key schedule and the engine read: a block is an
+`(entry_addr, length_words)` tuple whose id is its index, at text
+base 0 here, and an edge is `(source id, target id, kind)`. Laying
+out an image only adds the text base to each entry.
+
 Indirect transfers: a `jalr x0, ra, 0` is recognized as a return and
 gets one return edge per legal return site of the enclosing function's
 callers. Any other jalr must carry a declared `.targets` set.
@@ -34,22 +40,9 @@ class AnalysisError(ValueError):
 
 
 @dataclass(frozen=True)
-class BasicBlock:
-    id: int
-    entry_addr: int        # 4 * first instruction index (text base 0)
-    length_words: int
-
-
-@dataclass(frozen=True)
 class ControlFlowGraph:
-    blocks: tuple[BasicBlock, ...]
-    edges: tuple[tuple[int, int, str], ...]   # (source id, target id, kind)
-
-    def successors(self, block_id: int) -> tuple[int, ...]:
-        return tuple(t for s, t, _ in self.edges if s == block_id)
-
-    def edge_pairs(self) -> set[tuple[int, int]]:
-        return {(s, t) for s, t, _ in self.edges}
+    blocks: tuple[tuple[int, int], ...]        # (entry addr, length in words)
+    edges: tuple[tuple[int, int, str], ...]    # (source id, target id, kind)
 
 
 def _is_return(instr) -> bool:
@@ -96,7 +89,7 @@ def build_cfg(program: Program) -> ControlFlowGraph:
     blocks = []
     for block_id, start in enumerate(order):
         end = order[block_id + 1] if block_id + 1 < len(order) else n
-        blocks.append(BasicBlock(id=block_id, entry_addr=4 * start, length_words=end - start))
+        blocks.append((4 * start, end - start))
         for i in range(start, end):
             block_of_index[i] = block_id
 
@@ -114,10 +107,9 @@ def build_cfg(program: Program) -> ControlFlowGraph:
         return latest
 
     edges: set[tuple[int, int, str]] = set()
-    for block in blocks:
-        last = order[block.id] + block.length_words - 1
+    for src, (entry, length) in enumerate(blocks):
+        last = entry // 4 + length - 1
         instr = instrs[last]
-        src = block.id
         if instr.op in _BRANCHES:
             edges.add((src, block_of_index[_branch_target(last, instr, n)], BRANCH_TAKEN))
             edges.add((src, block_of_index[last + 1], FALLTHROUGH))

@@ -56,12 +56,9 @@ from .engine import (
     DEFAULT_DECRYPT_COST,
     DEFAULT_STEP_LIMIT,
     DEFAULT_SWITCH_COST,
+    Engine,
     ReportError,
-    encrypted_engine,
     overhead_report,
-    plaintext_engine,
-    run_encrypted,
-    run_plaintext,
 )
 from .image import (
     FLAG_ENCRYPTED,
@@ -148,12 +145,8 @@ def cmd_encrypt(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
-    costs = {"decrypt_cost": args.decrypt_cost, "switch_cost": args.switch_cost}
-    image = _load_any_image(args.image)
-    if isinstance(image, EncryptedImage):
-        engine = encrypted_engine(image, **costs)
-    else:
-        engine = plaintext_engine(image, **costs)
+    engine = Engine(_load_any_image(args.image),
+                    decrypt_cost=args.decrypt_cost, switch_cost=args.switch_cost)
     report = engine.run(args.step_limit)
     doc = report.to_json_dict()
     doc["regs"] = {f"x{i}": value
@@ -219,8 +212,8 @@ def cmd_bench(args, parser) -> int:
     for path in sources:
         image = layout_image(parse_assembly(path.read_text()))
         eimage = encrypt_pipeline(image, args.seed)
-        plain = run_plaintext(image, step_limit=args.step_limit, **costs)
-        enc = run_encrypted(eimage, step_limit=args.step_limit, **costs)
+        plain = Engine(image, **costs).run(args.step_limit)
+        enc = Engine(eimage, **costs).run(args.step_limit)
         overhead = overhead_report(plain, enc, args.decrypt_cost, args.switch_cost)
         rows.append((path.stem, plain.counters.instructions_retired,
                      enc.counters.key_switches, plain.counters.cycles,

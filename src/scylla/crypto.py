@@ -35,7 +35,6 @@ from operator import xor
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .cfg import BasicBlock, ControlFlowGraph
 from .image import FLAG_ENCRYPTED, Image, ImageFormatError, dump_image, parse_container
 
 KEY_BYTES = 16
@@ -102,25 +101,22 @@ def derive_next_key(current: bytes, patch: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class KeySchedule:
-    master_seed: bytes
     block_keys: dict[int, bytes]
     patches: dict[tuple[int, int], bytes]   # (source block id, target entry addr)
     entry_key: bytes
 
 
-def gen_keys(cfg: ControlFlowGraph, master_seed: int | bytes) -> KeySchedule:
-    """One key per block, one patch per distinct (source, target-entry) pair."""
-    seed = seed_bytes(master_seed)
-    keys = _prf_blocks(seed, [b.id for b in cfg.blocks])
-    block_keys = {b.id: keys[KEY_BYTES * j:KEY_BYTES * (j + 1)]
-                  for j, b in enumerate(cfg.blocks)}
-    entry_of = {b.id: b.entry_addr for b in cfg.blocks}
+def gen_keys(image: Image, master_seed: int | bytes) -> KeySchedule:
+    """One key per block, one patch per distinct (source, target-entry) pair;
+    the entry key is the key of the block at the image's entry address."""
+    blocks = image.blocks
+    keys = _prf_blocks(seed_bytes(master_seed), range(len(blocks)))
+    block_keys = {i: keys[KEY_BYTES * i:KEY_BYTES * (i + 1)] for i in range(len(blocks))}
     patches = {}
-    for src, tgt, _kind in cfg.edges:
-        patches[(src, entry_of[tgt])] = derive_next_key(block_keys[src], block_keys[tgt])
-    entry_block = min(cfg.blocks, key=lambda b: b.entry_addr)
-    return KeySchedule(master_seed=seed, block_keys=block_keys,
-                       patches=patches, entry_key=block_keys[entry_block.id])
+    for src, tgt, _kind in image.edges:
+        patches[(src, blocks[tgt][0])] = derive_next_key(block_keys[src], block_keys[tgt])
+    return KeySchedule(block_keys=block_keys, patches=patches,
+                       entry_key=block_keys[image.block_index[image.entry][0]])
 
 
 @dataclass(frozen=True)
@@ -135,13 +131,6 @@ class EncryptedImage:
     def patch_map(self) -> dict[tuple[int, int], bytes]:
         """(source id, target entry) -> patch, built once per image."""
         return {(src, tgt): patch for src, tgt, patch in self.patch_table}
-
-
-def cfg_view(image: Image) -> ControlFlowGraph:
-    """The image's block/edge tables as a graph (absolute entry addresses)."""
-    blocks = tuple(BasicBlock(id=i, entry_addr=entry, length_words=length)
-                   for i, (entry, length) in enumerate(image.blocks))
-    return ControlFlowGraph(blocks=blocks, edges=image.edges)
 
 
 def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
@@ -199,6 +188,8 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
     end = offset + count * _PATCH_REC.size
     if len(blob) < end:
         raise ImageFormatError("KEYT section truncated")
+    if end != len(blob):
+        raise ImageFormatError(f"{len(blob) - end} bytes trail the last patch record")
     table = tuple(_PATCH_REC.iter_unpack(blob[offset:end]))
     block_count, entries = len(image.blocks), image.block_index
     for src, target, _patch in table:
@@ -209,5 +200,5 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
 
 
 def encrypt_pipeline(image: Image, seed: int | bytes) -> EncryptedImage:
-    """gen_keys over the image's own graph, then encrypt."""
-    return encrypt_image(image, gen_keys(cfg_view(image), seed))
+    """gen_keys over the image's own tables, then encrypt."""
+    return encrypt_image(image, gen_keys(image, seed))

@@ -10,6 +10,10 @@ hardware has no basis to update them. Every fetch goes through the
 decryptor, including fetches outside the text segment; a word that
 fails to decode raises an integrity fault immediately.
 
+One constructor builds every engine: `Engine(target)` runs an `Image`
+in plaintext, or an `EncryptedImage` from its entry key under its own
+patch table, so the key state always belongs to the image it runs.
+
 The cycle model is deliberately two scalars: cycles = instructions
 + decrypt_cost * keystream invocations + switch_cost * key switches.
 
@@ -180,10 +184,6 @@ class MachineState:
     halted: bool = False
     counters: PerfCounters = field(default_factory=PerfCounters)
 
-    def set_reg(self, index: int, value: int) -> None:
-        if index:  # x0 stays hardwired to zero
-            self.regs[index] = value & MASK32
-
     def fork(self) -> MachineState:
         return MachineState(self.mem.fork(), self.pc, self.regs[:], self.cur_key,
                             self.cur_block_base, self.halted, self.counters.copy())
@@ -347,16 +347,21 @@ def _remember(cache: dict, key, value):
 class Engine:
     """One engine instance owns one MachineState; single-threaded.
 
+    `target` is an `Image`, run in plaintext, or an `EncryptedImage`,
+    whose entry key and patch table the engine takes from it.
     Only the engine touches the key state; an adversary between two steps
     uses `current_block()` and `replay_patch()` (see attacks.py).
     """
 
-    def __init__(self, image: Image, *, patch_map=None, entry_key: bytes | None = None,
+    def __init__(self, target: Image | EncryptedImage, *,
                  decrypt_cost: int = DEFAULT_DECRYPT_COST,
                  switch_cost: int = DEFAULT_SWITCH_COST):
+        if isinstance(target, EncryptedImage):
+            image, self.patch_map, entry_key = target.image, target.patch_map, target.entry_key
+        else:
+            image, self.patch_map, entry_key = target, {}, None
         self.image = image
         self.encrypted = entry_key is not None
-        self.patch_map = patch_map or {}
         self.decrypt_cost = decrypt_cost
         self.switch_cost = switch_cost
         self.state = MachineState(mem=Memory(image), pc=image.entry,
@@ -502,36 +507,14 @@ class Engine:
                          instructions_until_fault=until_fault)
 
 
-def plaintext_engine(image: Image, *, decrypt_cost: int = DEFAULT_DECRYPT_COST,
-                     switch_cost: int = DEFAULT_SWITCH_COST) -> Engine:
-    return Engine(image, decrypt_cost=decrypt_cost, switch_cost=switch_cost)
-
-
-def encrypted_engine(eimage: EncryptedImage, *,
-                     decrypt_cost: int = DEFAULT_DECRYPT_COST,
-                     switch_cost: int = DEFAULT_SWITCH_COST) -> Engine:
-    return Engine(eimage.image, patch_map=eimage.patch_map,
-                  entry_key=eimage.entry_key,
-                  decrypt_cost=decrypt_cost, switch_cost=switch_cost)
-
-
-def run_plaintext(image: Image, step_limit: int = DEFAULT_STEP_LIMIT,
-                  **costs) -> RunReport:
-    return plaintext_engine(image, **costs).run(step_limit)
-
-
-def run_encrypted(eimage: EncryptedImage,
-                  step_limit: int = DEFAULT_STEP_LIMIT, **costs) -> RunReport:
-    return encrypted_engine(eimage, **costs).run(step_limit)
+# unused here but stay importable: perfbench/workloads.py builds its engines through them
+plaintext_engine = encrypted_engine = Engine
 
 
 def trace(target: Image | EncryptedImage,
           step_limit: int = DEFAULT_STEP_LIMIT) -> list[tuple[int, Instruction]]:
     """Retired (pc, instruction) sequence of the corresponding run."""
-    if isinstance(target, EncryptedImage):
-        engine = encrypted_engine(target)
-    else:
-        engine = plaintext_engine(target)
+    engine = Engine(target)
     engine.run(step_limit, record_trace=True)
     return engine.trace
 

@@ -29,6 +29,7 @@ from .isa import encode
 MAGIC = b"SCY1"
 VERSION = 1
 FLAG_ENCRYPTED = 0x1
+ADDRESS_SPACE = 1 << 32
 
 _HEADER = struct.Struct("<4sIIIIIIIII")
 _BLOCK_REC = struct.Struct("<II")
@@ -83,6 +84,11 @@ def layout_image(program: Program, text_base: int = 0) -> Image:
 
     text_end = text_base + len(text)
     data_end = program.data_base + len(program.data)
+    for name, base, end in (("text", text_base, text_end),
+                            ("data", program.data_base, data_end)):
+        if not (0 <= base < ADDRESS_SPACE and end <= ADDRESS_SPACE):
+            raise LayoutError(
+                f"{name} [{base:#x}, {end:#x}) lies outside the 32-bit address space")
     if program.data and text and not (data_end <= text_base or program.data_base >= text_end):
         raise LayoutError(
             f"text [{text_base:#x}, {text_end:#x}) overlaps "
@@ -94,7 +100,7 @@ def layout_image(program: Program, text_base: int = 0) -> Image:
         text=text,
         data_base=program.data_base,
         data=program.data,
-        blocks=tuple((text_base + b.entry_addr, b.length_words) for b in graph.blocks),
+        blocks=tuple((text_base + entry, length) for entry, length in graph.blocks),
         edges=graph.edges,
     )
 
@@ -169,7 +175,9 @@ def parse_container(blob: bytes) -> tuple[Image, int, int]:
 
 
 def load_image_bytes(blob: bytes) -> Image:
-    image, flags, _ = parse_container(blob)
+    image, flags, end = parse_container(blob)
     if flags & FLAG_ENCRYPTED:
         raise ImageFormatError("container holds an encrypted image")
+    if end != len(blob):
+        raise ImageFormatError(f"{len(blob) - end} bytes trail the data segment")
     return image

@@ -10,7 +10,6 @@ import time
 from scylla.analysis import diversification_report
 from scylla.attacks import load_scenario, run_attack, survival_trials
 from scylla.crypto import (
-    cfg_view,
     derive_next_key,
     dump_encrypted_image,
     encrypt_image,
@@ -20,9 +19,8 @@ from scylla.crypto import (
 from scylla.engine import (
     HALT,
     INTEGRITY_FAULT,
+    Engine,
     overhead_report,
-    run_encrypted,
-    run_plaintext,
     trace,
 )
 from scylla.isa import exact_valid_decode_fraction, valid_decode_fraction
@@ -43,8 +41,8 @@ def test_criterion_1_functional_transparency(corpus_images, corpus_encrypted):
     ok = len(corpus_images) >= 8
     detail = f"{len(corpus_images)} programs"
     for name in corpus_images:
-        plain = run_plaintext(corpus_images[name], step_limit=STEP_LIMIT)
-        enc = run_encrypted(corpus_encrypted[name], step_limit=STEP_LIMIT)
+        plain = Engine(corpus_images[name]).run(STEP_LIMIT)
+        enc = Engine(corpus_encrypted[name]).run(STEP_LIMIT)
         if not (plain.outcome == enc.outcome == HALT
                 and plain.final_state_digest == enc.final_state_digest):
             ok, detail = False, f"{name}: digest or outcome diverged"
@@ -64,7 +62,7 @@ def test_criterion_1_functional_transparency(corpus_images, corpus_encrypted):
 def test_criterion_2_round_trip_determinism(corpus_images):
     ok, detail = True, ""
     for name, image in corpus_images.items():
-        schedule = gen_keys(cfg_view(image), SEED)
+        schedule = gen_keys(image, SEED)
         once = encrypt_image(image, schedule)
         twice = encrypt_image(image, schedule)
         if dump_encrypted_image(once) != dump_encrypted_image(twice):
@@ -89,18 +87,17 @@ def test_criterion_3_key_chain_soundness(corpus_images):
     rng = random.Random(1234)
     programs = []
     for image in corpus_images.values():
-        cfg = cfg_view(image)
-        if cfg.edges:
-            programs.append((cfg, gen_keys(cfg, SEED)))
+        if image.edges:
+            programs.append((image, gen_keys(image, SEED)))
 
     path_failures = 0
     for _ in range(1000):
-        cfg, schedule = programs[rng.randrange(len(programs))]
+        image, schedule = programs[rng.randrange(len(programs))]
         succ = {}
-        entry_of = {b.id: b.entry_addr for b in cfg.blocks}
-        for s, t, _ in cfg.edges:
+        entry_of = {i: entry for i, (entry, _) in enumerate(image.blocks)}
+        for s, t, _ in image.edges:
             succ.setdefault(s, []).append(t)
-        here = rng.choice([b.id for b in cfg.blocks if b.id in succ])
+        here = rng.choice([i for i in range(len(image.blocks)) if i in succ])
         key = schedule.block_keys[here]
         for _ in range(rng.randrange(1, 16)):
             if here not in succ:
@@ -114,10 +111,10 @@ def test_criterion_3_key_chain_soundness(corpus_images):
     collision_failures = 0
     checked = 0
     while checked < 1000:
-        cfg, schedule = programs[rng.randrange(len(programs))]
-        pairs = cfg.edge_pairs()
-        s = rng.randrange(len(cfg.blocks))
-        t = rng.randrange(len(cfg.blocks))
+        image, schedule = programs[rng.randrange(len(programs))]
+        pairs = {(s, t) for s, t, _ in image.edges}
+        s = rng.randrange(len(image.blocks))
+        t = rng.randrange(len(image.blocks))
         if s == t or (s, t) in pairs:
             continue
         checked += 1
@@ -200,12 +197,12 @@ def test_criterion_7_counter_exactness(corpus_images, corpus_encrypted):
         entries = {entry for entry, _ in image.blocks}
         pcs = [pc for pc, _ in trace(image, STEP_LIMIT)]
         independent = sum(1 for pc in pcs[1:] if pc in entries)
-        enc = run_encrypted(corpus_encrypted[name], step_limit=STEP_LIMIT)
+        enc = Engine(corpus_encrypted[name]).run(STEP_LIMIT)
         if enc.counters.key_switches != independent:
             ok, detail = False, (f"{name}: key_switches {enc.counters.key_switches} "
                                  f"!= trace count {independent}")
             break
-        plain = run_plaintext(image, step_limit=STEP_LIMIT)
+        plain = Engine(image).run(STEP_LIMIT)
         if overhead_report(plain, enc, 0, 0) != 0.0:
             ok, detail = False, f"{name}: zero-cost overhead not 0.0"
             break

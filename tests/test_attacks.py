@@ -17,8 +17,8 @@ from scylla.attacks import (
     survival_trials,
     write_trials_csv,
 )
-from scylla.crypto import cfg_view, encrypt_pipeline, gen_keys
-from scylla.engine import HALT, INTEGRITY_FAULT, STEP_LIMIT, encrypted_engine, run_encrypted
+from scylla.crypto import encrypt_pipeline, gen_keys
+from scylla.engine import HALT, INTEGRITY_FAULT, STEP_LIMIT, Engine
 from scylla.isa import exact_valid_decode_fraction
 
 SENT_ADDR, SENT_VAL = 0x10030, 0xC0FFEE42
@@ -71,9 +71,8 @@ def test_committed_scenarios_parse(corpus_dir):
 
 def test_hijack_payload_executes_in_plaintext(corpus_images):
     # sanity: the payload does take over when nothing is encrypted
-    from scylla.engine import plaintext_engine
     image = corpus_images["fib"]
-    engine = plaintext_engine(image)
+    engine = Engine(image)
     payload = hijack_payload(SENT_ADDR, SENT_VAL)
     for i in range(0, len(payload), 4):
         assert engine.state.mem.store_word(
@@ -131,8 +130,8 @@ def test_mid_block_entry_rejects_block_entry_target(fib):
 
 def test_patch_replay_wrong_source_key_mismatch(fib, corpus_images):
     # introspect the key register right after the replayed update
-    schedule = gen_keys(cfg_view(corpus_images["fib"]), 42)
-    engine = encrypted_engine(fib)
+    schedule = gen_keys(corpus_images["fib"], 42)
+    engine = Engine(fib)
     engine.run(step_limit=10)  # stop inside the loop (block 3)
     assert engine.current_block() == 3
     engine.replay_patch(fib.patch_map[(4, 12)], 12)
@@ -149,7 +148,7 @@ def test_patch_replay_detected(fib):
 
 def test_disabled_trigger_reproduces_unattacked_run(fib):
     limit = 5000
-    unattacked = run_encrypted(fib, step_limit=limit)
+    unattacked = Engine(fib).run(limit)
     scenario = AttackScenario("rogue-edge", limit + 1, target=12)
     outcome = run_attack(fib, scenario, seed=9, step_limit=limit)
     assert outcome.report == unattacked
@@ -168,13 +167,13 @@ def test_trigger_at_step_limit_applies_then_stops(fib):
     payload = hijack_payload(SENT_ADDR, SENT_VAL)
     scenario = AttackScenario("code-injection", limit, target=0x10010, payload=payload)
     outcome = run_attack(fib, scenario, seed=3, step_limit=limit)
-    unattacked = run_encrypted(fib, step_limit=limit)
+    unattacked = Engine(fib).run(limit)
     assert outcome.report.outcome == STEP_LIMIT
     assert outcome.report.counters == unattacked.counters
     assert not outcome.detected
 
     # the injected words are dirty memory, so they show in the digest
-    expected = encrypted_engine(fib)
+    expected = Engine(fib)
     expected.run(limit)
     for i in range(0, len(payload), 4):
         expected.state.mem.store_word(
@@ -184,7 +183,7 @@ def test_trigger_at_step_limit_applies_then_stops(fib):
 
 
 def test_trigger_at_or_after_halt_reproduces_unattacked_run(fib):
-    unattacked = run_encrypted(fib)
+    unattacked = Engine(fib).run()
     halt_step = unattacked.counters.instructions_retired
     for trigger in (halt_step, halt_step + 1, 10 * halt_step):
         outcome = run_attack(fib, AttackScenario("rogue-edge", trigger, target=12), seed=9)
@@ -194,7 +193,7 @@ def test_trigger_at_or_after_halt_reproduces_unattacked_run(fib):
 
 def test_fault_before_trigger_reports_as_unattacked(fib):
     bad = replace(fib, entry_key=bytes(16))
-    unattacked = run_encrypted(bad)
+    unattacked = Engine(bad).run()
     assert unattacked.outcome == INTEGRITY_FAULT
     trigger = unattacked.instructions_until_fault + 5
     outcome = run_attack(bad, AttackScenario("rogue-edge", trigger, target=12), seed=9)
@@ -251,7 +250,7 @@ def test_campaigns_match_golden(corpus_encrypted):
 
 def test_attack_from_a_start_engine(fib):
     scenario = AttackScenario("rogue-edge", 10, target=12)
-    start = encrypted_engine(fib)
+    start = Engine(fib)
     start.advance(6)
     assert run_attack(fib, scenario, seed=5, start=start) == run_attack(fib, scenario, seed=5)
     assert start.state.counters.instructions_retired == 6
@@ -274,7 +273,7 @@ def test_campaign_stops_at_first_inapplicable_trial(corpus_encrypted, monkeypatc
     with pytest.raises(HarnessError, match="mid-body"):
         run_trials(diamond, "mid-block-entry", 40, seed=1, step_limit=4096)
     rng = random.Random(1)
-    horizon = run_encrypted(diamond).counters.instructions_retired
+    horizon = Engine(diamond).run().counters.instructions_retired
     assert calls == [(rng.randrange(horizon), rng.getrandbits(63)) for _ in range(13)]
 
 

@@ -214,6 +214,22 @@ def test_attack_trial_count_usage_errors(workdir, capsys, monkeypatch, extra):
     assert not (workdir / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("source, extra", [
+    ("fib.s", ["--text-base", "-4"]),
+    ("fib.s", ["--text-base", "0xFFFFFFF0"]),   # block entries would pass 2^32
+    ("low_data.s", []),
+])
+def test_assemble_outside_address_space_is_domain_error(workdir, capsys, source, extra):
+    (workdir / "low_data.s").write_text(".data -8\n    .word 1\n.text\n    ecall\n")
+    code = main(["assemble", str(workdir / source), *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("scylla: error:")
+    assert "outside the 32-bit address space" in captured.err
+    assert not (workdir / source).with_suffix(".img").exists()
+
+
 @pytest.mark.parametrize("suffix", ["img", "eimg"])
 @pytest.mark.parametrize("field, value", [
     (12, 2),          # text_base not a multiple of 4

@@ -7,10 +7,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from scylla import crypto
 from scylla.asm import parse_assembly
-from scylla.cfg import build_cfg
 from scylla.crypto import (
     KeyScheduleError,
-    cfg_view,
     derive_block_key,
     derive_next_key,
     dump_encrypted_image,
@@ -21,7 +19,8 @@ from scylla.crypto import (
     load_encrypted_image_bytes,
     seed_bytes,
 )
-from scylla.image import layout_image
+from scylla.engine import HALT, Engine, trace
+from scylla.image import dump_image, layout_image, load_image_bytes
 from scylla.isa import Instruction, decode
 
 SEED = 42
@@ -105,53 +104,65 @@ def test_derive_next_key_involution():
 
 
 def test_gen_keys_single_block():
-    schedule = gen_keys(build_cfg(parse_assembly("addi x1, x0, 1\necall")), SEED)
+    schedule = gen_keys(_image("addi x1, x0, 1\necall"), SEED)
     assert len(schedule.block_keys) == 1
     assert schedule.patches == {}
     assert schedule.entry_key == schedule.block_keys[0]
 
 
 def test_gen_keys_deterministic(corpus_sources):
-    cfg = build_cfg(parse_assembly(corpus_sources["fib"]))
-    assert gen_keys(cfg, SEED) == gen_keys(cfg, SEED)
-    assert gen_keys(cfg, SEED) != gen_keys(cfg, SEED + 1)
+    image = _image(corpus_sources["fib"])
+    assert gen_keys(image, SEED) == gen_keys(image, SEED)
+    assert gen_keys(image, SEED) != gen_keys(image, SEED + 1)
 
 
 def test_gen_keys_diamond_counts(corpus_sources):
-    cfg = build_cfg(parse_assembly(corpus_sources["diamond"]))
-    schedule = gen_keys(cfg, SEED)
+    schedule = gen_keys(_image(corpus_sources["diamond"]), SEED)
     assert len(schedule.block_keys) == 3
     assert len(schedule.patches) == 4  # one per CFG edge
 
 
 def test_gen_keys_patch_per_edge(corpus_sources):
     for name, source in corpus_sources.items():
-        cfg = build_cfg(parse_assembly(source))
-        schedule = gen_keys(cfg, SEED)
-        assert schedule.block_keys == {b.id: derive_block_key(SEED, b.id)
-                                       for b in cfg.blocks}, name
-        entry_of = {b.id: b.entry_addr for b in cfg.blocks}
-        assert set(schedule.patches) == {(s, entry_of[t]) for s, t, _ in cfg.edges}, name
+        image = _image(source)
+        schedule = gen_keys(image, SEED)
+        assert schedule.block_keys == {i: derive_block_key(SEED, i)
+                                       for i in range(len(image.blocks))}, name
+        entry_of = {i: entry for i, (entry, _) in enumerate(image.blocks)}
+        assert set(schedule.patches) == {(s, entry_of[t]) for s, t, _ in image.edges}, name
         for (src, target), patch in schedule.patches.items():
-            tgt_id = next(b.id for b in cfg.blocks if b.entry_addr == target)
+            tgt_id = next(i for i, (entry, _) in enumerate(image.blocks) if entry == target)
             assert patch == derive_next_key(
                 schedule.block_keys[src], schedule.block_keys[tgt_id]), name
+
+
+def test_entry_key_is_the_key_of_the_entry_block():
+    # a container may enter at any block entry, not only at the first block
+    blob = bytearray(dump_image(_image("jal x0, skip\nskip:\naddi x1, x0, 7\necall")))
+    struct.pack_into("<I", blob, 16, 4)   # header entry address
+    image = load_image_bytes(bytes(blob))
+    eimage = encrypt_pipeline(image, SEED)
+    assert [pc for pc, _ in trace(eimage)] == [pc for pc, _ in trace(image)] == [4, 8]
+    assert eimage.entry_key == gen_keys(image, SEED).block_keys[1]
+    plain, enc = Engine(image).run(), Engine(eimage).run()
+    assert plain.outcome == enc.outcome == HALT
+    assert enc.final_state_digest == plain.final_state_digest
 
 
 def test_block_keys_distinct_within_each_schedule(corpus_sources):
     # key(i) = PRF(seed, i): distinct ids in one schedule never collide
     for name, source in corpus_sources.items():
-        schedule = gen_keys(build_cfg(parse_assembly(source)), SEED)
+        schedule = gen_keys(_image(source), SEED)
         keys = list(schedule.block_keys.values())
         assert len(set(keys)) == len(keys), name
 
 
 def test_block_keys_distinct_across_seeds(corpus_sources):
-    cfg = build_cfg(parse_assembly(corpus_sources["fib"]))
+    image = _image(corpus_sources["fib"])
     seen = set()
     for seed in range(20):
-        seen.update(gen_keys(cfg, seed).block_keys.values())
-    assert len(seen) == 20 * len(cfg.blocks)  # zero collisions
+        seen.update(gen_keys(image, seed).block_keys.values())
+    assert len(seen) == 20 * len(image.blocks)  # zero collisions
 
 
 def test_encrypt_in_place_and_data_untouched(corpus_sources):
@@ -165,7 +176,7 @@ def test_encrypt_in_place_and_data_untouched(corpus_sources):
 def test_encrypt_decrypt_round_trip(corpus_sources):
     for source in corpus_sources.values():
         image = _image(source)
-        schedule = gen_keys(cfg_view(image), SEED)
+        schedule = gen_keys(image, SEED)
         eimage = encrypt_image(image, schedule)
         assert crypto.decrypt_image(eimage, schedule) == image
 
@@ -180,7 +191,7 @@ def test_encrypt_deterministic(corpus_sources):
 def test_encrypt_word_level_definition(corpus_sources):
     # cipher word = plain word XOR keystream(block key, offset from entry)
     image = _image(corpus_sources["diamond"])
-    schedule = gen_keys(cfg_view(image), SEED)
+    schedule = gen_keys(image, SEED)
     eimage = encrypt_image(image, schedule)
     plain, cipher = image.text_words(), eimage.image.text_words()
     for block_id, (entry, length) in enumerate(image.blocks):
@@ -192,7 +203,7 @@ def test_encrypt_word_level_definition(corpus_sources):
 
 def test_encrypt_schedule_mismatch_rejected(corpus_sources):
     fib = _image(corpus_sources["fib"])
-    other = gen_keys(cfg_view(_image(corpus_sources["diamond"])), SEED)
+    other = gen_keys(_image(corpus_sources["diamond"]), SEED)
     with pytest.raises(KeyScheduleError):
         encrypt_image(fib, other)
 
@@ -212,16 +223,15 @@ def test_path_soundness_random_walks(corpus_sources):
     rng = random.Random(11)
     for source in corpus_sources.values():
         image = _image(source)
-        cfg = cfg_view(image)
-        if not cfg.edges:
+        if not image.edges:
             continue
-        schedule = gen_keys(cfg, SEED)
-        entry_of = {b.id: b.entry_addr for b in cfg.blocks}
+        schedule = gen_keys(image, SEED)
+        entry_of = {i: entry for i, (entry, _) in enumerate(image.blocks)}
         succ = {}
-        for s, t, _ in cfg.edges:
+        for s, t, _ in image.edges:
             succ.setdefault(s, []).append(t)
         for _ in range(200):
-            here = rng.choice([b.id for b in cfg.blocks if b.id in succ])
+            here = rng.choice([i for i in range(len(image.blocks)) if i in succ])
             key = schedule.block_keys[here]
             for _ in range(rng.randrange(1, 12)):
                 if here not in succ:
@@ -234,11 +244,10 @@ def test_path_soundness_random_walks(corpus_sources):
 
 def test_wrong_edge_yields_wrong_key(corpus_sources):
     image = _image(corpus_sources["fib"])
-    cfg = cfg_view(image)
-    schedule = gen_keys(cfg, SEED)
-    pairs = cfg.edge_pairs()
-    for s in range(len(cfg.blocks)):
-        for t in range(len(cfg.blocks)):
+    schedule = gen_keys(image, SEED)
+    pairs = {(s, t) for s, t, _ in image.edges}
+    for s in range(len(image.blocks)):
+        for t in range(len(image.blocks)):
             if (s, t) in pairs:
                 continue
             # stale key carried over a rogue transfer never matches the target
@@ -252,7 +261,7 @@ def test_encrypted_container_round_trip(corpus_sources):
 
 
 def test_encrypted_container_rejects_plain(corpus_sources):
-    from scylla.image import ImageFormatError, dump_image
+    from scylla.image import ImageFormatError
     blob = dump_image(_image(corpus_sources["diamond"]))
     with pytest.raises(ImageFormatError):
         load_encrypted_image_bytes(blob)
@@ -267,7 +276,7 @@ def test_derive_next_key_is_bytewise_xor():
 
 
 def test_encrypted_container_keyt_section_checks(corpus_sources):
-    from scylla.image import ImageFormatError, dump_image
+    from scylla.image import ImageFormatError
     eimage = encrypt_pipeline(_image(corpus_sources["fib"]), SEED)
     blob = dump_encrypted_image(eimage)
     keyt_at = len(dump_image(eimage.image))
@@ -278,8 +287,9 @@ def test_encrypted_container_keyt_section_checks(corpus_sources):
             load_encrypted_image_bytes(blob[:cut])
     with pytest.raises(ImageFormatError, match="bad KEYT magic"):
         load_encrypted_image_bytes(blob[:keyt_at] + b"KEYX" + blob[keyt_at + 4:])
-    # trailing bytes after the last patch record are still accepted
-    assert load_encrypted_image_bytes(blob + b"\0" * 5) == eimage
+    # bytes after the last patch record are not part of any container
+    with pytest.raises(ImageFormatError, match="5 bytes trail the last patch record"):
+        load_encrypted_image_bytes(blob + b"\0" * 5)
     # fib has 5 blocks; its first patch record is (0, 24)
     for field, value in ((0, 5), (4, 28)):
         forged = bytearray(blob)

@@ -1,6 +1,7 @@
 import hashlib
 from array import array
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -13,12 +14,9 @@ from scylla.engine import (
     INTEGRITY_FAULT,
     MEMORY_FAULT,
     STEP_LIMIT,
+    Engine,
     ReportError,
-    encrypted_engine,
     overhead_report,
-    plaintext_engine,
-    run_encrypted,
-    run_plaintext,
     trace,
 )
 from scylla.image import layout_image
@@ -44,7 +42,7 @@ def block_of_pc(image):
 
 
 def test_plaintext_trivial_halt():
-    engine = plaintext_engine(_image("addi x1, x0, 5\necall"))
+    engine = Engine(_image("addi x1, x0, 5\necall"))
     report = engine.run()
     assert report.outcome == HALT
     assert engine.state.regs[1] == 5
@@ -52,20 +50,20 @@ def test_plaintext_trivial_halt():
 
 
 def test_zero_step_budget():
-    report = run_plaintext(_image("addi x1, x0, 5\necall"), step_limit=0)
+    report = Engine(_image("addi x1, x0, 5\necall")).run(0)
     assert report.outcome == STEP_LIMIT
     assert report.counters.instructions_retired == 0
 
 
 def test_fib_result(corpus_images):
-    engine = plaintext_engine(corpus_images["fib"])
+    engine = Engine(corpus_images["fib"])
     assert engine.run().outcome == HALT
     assert engine.state.regs[10] == 55
 
 
 def test_corpus_results_match_manifest(corpus_images, manifest):
     for name, image in corpus_images.items():
-        engine = plaintext_engine(image)
+        engine = Engine(image)
         report = engine.run()
         assert report.outcome == HALT, name
         assert report.counters.instructions_retired == manifest[name]["retired"], name
@@ -74,14 +72,14 @@ def test_corpus_results_match_manifest(corpus_images, manifest):
 
 
 def test_x0_hardwired():
-    engine = plaintext_engine(_image("addi x0, x0, 5\nadd x1, x0, x0\necall"))
+    engine = Engine(_image("addi x0, x0, 5\nadd x1, x0, x0\necall"))
     engine.run()
     assert engine.state.regs[0] == 0
     assert engine.state.regs[1] == 0
 
 
 def test_signed_compares():
-    engine = plaintext_engine(_image(
+    engine = Engine(_image(
         "addi x5, x0, -1\nslt x6, x5, x0\nslti x7, x5, -2\necall"))
     engine.run()
     assert engine.state.regs[6] == 1  # -1 < 0 signed
@@ -89,7 +87,7 @@ def test_signed_compares():
 
 
 def test_memory_fault_on_unmapped_load():
-    report = run_plaintext(_image("lui x5, 32\nlw x1, 0(x5)\necall"))
+    report = Engine(_image("lui x5, 32\nlw x1, 0(x5)\necall")).run()
     assert report.outcome == MEMORY_FAULT
     assert report.instructions_until_fault == 2
     assert report.fault_pc is None  # only integrity faults carry fault fields
@@ -97,12 +95,12 @@ def test_memory_fault_on_unmapped_load():
 
 def test_memory_fault_on_misaligned_store():
     source = ".text\n lui x2, 16\n addi x2, x2, 2\n sw x0, 0(x2)\n ecall\n.data\n .space 8"
-    assert run_plaintext(_image(source)).outcome == MEMORY_FAULT
+    assert Engine(_image(source)).run().outcome == MEMORY_FAULT
 
 
 def test_encrypted_trivial_single_block():
     eimage = encrypt_pipeline(_image("addi x1, x0, 5\necall"), 42)
-    engine = encrypted_engine(eimage)
+    engine = Engine(eimage)
     report = engine.run()
     assert report.outcome == HALT
     assert engine.state.regs[1] == 5
@@ -111,16 +109,16 @@ def test_encrypted_trivial_single_block():
 
 
 def test_encrypted_diamond_digest_matches_plaintext(corpus_images, corpus_encrypted):
-    plain = run_plaintext(corpus_images["diamond"])
-    enc = run_encrypted(corpus_encrypted["diamond"])
+    plain = Engine(corpus_images["diamond"]).run()
+    enc = Engine(corpus_encrypted["diamond"]).run()
     assert enc.outcome == HALT
     assert enc.final_state_digest == plain.final_state_digest
 
 
 def test_encrypted_corpus_transparency(corpus_images, corpus_encrypted, manifest):
     for name in corpus_images:
-        plain = run_plaintext(corpus_images[name])
-        enc = run_encrypted(corpus_encrypted[name])
+        plain = Engine(corpus_images[name]).run()
+        enc = Engine(corpus_encrypted[name]).run()
         assert enc.outcome == HALT, name
         assert enc.final_state_digest == plain.final_state_digest, name
         assert enc.counters.key_switches == manifest[name]["key_switches"], name
@@ -130,14 +128,14 @@ def test_key_switches_equal_independent_edge_count(corpus_images, corpus_encrypt
     for name in corpus_images:
         pcs = [pc for pc, _ in trace(corpus_images[name])]
         expected = dynamic_edge_traversals(corpus_images[name], pcs)
-        enc = run_encrypted(corpus_encrypted[name])
+        enc = Engine(corpus_encrypted[name]).run()
         assert enc.counters.key_switches == expected, name
 
 
 def test_counter_ordering_invariant(corpus_images, corpus_encrypted):
     for name in corpus_images:
-        for report in (run_plaintext(corpus_images[name]),
-                       run_encrypted(corpus_encrypted[name])):
+        for report in (Engine(corpus_images[name]).run(),
+                       Engine(corpus_encrypted[name]).run()):
             c = report.counters
             assert c.key_switches <= c.control_transfers <= c.instructions_retired, name
 
@@ -171,10 +169,9 @@ def test_trace_only_walks_cfg_edges(corpus_images):
 
 
 def test_integrity_fault_on_wrong_entry_key(corpus_encrypted):
-    from dataclasses import replace
     eimage = corpus_encrypted["fib"]
     bad = replace(eimage, entry_key=bytes(16))
-    report = run_encrypted(bad)
+    report = Engine(bad).run()
     assert report.outcome == INTEGRITY_FAULT
     assert report.fault_pc is not None
     assert report.fault_word is not None
@@ -182,7 +179,7 @@ def test_integrity_fault_on_wrong_entry_key(corpus_encrypted):
 
 
 def test_report_fault_fields_absent_on_halt(corpus_encrypted):
-    report = run_encrypted(corpus_encrypted["fib"])
+    report = Engine(corpus_encrypted["fib"]).run()
     assert report.outcome == HALT
     assert report.fault_pc is None
     assert report.fault_word is None
@@ -190,38 +187,38 @@ def test_report_fault_fields_absent_on_halt(corpus_encrypted):
 
 
 def test_run_reports_deterministic(corpus_encrypted):
-    assert run_encrypted(corpus_encrypted["xorshift"]) == run_encrypted(
-        corpus_encrypted["xorshift"])
+    assert Engine(corpus_encrypted["xorshift"]).run() == Engine(
+        corpus_encrypted["xorshift"]).run()
 
 
 def test_overhead_zero_costs(corpus_images, corpus_encrypted):
-    plain = run_plaintext(corpus_images["fib"])
-    enc = run_encrypted(corpus_encrypted["fib"])
+    plain = Engine(corpus_images["fib"]).run()
+    enc = Engine(corpus_encrypted["fib"]).run()
     assert overhead_report(plain, enc, 0, 0) == 0.0
 
 
 def test_overhead_straightline_unit_decrypt_cost(corpus_images, corpus_encrypted):
-    plain = run_plaintext(corpus_images["straightline"])
-    enc = run_encrypted(corpus_encrypted["straightline"])
+    plain = Engine(corpus_images["straightline"]).run()
+    enc = Engine(corpus_encrypted["straightline"]).run()
     assert overhead_report(plain, enc, 1, 0) == 1.0  # one keystream word per fetch
 
 
 def test_overhead_fib_fixed_by_counters(corpus_images, corpus_encrypted):
-    plain = run_plaintext(corpus_images["fib"])
-    enc = run_encrypted(corpus_encrypted["fib"])
+    plain = Engine(corpus_images["fib"]).run()
+    enc = Engine(corpus_encrypted["fib"]).run()
     # 62 retired, 62 keystream invocations, 13 key switches (manifest values)
     assert overhead_report(plain, enc, 1, 4) == pytest.approx((62 + 52) / 62)
 
 
 def test_overhead_mismatched_programs_rejected(corpus_images, corpus_encrypted):
-    plain = run_plaintext(corpus_images["diamond"])
-    enc = run_encrypted(corpus_encrypted["fib"])
+    plain = Engine(corpus_images["diamond"]).run()
+    enc = Engine(corpus_encrypted["fib"]).run()
     with pytest.raises(ReportError):
         overhead_report(plain, enc, 1, 1)
 
 
 def test_report_json_shape(corpus_encrypted):
-    doc = run_encrypted(corpus_encrypted["fib"]).to_json_dict()
+    doc = Engine(corpus_encrypted["fib"]).run().to_json_dict()
     assert set(doc) == {"outcome", "fault_pc", "fault_word",
                         "instructions_until_fault", "digest", "counters"}
     assert set(doc["counters"]) == {
@@ -230,7 +227,7 @@ def test_report_json_shape(corpus_encrypted):
 
 
 def test_cycles_model(corpus_encrypted):
-    report = run_encrypted(corpus_encrypted["fib"])
+    report = Engine(corpus_encrypted["fib"]).run()
     c = report.counters
     assert c.cycles == (c.instructions_retired
                         + eng.DEFAULT_DECRYPT_COST * c.keystream_invocations
@@ -239,26 +236,24 @@ def test_cycles_model(corpus_encrypted):
 
 def test_advance_then_run_equals_single_run(corpus_images, corpus_encrypted):
     for name in corpus_images:
-        for target, make in ((corpus_images[name], plaintext_engine),
-                             (corpus_encrypted[name], encrypted_engine)):
-            whole = make(target).run()
+        for target in (corpus_images[name], corpus_encrypted[name]):
+            whole = Engine(target).run()
             retired = whole.counters.instructions_retired
             for k in sorted({0, 1, retired // 2, retired - 1, retired, retired + 3}):
-                engine = make(target)
+                engine = Engine(target)
                 assert engine.advance(k) == (k < retired), (name, k)
                 assert engine.run() == whole, (name, k)
 
 
 def test_fork_continues_like_a_fresh_engine(corpus_images, corpus_encrypted):
     for name in corpus_images:
-        for target, make in ((corpus_images[name], plaintext_engine),
-                             (corpus_encrypted[name], encrypted_engine)):
-            whole = make(target).run()
+        for target in (corpus_images[name], corpus_encrypted[name]):
+            whole = Engine(target).run()
             retired = whole.counters.instructions_retired
-            checkpoint = make(target)
+            checkpoint = Engine(target)
             for k in range(retired + 1):
                 checkpoint.advance(k)
-                fresh = make(target)
+                fresh = Engine(target)
                 fresh.advance(k)
                 assert checkpoint.fork().run() == fresh.run(), (name, k)
             assert checkpoint.run() == whole, name
@@ -266,8 +261,8 @@ def test_fork_continues_like_a_fresh_engine(corpus_images, corpus_encrypted):
 
 def test_fork_leaves_checkpoint_untouched(corpus_encrypted):
     fib = corpus_encrypted["fib"]
-    whole = encrypted_engine(fib).run()
-    checkpoint = encrypted_engine(fib)
+    whole = Engine(fib).run()
+    checkpoint = Engine(fib)
     checkpoint.advance(10)              # inside the loop, block 3
     digest = checkpoint.state.digest()
     mem = checkpoint.state.mem
@@ -277,7 +272,7 @@ def test_fork_leaves_checkpoint_untouched(corpus_encrypted):
     fork = checkpoint.fork()
     fork.state.mem.store_word(text_addr, 0xDEADBEEF)
     fork.state.mem.store_word(data_addr, 0x12345678)
-    fork.state.set_reg(5, 77)
+    fork.state.regs[5] = 77
     fork.replay_patch(fib.patch_map[(4, 12)], 12)
     fork.state.counters.instructions_retired += 7
     forked = fork.run()
@@ -303,8 +298,7 @@ def _per_word_digest(state):
 
 def test_digest_matches_per_word_formula(corpus_images, corpus_encrypted):
     for name in corpus_images:
-        for engine in (plaintext_engine(corpus_images[name]),
-                       encrypted_engine(corpus_encrypted[name])):
+        for engine in (Engine(corpus_images[name]), Engine(corpus_encrypted[name])):
             report = engine.run()
             assert report.final_state_digest == _per_word_digest(engine.state), name
 
@@ -312,9 +306,8 @@ def test_digest_matches_per_word_formula(corpus_images, corpus_encrypted):
     # program's own stores have already dirtied its data cell
     image = corpus_images["loop_sum"]
     payload = hijack_payload(image.data_base, 0xC0FFEE42)
-    for make, target in ((plaintext_engine, image),
-                         (encrypted_engine, corpus_encrypted["loop_sum"])):
-        engine = make(target)
+    for target in (image, corpus_encrypted["loop_sum"]):
+        engine = Engine(target)
         engine.advance(25)
         for i in range(0, len(payload), 4):
             engine.state.mem.store_word(12 + i, int.from_bytes(payload[i:i + 4], "little"))
@@ -337,7 +330,7 @@ def test_fetch_cache_follows_stores_into_text(corpus_sources):
         "code-injection", 25, target=12, payload=hijack_payload(0x10000, 0xC0FFEE42),
         sentinel_addr=0x10000, sentinel_value=0xC0FFEE42)
 
-    plain = plaintext_engine(image)
+    plain = Engine(image)
     assert plain.advance(scenario.trigger_step)
     for i in range(0, len(scenario.payload), 4):
         assert plain.state.mem.store_word(
@@ -365,7 +358,7 @@ def _corpus_fetch_results(sources):
     reports = []
     for source in sources.values():
         image = _image(source)
-        reports += [run_plaintext(image), run_encrypted(encrypt_pipeline(image, 42))]
+        reports += [Engine(image).run(), Engine(encrypt_pipeline(image, 42)).run()]
     fib = encrypt_pipeline(_image(sources["fib"]), 42)
     trials = [{**o.to_json_dict(), "digest": o.report.final_state_digest}
               for o in run_trials(fib, "rogue-edge", 40, seed=5, step_limit=4096)]
@@ -385,7 +378,7 @@ def test_fetch_cache_holds_words_and_streams_only(corpus_sources):
     eimages = {name: encrypt_pipeline(_image(source), 42)
                for name, source in corpus_sources.items()}
     for eimage in eimages.values():
-        assert run_encrypted(eimage).outcome == HALT
+        assert Engine(eimage).run().outcome == HALT
     run_trials(eimages["fib"], "rogue-edge", 40, seed=5, step_limit=4096)
     for name, eimage in eimages.items():
         cache = eimage.image.fetch_cache
@@ -411,7 +404,7 @@ def test_fetch_misses_decode_and_decrypt_through_module_globals(corpus_sources, 
 
     monkeypatch.setattr(eng, "decode", counting("decode", eng.decode))
     monkeypatch.setattr(eng, "block_keystream", counting("keystream", eng.block_keystream))
-    report = run_encrypted(encrypt_pipeline(_image(corpus_sources["loop_sum"]), 42))
+    report = Engine(encrypt_pipeline(_image(corpus_sources["loop_sum"]), 42)).run()
     assert report.outcome == HALT
     fetches = report.counters.instructions_retired   # a halted run retires every fetch
     assert report.counters.keystream_invocations == fetches == 105
@@ -423,7 +416,7 @@ def _stale_key_mid_block_run(source):
     """A run sent, after 3 steps, to a mid-block word past its key's block stream."""
     eimage = encrypt_pipeline(_image(source), 42)
     image = eimage.image
-    engine = encrypted_engine(eimage)
+    engine = Engine(eimage)
     assert engine.advance(3)
     state = engine.state
     base = state.cur_block_base
@@ -470,18 +463,18 @@ def _single_step_cases(corpus_images, corpus_encrypted):
     memory fault inside `lw`."""
     cases = []
     for name in corpus_images:
-        cases.append((name, lambda image=corpus_images[name]: plaintext_engine(image), HALT))
+        cases.append((name, lambda image=corpus_images[name]: Engine(image), HALT))
         cases.append((name + " encrypted",
-                      lambda eimage=corpus_encrypted[name]: encrypted_engine(eimage), HALT))
+                      lambda eimage=corpus_encrypted[name]: Engine(eimage), HALT))
     fib = corpus_encrypted["fib"]
     # without the return edge's patch the key register goes stale back in main
-    stale = {edge: patch for edge, patch in fib.patch_map.items() if edge != (4, 12)}
-    assert len(stale) == len(fib.patch_map) - 1
-    cases.append(("fib stale key", lambda: eng.Engine(
-        fib.image, patch_map=stale, entry_key=fib.entry_key), INTEGRITY_FAULT))
-    cases.append(("lw fault", lambda: plaintext_engine(_LW_FAULT), MEMORY_FAULT))
+    stale = replace(fib, patch_table=tuple(
+        record for record in fib.patch_table if record[:2] != (4, 12)))
+    assert len(stale.patch_map) == len(fib.patch_map) - 1
+    cases.append(("fib stale key", lambda: Engine(stale), INTEGRITY_FAULT))
+    cases.append(("lw fault", lambda: Engine(_LW_FAULT), MEMORY_FAULT))
     lw_fault_enc = encrypt_pipeline(_LW_FAULT, 42)
-    cases.append(("lw fault encrypted", lambda: encrypted_engine(lw_fault_enc), MEMORY_FAULT))
+    cases.append(("lw fault encrypted", lambda: Engine(lw_fault_enc), MEMORY_FAULT))
     return cases
 
 

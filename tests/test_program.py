@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from scylla.asm import AsmError, parse_assembly
-from scylla.cfg import AnalysisError, BasicBlock, build_cfg
+from scylla.cfg import AnalysisError, build_cfg
 from scylla.image import (
     ImageFormatError,
     LayoutError,
@@ -80,16 +80,14 @@ def test_parse_fib_instruction_count(corpus_sources):
 
 def test_cfg_straightline_single_block():
     cfg = build_cfg(parse_assembly("addi x1, x0, 1\naddi x2, x0, 2\necall"))
-    assert cfg.blocks == (BasicBlock(id=0, entry_addr=0, length_words=3),)
+    assert cfg.blocks == ((0, 3),)
     assert cfg.edges == ()
 
 
 def _cfg_fixture(fixtures_dir, name):
     with open(fixtures_dir / f"{name}_cfg.json") as fh:
         doc = json.load(fh)
-    blocks = tuple(
-        BasicBlock(id=i, entry_addr=e, length_words=n)
-        for i, (e, n) in enumerate(doc["blocks"]))
+    blocks = tuple((e, n) for e, n in doc["blocks"])
     edges = tuple(sorted((s, t, k) for s, t, k in doc["edges"]))
     return blocks, edges
 
@@ -113,11 +111,11 @@ def test_cfg_blocks_tile_text(corpus_sources):
     for name, source in corpus_sources.items():
         program = parse_assembly(source)
         cfg = build_cfg(program)
-        assert sum(b.length_words for b in cfg.blocks) == len(program.instructions), name
+        assert sum(length for _, length in cfg.blocks) == len(program.instructions), name
         addr = 0
-        for block in cfg.blocks:
-            assert block.entry_addr == addr, name
-            addr += 4 * block.length_words
+        for entry, length in cfg.blocks:
+            assert entry == addr, name
+            addr += 4 * length
 
 
 def test_cfg_jalr_without_targets_rejected():
@@ -139,11 +137,11 @@ def test_cfg_every_nonhalting_block_has_successor(corpus_sources):
     for name, source in corpus_sources.items():
         program = parse_assembly(source)
         cfg = build_cfg(program)
-        for block in cfg.blocks:
-            last = program.instructions[
-                block.entry_addr // 4 + block.length_words - 1]
+        sources = {s for s, _, _ in cfg.edges}
+        for block_id, (entry, length) in enumerate(cfg.blocks):
+            last = program.instructions[entry // 4 + length - 1]
             if last.op != "ecall":
-                assert cfg.successors(block.id), (name, block.id)
+                assert block_id in sources, (name, block_id)
 
 
 def test_layout_requires_aligned_base():
@@ -163,6 +161,24 @@ def test_layout_overlap_rejected():
     program = parse_assembly(".text\n ecall\n.data 0x0\n .word 5")
     with pytest.raises(LayoutError, match="overlaps"):
         layout_image(program, text_base=0)
+
+
+@pytest.mark.parametrize("source, text_base, message", [
+    ("ecall", -4, "text [-0x4, 0x0)"),
+    ("addi x1, x0, 1\necall", 0xFFFFFFFC, "text [0xfffffffc, 0x100000004)"),
+    (".data -8\n .word 5\n.text\n ecall", 0, "data [-0x8, -0x4)"),
+    (".data 0xFFFFFFFC\n .word 5, 6\n.text\n ecall", 0, "data [0xfffffffc, 0x100000004)"),
+    (".data 0x100000000\n.text\n ecall", 0, "data [0x100000000, 0x100000000)"),
+])
+def test_layout_outside_address_space_rejected(source, text_base, message):
+    with pytest.raises(LayoutError, match=re.escape(message)):
+        layout_image(parse_assembly(source), text_base=text_base)
+
+
+def test_layout_up_to_the_top_of_the_address_space():
+    program = parse_assembly("addi x1, x0, 1\necall\n.data 0xFFFFFFF8\n .word 5, 6")
+    image = layout_image(program, text_base=0xFFFFFFF0)
+    assert load_image_bytes(dump_image(image)) == image
 
 
 def test_layout_deterministic(corpus_sources):
@@ -189,6 +205,12 @@ def test_container_rejects_garbage():
         load_image_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ImageFormatError):
         load_image_bytes(b"SCY1")
+
+
+def test_container_rejects_trailing_bytes(corpus_sources):
+    blob = dump_image(layout_image(parse_assembly(corpus_sources["fib"])))
+    with pytest.raises(ImageFormatError, match="3 bytes trail the data segment"):
+        load_image_bytes(blob + b"\0" * 3)
 
 
 # fib's block records (0, 3) (12, 3) (24, 4) (40, 5) (60, 2) sit at byte
