@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .isa import EncodingError, Instruction, encode
+from .isa import ADDRESS_SPACE, ISA_TABLE, EncodingError, Instruction, encode
 
 DATA_BASE_DEFAULT = 0x10000
 
@@ -35,6 +35,12 @@ REGISTER_ALIASES = {
     "s8": 24, "s9": 25, "s10": 26, "s11": 27,
     "t3": 28, "t4": 29, "t5": 30, "t6": 31,
 }
+# every register name the grammar accepts, and nothing else: no "x01", no non-ASCII digits
+_REGISTERS = {**{f"x{i}": i for i in range(32)}, **REGISTER_ALIASES}
+# branches and jal: their operand is a label, so the encoding depends on their own index
+_PC_RELATIVE = frozenset(m for m, (fmt, *_) in ISA_TABLE.items() if fmt in ("B", "J"))
+# data directive -> (bytes per value, lowest value, one past the highest)
+_DATA_VALUES = {".word": (4, -(1 << 31), ADDRESS_SPACE), ".byte": (1, 0, 256)}
 
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 _MEM_OPERAND_RE = re.compile(r"^([^()\s]+)\((\w+)\)$")
@@ -59,22 +65,11 @@ class Program:
     indirect_targets: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
-@dataclass
-class _PendingInstr:
-    op: str
-    operands: list[str]
-    line: int
-
-
 def _parse_reg(token: str, line: int) -> int:
-    token = token.strip()
-    if token in REGISTER_ALIASES:
-        return REGISTER_ALIASES[token]
-    if token.startswith("x") and token[1:].isdigit():
-        idx = int(token[1:])
-        if 0 <= idx <= 31:
-            return idx
-    raise AsmError(f"bad register {token!r}", line)
+    reg = _REGISTERS.get(token)
+    if reg is None:
+        raise AsmError(f"bad register {token!r}", line)
+    return reg
 
 
 def _parse_int(token: str, line: int) -> int:
@@ -91,9 +86,33 @@ def _split_operands(rest: str, line: int, n: int) -> list[str]:
     return ops
 
 
+def _split_statement(statement: str) -> tuple[str, str]:
+    """(lower-cased mnemonic or directive, operand text) of a label-free statement."""
+    parts = statement.split(None, 1)
+    return parts[0].lower(), (parts[1] if len(parts) > 1 else "")
+
+
+def _check_data_room(base: int | None, used: int, size: int, line: int) -> None:
+    """Reject `size` more data bytes, before allocating them, if the data
+    segment would then end past 2^32 or outgrow the address space. A base
+    below 0 is left to layout_image, which rejects it."""
+    base = DATA_BASE_DEFAULT if base is None else base
+    if max(base, 0) + used + size > ADDRESS_SPACE:
+        raise AsmError(f"data [{base:#x}, {base + used + size:#x}) does not fit "
+                       "in the 32-bit address space", line)
+
+
 def parse_assembly(text: str) -> Program:
-    """Parse source text into a Program; deterministic for identical input."""
-    pending: list[_PendingInstr] = []
+    """Parse source text into a Program; deterministic for identical input.
+
+    Two passes: the first collects labels, directives and each
+    instruction's label-free statement text; the second resolves the
+    statements in source order, so the first bad one raises with its
+    line. A statement without a label operand resolves to the same
+    Instruction wherever it stands, so each distinct one is resolved
+    once and its Instruction reused.
+    """
+    pending: list[tuple[str, int]] = []     # (statement, line) per instruction
     labels: dict[str, int] = {}
     label_lines: dict[str, int] = {}
     data = bytearray()
@@ -103,12 +122,10 @@ def parse_assembly(text: str) -> Program:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
 
-        while True:  # leading labels, possibly several on one line
-            head, sep, rest = line.partition(":")
-            if not sep or "(" in head or " " in head.strip() or "\t" in head.strip():
+        while ":" in line:  # leading labels, possibly several on one line
+            head, _, rest = line.partition(":")
+            if "(" in head or " " in head.strip() or "\t" in head.strip():
                 break
             name = head.strip()
             if not _LABEL_RE.match(name):
@@ -122,64 +139,69 @@ def parse_assembly(text: str) -> Program:
             labels[name] = len(pending)
             label_lines[name] = line_no
             line = rest.strip()
-            if not line:
-                break
         if not line:
             continue
 
-        parts = line.split(None, 1)
-        head, rest = parts[0].lower(), (parts[1] if len(parts) > 1 else "")
-
-        if head.startswith("."):
-            if head == ".text":
-                section = "text"
-            elif head == ".data":
-                section = "data"
-                if rest.strip():
-                    base = _parse_int(rest, line_no)
-                    if data_base is not None and base != data_base:
-                        raise AsmError("conflicting .data base addresses", line_no)
-                    data_base = base
-            elif head == ".word":
-                if section != "data":
-                    raise AsmError(".word is only legal in .data", line_no)
-                for tok in rest.split(","):
-                    data += (_parse_int(tok, line_no) & 0xFFFFFFFF).to_bytes(4, "little")
-            elif head == ".byte":
-                if section != "data":
-                    raise AsmError(".byte is only legal in .data", line_no)
-                for tok in rest.split(","):
-                    value = _parse_int(tok, line_no)
-                    if not 0 <= value <= 255:
-                        raise AsmError(f"byte value out of range: {value}", line_no)
-                    data.append(value)
-            elif head == ".space":
-                if section != "data":
-                    raise AsmError(".space is only legal in .data", line_no)
-                count = _parse_int(rest, line_no)
-                if count < 0:
-                    raise AsmError(f"negative .space size: {count}", line_no)
-                data += bytes(count)
-            elif head == ".targets":
-                if section != "text":
-                    raise AsmError(".targets is only legal in .text", line_no)
-                if not pending or pending[-1].op != "jalr":
-                    raise AsmError(".targets must follow a jalr instruction", line_no)
-                names = [t.strip() for t in rest.split(",")]
-                if not names or any(not n for n in names):
-                    raise AsmError(".targets needs at least one label", line_no)
-                pending_targets[len(pending) - 1] = (names, line_no)
-            else:
-                raise AsmError(f"unknown directive {head!r}", line_no)
+        if line[0] != ".":
+            if section != "text":
+                raise AsmError(
+                    f"instruction {_split_statement(line)[0]!r} outside .text", line_no)
+            pending.append((line, line_no))
             continue
 
-        if section != "text":
-            raise AsmError(f"instruction {head!r} outside .text", line_no)
-        pending.append(_PendingInstr(head, [rest], line_no))
+        head, rest = _split_statement(line)
+        if head == ".text":
+            section = "text"
+        elif head == ".data":
+            section = "data"
+            if rest.strip():
+                base = _parse_int(rest, line_no)
+                if data_base is not None and base != data_base:
+                    raise AsmError("conflicting .data base addresses", line_no)
+                _check_data_room(base, len(data), 0, line_no)
+                data_base = base
+        elif head in _DATA_VALUES:
+            if section != "data":
+                raise AsmError(f"{head} is only legal in .data", line_no)
+            width, low, high = _DATA_VALUES[head]
+            values = []
+            for tok in rest.split(","):
+                value = _parse_int(tok, line_no)
+                if not low <= value < high:
+                    raise AsmError(f"{head[1:]} value out of range: {value}", line_no)
+                values.append(value % (1 << 8 * width))   # two's complement of a negative word
+            _check_data_room(data_base, len(data), width * len(values), line_no)
+            data += b"".join(value.to_bytes(width, "little") for value in values)
+        elif head == ".space":
+            if section != "data":
+                raise AsmError(".space is only legal in .data", line_no)
+            count = _parse_int(rest, line_no)
+            if count < 0:
+                raise AsmError(f"negative .space size: {count}", line_no)
+            _check_data_room(data_base, len(data), count, line_no)
+            data += bytes(count)
+        elif head == ".targets":
+            if section != "text":
+                raise AsmError(".targets is only legal in .text", line_no)
+            if not pending or _split_statement(pending[-1][0])[0] != "jalr":
+                raise AsmError(".targets must follow a jalr instruction", line_no)
+            names = [t.strip() for t in rest.split(",")]
+            if not names or any(not n for n in names):
+                raise AsmError(".targets needs at least one label", line_no)
+            pending_targets[len(pending) - 1] = (names, line_no)
+        else:
+            raise AsmError(f"unknown directive {head!r}", line_no)
 
-    instructions = tuple(
-        _resolve_instruction(p, index, labels) for index, p in enumerate(pending)
-    )
+    instr_of: dict[str, Instruction] = {}   # statement -> its Instruction, successes only
+    instructions = []
+    for index, (statement, line_no) in enumerate(pending):
+        instr = instr_of.get(statement)
+        if instr is None:
+            op, rest = _split_statement(statement)
+            instr = _resolve_instruction(op, rest, line_no, index, labels)
+            if op not in _PC_RELATIVE:
+                instr_of[statement] = instr
+        instructions.append(instr)
 
     indirect: dict[int, tuple[int, ...]] = {}
     for index, (names, line_no) in pending_targets.items():
@@ -191,7 +213,7 @@ def parse_assembly(text: str) -> Program:
         indirect[index] = tuple(resolved)
 
     return Program(
-        instructions=instructions,
+        instructions=tuple(instructions),
         labels=labels,
         data=bytes(data),
         data_base=DATA_BASE_DEFAULT if data_base is None else data_base,
@@ -199,9 +221,8 @@ def parse_assembly(text: str) -> Program:
     )
 
 
-def _resolve_instruction(p: _PendingInstr, index: int, labels: dict[str, int]) -> Instruction:
-    op, rest, line = p.op, p.operands[0], p.line
-
+def _resolve_instruction(op: str, rest: str, line: int, index: int,
+                         labels: dict[str, int]) -> Instruction:
     def label_offset(token: str) -> int:
         token = token.strip()
         if token not in labels:

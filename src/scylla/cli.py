@@ -128,8 +128,19 @@ def _load_any_image(path: str):
     return load_image_bytes(blob)
 
 
+def _read_source(path: Path) -> str:
+    """An assembly source's text; bytes that are not UTF-8 are an AsmError
+    on the line they stand on."""
+    blob = path.read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AsmError(f"{path.name} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+                       blob.count(b"\n", 0, exc.start) + 1) from None
+
+
 def cmd_assemble(args, parser) -> int:
-    program = parse_assembly(Path(args.source).read_text())
+    program = parse_assembly(_read_source(Path(args.source)))
     image = layout_image(program, text_base=args.text_base)
     out = args.out or str(Path(args.source).with_suffix(".img"))
     Path(out).write_bytes(dump_image(image))
@@ -210,7 +221,7 @@ def cmd_bench(args, parser) -> int:
     costs = {"decrypt_cost": args.decrypt_cost, "switch_cost": args.switch_cost}
     rows = []
     for path in sources:
-        image = layout_image(parse_assembly(path.read_text()))
+        image = layout_image(parse_assembly(_read_source(path)))
         eimage = encrypt_pipeline(image, args.seed)
         plain = Engine(image, **costs).run(args.step_limit)
         enc = Engine(eimage, **costs).run(args.step_limit)

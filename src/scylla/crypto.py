@@ -31,7 +31,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import xor
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -60,18 +59,26 @@ def seed_bytes(seed: int | bytes) -> bytes:
     return seed.to_bytes(KEY_BYTES, "big")
 
 
+_ECB = modes.ECB()   # stateless; sharing it saves a few microseconds per key setup
+
+
 @lru_cache(maxsize=1024)
 def _encryptor(key: bytes):
-    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    return Cipher(algorithms.AES(key), _ECB).encryptor()
 
 
 def _prf_block(key: bytes, index: int) -> bytes:
     return _encryptor(key).update(index.to_bytes(KEY_BYTES, "big"))
 
 
-def _prf_blocks(key: bytes, indices) -> bytes:
-    """AES-128(key, BE128(i)) for each i, concatenated, in one AES call."""
-    return _encryptor(key).update(b"".join([i.to_bytes(KEY_BYTES, "big") for i in indices]))
+def _prf_blocks(key: bytes, count: int) -> bytes:
+    """AES-128(key, BE128(i)) for i < count, concatenated, in one AES call."""
+    return _encryptor(key).update(b"".join([i.to_bytes(KEY_BYTES, "big") for i in range(count)]))
+
+
+def _stream_bytes(key: bytes, n_words: int) -> bytes:
+    """Keystream bytes of words 0..n_words-1 under `key`, from one AES call."""
+    return _prf_blocks(key, (n_words + 3) // 4)[:4 * n_words]
 
 
 def derive_block_key(master_seed: int | bytes, block_id: int) -> bytes:
@@ -88,7 +95,7 @@ def keystream_word(key: bytes, word_offset: int) -> int:
 
 def block_keystream(key: bytes, n_words: int) -> array:
     """Keystream words 0..n_words-1 under `key`, from one AES call."""
-    stream = array("I", _prf_blocks(key, range((n_words + 3) // 4))[:4 * n_words])
+    stream = array("I", _stream_bytes(key, n_words))
     if sys.byteorder == "big":   # keystream words are read little-endian
         stream.byteswap()
     return stream
@@ -110,7 +117,7 @@ def gen_keys(image: Image, master_seed: int | bytes) -> KeySchedule:
     """One key per block, one patch per distinct (source, target-entry) pair;
     the entry key is the key of the block at the image's entry address."""
     blocks = image.blocks
-    keys = _prf_blocks(seed_bytes(master_seed), range(len(blocks)))
+    keys = _prf_blocks(seed_bytes(master_seed), len(blocks))
     block_keys = {i: keys[KEY_BYTES * i:KEY_BYTES * (i + 1)] for i in range(len(blocks))}
     patches = {}
     for src, tgt, _kind in image.edges:
@@ -134,7 +141,10 @@ class EncryptedImage:
 
 
 def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
-    """XOR each text word with its block keystream; involution, in place."""
+    """XOR each text word with its block keystream; involution, in place.
+
+    One AES call per block builds that block's stream, and one XOR over
+    the whole text applies them all."""
     if set(schedule.block_keys) != set(range(len(image.blocks))):
         raise KeyScheduleError(
             f"schedule covers {len(schedule.block_keys)} blocks, "
@@ -143,19 +153,19 @@ def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
         if target not in image.block_index:
             raise KeyScheduleError(f"patch target {target:#x} is not a block entry")
 
-    words = array("I", image.text)
-    if sys.byteorder == "big":   # container words are little-endian
-        words.byteswap()
-    for block_id, (entry, length) in enumerate(image.blocks):
-        start = (entry - image.text_base) // 4
-        stream = block_keystream(schedule.block_keys[block_id], length)
-        words[start:start + length] = array("I", map(xor, words[start:start + length], stream))
-    if sys.byteorder == "big":
-        words.byteswap()
+    # The blocks tile the text in block order (layout_image and parse_container
+    # guarantee it), so their streams, joined, line up with the text byte for
+    # byte, and XOR on little-endian bytes is XOR on little-endian words.
+    keys, blocks = schedule.block_keys, image.blocks
+    stream = b"".join([_stream_bytes(keys[block_id], length)
+                       for block_id, (_, length) in enumerate(blocks)])
+    size = len(image.text)
+    text = (int.from_bytes(image.text, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(size, "little")
 
     encrypted = Image(text_base=image.text_base, entry=image.entry,
-                      text=words.tobytes(), data_base=image.data_base, data=image.data,
-                      blocks=image.blocks, edges=image.edges)
+                      text=text, data_base=image.data_base, data=image.data,
+                      blocks=blocks, edges=image.edges)
     table = tuple(sorted(
         (src, target, patch) for (src, target), patch in schedule.patches.items()))
     return EncryptedImage(image=encrypted, patch_table=table,

@@ -18,18 +18,19 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 from .asm import Program
 from .cfg import EDGE_KINDS, EDGE_KIND_CODES, build_cfg
-from .isa import encode
+from .isa import ADDRESS_SPACE, encode
 
 MAGIC = b"SCY1"
 VERSION = 1
 FLAG_ENCRYPTED = 0x1
-ADDRESS_SPACE = 1 << 32
 
 _HEADER = struct.Struct("<4sIIIIIIIII")
 _BLOCK_REC = struct.Struct("<II")
@@ -80,7 +81,13 @@ def layout_image(program: Program, text_base: int = 0) -> Image:
     if text_base % 4:
         raise LayoutError(f"text base {text_base:#x} is not 4-byte aligned")
     graph = build_cfg(program)
-    text = b"".join(encode(i).to_bytes(4, "little") for i in program.instructions)
+    words = dict.fromkeys(program.instructions)    # each distinct Instruction -> its word
+    for instr in words:
+        words[instr] = encode(instr)
+    text_words = array("I", map(words.__getitem__, program.instructions))
+    if sys.byteorder == "big":   # container words are little-endian
+        text_words.byteswap()
+    text = text_words.tobytes()
 
     text_end = text_base + len(text)
     data_end = program.data_base + len(program.data)

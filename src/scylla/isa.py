@@ -53,6 +53,7 @@ import random
 from dataclasses import dataclass
 
 MASK32 = 0xFFFFFFFF
+ADDRESS_SPACE = 1 << 32          # bytes of the 32-bit address space
 WORD_ALL_ZERO = 0x00000000
 WORD_ALL_ONES = 0xFFFFFFFF
 

@@ -299,6 +299,27 @@ def test_mutated_containers_end_in_a_result_or_a_domain_error(workdir, capsys):
     assert set(codes) == {0, 1}
 
 
+def test_mutated_sources_end_in_a_result_or_a_domain_error(workdir, corpus_dir, capsys):
+    rng = random.Random(11)
+    source, img, eimg = workdir / "mutant.s", workdir / "mutant.img", workdir / "mutant.eimg"
+    codes, not_utf8 = Counter(), 0
+    for path in sorted(corpus_dir.glob("*.s")):
+        for mutant in _mutants(path.read_bytes(), rng, 30):
+            source.write_bytes(mutant)
+            # each stage reads the one before it, so the chain stops at the first error;
+            # an exception other than a domain error escapes main as a traceback
+            for argv in (["assemble", source, "--out", img],
+                         ["encrypt", img, "--seed", SEED, "--out", eimg],
+                         ["run", eimg, "--step-limit", 2000]):
+                code = main([str(a) for a in argv])
+                codes[code] += 1
+                not_utf8 += "is not UTF-8 text" in capsys.readouterr().err
+                if code:
+                    break
+    assert set(codes) == {0, 1}
+    assert not_utf8 > 0
+
+
 def test_attack_code_injection_campaign_needs_scenario_file(workdir, capsys, monkeypatch):
     run_cli(capsys, "assemble", workdir / "fib.s")
     run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)

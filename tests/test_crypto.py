@@ -201,6 +201,30 @@ def test_encrypt_word_level_definition(corpus_sources):
             assert cipher[start + m] == expected
 
 
+def test_encrypt_many_blocks_matches_word_definition_and_round_trips():
+    # 600 blocks of 1-9 words, at a nonzero text base, so block streams of
+    # several AES blocks, and far more block keys than the cipher LRU holds
+    rng = random.Random(5)
+    lines = []
+    for i in range(600):
+        lines.append(f"b{i}:")
+        lines += [f"addi x{rng.randrange(1, 32)}, x1, {rng.randrange(-2048, 2048)}"
+                  for _ in range(rng.randrange(9))]
+        lines.append(f"jal x0, b{i + 1}")
+    lines += ["b600:", "ecall"]
+    image = layout_image(parse_assembly("\n".join(lines)), text_base=0x400)
+    assert len(image.blocks) == 601
+    schedule = gen_keys(image, SEED)
+    eimage = encrypt_image(image, schedule)
+    plain, cipher = image.text_words(), eimage.image.text_words()
+    for block_id, (entry, length) in enumerate(image.blocks):
+        start = (entry - image.text_base) // 4
+        for m in range(length):
+            expected = plain[start + m] ^ keystream_word(schedule.block_keys[block_id], m)
+            assert cipher[start + m] == expected
+    assert crypto.decrypt_image(eimage, schedule) == image
+
+
 def test_encrypt_schedule_mismatch_rejected(corpus_sources):
     fib = _image(corpus_sources["fib"])
     other = gen_keys(_image(corpus_sources["diamond"]), SEED)

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from scylla.asm import AsmError, parse_assembly
+from scylla.asm import AsmError, Program, parse_assembly
 from scylla.cfg import AnalysisError, build_cfg
 from scylla.image import (
     ImageFormatError,
@@ -65,6 +65,72 @@ def test_parse_immediate_out_of_range_reports_line():
 def test_parse_targets_requires_preceding_jalr():
     with pytest.raises(AsmError, match="follow a jalr"):
         parse_assembly("addi x1, x0, 1\n.targets foo")
+
+
+@pytest.mark.parametrize("register", ["x01", "x\u0661", "x32", "X1", "a8"])
+def test_parse_rejects_names_outside_the_register_grammar(register):
+    # x01 and x1 in Arabic-Indic digits are not x1: the grammar is x0..x31 and the ABI aliases
+    with pytest.raises(AsmError, match=re.escape(f"line 2: bad register {register!r}")):
+        parse_assembly(f"ecall\nadd x1, {register}, x2")
+    with pytest.raises(AsmError, match="line 1: bad register"):
+        parse_assembly(f"lw x1, 0({register})")
+
+
+def test_repeated_statements_parse_as_each_parsed_alone():
+    alone = ["addi x1, x0, 5", "add a0, ra, sp", "lw x5, -8(sp)", "sw x6, 0x10(x7)",
+             "lui t0, 0xFFFFF", "jalr x0, ra, 0"]
+    lines, expected = [], []
+    for round_ in range(3):
+        lines.append(f"top{round_}:")
+        for k, statement in enumerate(alone):
+            lines.append(f"l{round_}_{k}: {statement}" if k % 2 else statement)
+            expected.append(parse_assembly(statement).instructions[0])
+        # the same branch text at each round's own index: offsets are per occurrence
+        lines += ["jal x0, top0", f"beq x1, x0, top{round_}"]
+        here = len(expected)
+        expected += [Instruction("jal", rd=0, imm=-4 * here),
+                     Instruction("beq", rs1=1, rs2=0, imm=-4 * len(alone) - 4)]
+    lines.append("ecall")
+    expected.append(Instruction("ecall"))
+    program = parse_assembly("\n".join(lines))
+    assert program.instructions == tuple(expected)
+    assert program.instructions[0] is program.instructions[len(alone) + 2]
+
+
+def test_repeated_bad_statement_reports_its_first_line():
+    source = ("addi x1, x0, 1\nloop:\naddi x1, x0, 4096\naddi x1, x0, 1\n"
+              "next: addi x1, x0, 4096\nbeq x1, x0, loop")
+    with pytest.raises(AsmError, match=r"^line 3: "):
+        parse_assembly(source)
+    # nothing carries over from one parse to the next
+    with pytest.raises(AsmError, match=r"^line 1: "):
+        parse_assembly("addi x1, x0, 4096\naddi x1, x0, 1")
+    assert parse_assembly("addi x1, x0, 1").instructions == (
+        Instruction("addi", rd=1, rs1=0, imm=1),)
+
+
+@pytest.mark.parametrize("source, line", [
+    (".data\n .space 1000000000000000", 2),
+    (".data\n .space 0xFFFF0001", 2),                 # default base 0x10000
+    (".data 0xFFFFFFFC\n .word 5, 6\n.text\n ecall", 2),
+    (".data 0xFFFFFFFF\n .byte 1, 2", 2),
+    (".data -8\n .space 1000000000000000", 2),
+    (".data\n .word 1\n.data 0xFFFFFFFE", 3),
+])
+def test_data_past_the_address_space_rejected(source, line):
+    with pytest.raises(AsmError, match=rf"^line {line}: data \[.*32-bit address space"):
+        parse_assembly(source)
+
+
+@pytest.mark.parametrize("value", ["0x100000000", "-2147483649", "4294967296"])
+def test_word_value_out_of_range_rejected(value):
+    with pytest.raises(AsmError, match="line 2: word value out of range"):
+        parse_assembly(f".data\n .word 1, {value}")
+
+
+def test_word_values_at_the_range_ends():
+    program = parse_assembly(".data\n .word -2147483648, 0xFFFFFFFF")
+    assert program.data == bytes([0, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF])
 
 
 def test_parse_data_segment():
@@ -167,12 +233,19 @@ def test_layout_overlap_rejected():
     ("ecall", -4, "text [-0x4, 0x0)"),
     ("addi x1, x0, 1\necall", 0xFFFFFFFC, "text [0xfffffffc, 0x100000004)"),
     (".data -8\n .word 5\n.text\n ecall", 0, "data [-0x8, -0x4)"),
-    (".data 0xFFFFFFFC\n .word 5, 6\n.text\n ecall", 0, "data [0xfffffffc, 0x100000004)"),
     (".data 0x100000000\n.text\n ecall", 0, "data [0x100000000, 0x100000000)"),
 ])
 def test_layout_outside_address_space_rejected(source, text_base, message):
     with pytest.raises(LayoutError, match=re.escape(message)):
         layout_image(parse_assembly(source), text_base=text_base)
+
+
+def test_layout_rejects_data_past_the_address_space():
+    # the assembler rejects such data first (see test_data_past_the_address_space_rejected)
+    program = Program(instructions=(Instruction("ecall"),), labels={},
+                      data=bytes(8), data_base=0xFFFFFFFC)
+    with pytest.raises(LayoutError, match=re.escape("data [0xfffffffc, 0x100000004)")):
+        layout_image(program)
 
 
 def test_layout_up_to_the_top_of_the_address_space():
