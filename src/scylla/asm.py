@@ -94,10 +94,9 @@ def _split_statement(statement: str) -> tuple[str, str]:
 
 def _check_data_room(base: int | None, used: int, size: int, line: int) -> None:
     """Reject `size` more data bytes, before allocating them, if the data
-    segment would then end past 2^32 or outgrow the address space. A base
-    below 0 is left to layout_image, which rejects it."""
+    segment would then end past 2^32 (a `.data` base is never below 0)."""
     base = DATA_BASE_DEFAULT if base is None else base
-    if max(base, 0) + used + size > ADDRESS_SPACE:
+    if base + used + size > ADDRESS_SPACE:
         raise AsmError(f"data [{base:#x}, {base + used + size:#x}) does not fit "
                        "in the 32-bit address space", line)
 
@@ -156,6 +155,9 @@ def parse_assembly(text: str) -> Program:
             section = "data"
             if rest.strip():
                 base = _parse_int(rest, line_no)
+                if base < 0:
+                    raise AsmError(
+                        f"data base {base:#x} lies outside the 32-bit address space", line_no)
                 if data_base is not None and base != data_base:
                     raise AsmError("conflicting .data base addresses", line_no)
                 _check_data_room(base, len(data), 0, line_no)

@@ -26,7 +26,9 @@ from __future__ import annotations
 import csv
 import json
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 # derive_next_key is unused here but stays importable: perfbench/tracer.py wraps it by name
 from .crypto import EncryptedImage, derive_next_key  # noqa: F401
@@ -38,7 +40,8 @@ from .engine import (
     Engine,
     RunReport,
 )
-from .isa import Instruction, encode
+from .image import Image
+from .isa import ADDRESS_SPACE, Instruction, encode
 
 CODE_INJECTION = "code-injection"
 ROGUE_EDGE = "rogue-edge"
@@ -71,6 +74,10 @@ class AttackScenario:
             raise HarnessError("trigger_step must be non-negative")
         if self.target is not None and self.target % 4:
             raise HarnessError("target must be 4-byte aligned")
+        if self.sentinel_addr is not None and (
+                self.sentinel_addr % 4 or not 0 <= self.sentinel_addr < ADDRESS_SPACE):
+            raise HarnessError("sentinel_addr must be a 4-byte-aligned address in "
+                               f"[0, 2^32), got {self.sentinel_addr}")
 
     def to_json_dict(self) -> dict:
         doc = {"kind": self.kind, "trigger_step": self.trigger_step}
@@ -158,6 +165,65 @@ def hijack_payload(sentinel_addr: int, sentinel_value: int) -> bytes:
     return b"".join(encode(i).to_bytes(4, "little") for i in instrs)
 
 
+# Random targets are drawn as `rng.choice(candidates)` draws them, with one
+# `rng._randbelow(len(candidates))`, but the k-th candidate is computed, not
+# listed: a 3000-block image has some 20,000 mid-block addresses.
+
+def _patch_run(table: tuple, src: int) -> tuple[int, int]:
+    """[lo, hi) of the records from block `src` in a sorted patch table."""
+    return bisect_left(table, (src,)), bisect_left(table, (src + 1,))
+
+
+def _rogue_target(eimage: EncryptedImage, cur: int, rng: random.Random) -> int:
+    """A block entry, in block order, other than block `cur`'s and those it has a patch to."""
+    image, table = eimage.image, eimage.patch_table
+    lo, hi = _patch_run(table, cur)
+    barred = sorted({cur} | {image.block_index[target][0] for _, target, _ in table[lo:hi]})
+    count = len(image.blocks) - len(barred)
+    if count < 1:
+        raise HarnessError("no rogue target available from current block")
+    k = rng._randbelow(count)
+    for block_id in barred:   # the k-th block id not barred
+        if block_id <= k:
+            k += 1
+    return image.blocks[k][0]
+
+
+def _mid_block_target(image: Image, cur: int, rng: random.Random) -> int:
+    """A word address past a block's entry, in address order, outside block `cur`."""
+    ends = list(accumulate(length - 1 for _, length in image.blocks))   # candidates up to each block
+    skipped = image.blocks[cur][1] - 1   # same-block skips are out of scope
+    count = ends[-1] - skipped
+    if count < 1:
+        raise HarnessError("no multi-word block to enter mid-body")
+    k = rng._randbelow(count)
+    if k >= ends[cur] - skipped:
+        k += skipped
+    block_id = bisect_right(ends, k)
+    entry, length = image.blocks[block_id]
+    # the block's candidates are its words 1..length-1, and ends[block_id] - k
+    # of them lie at or after the k-th
+    return entry + 4 * (length - (ends[block_id] - k))
+
+
+def _replay_record(eimage: EncryptedImage, cur: int, source: int | None,
+                   rng: random.Random) -> tuple[int, int, bytes]:
+    """A patch record from block `source`, or from any block, other than `cur`."""
+    table = eimage.patch_table
+    if source is None:   # every record outside block cur's run
+        lo, hi = _patch_run(table, cur)
+        count = len(table) - (hi - lo)
+    else:                # the records of block source's run
+        lo, hi = _patch_run(table, source)
+        count = hi - lo if source != cur else 0
+    if count < 1:
+        raise HarnessError("no replayable patch from a different source block")
+    k = rng._randbelow(count)
+    if source is None:
+        return table[k + (hi - lo) if k >= lo else k]
+    return table[lo + k]
+
+
 def _apply_scenario(engine: Engine, eimage: EncryptedImage,
                     scenario: AttackScenario, rng: random.Random) -> None:
     state = engine.state
@@ -165,7 +231,6 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
     cur = engine.current_block()
     if cur is None:
         raise HarnessError("engine key state is not at a block entry")
-    cur_entry = image.blocks[cur][0]
 
     if scenario.kind == CODE_INJECTION:
         if scenario.payload is None or scenario.target is None:
@@ -182,12 +247,7 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
     elif scenario.kind == ROGUE_EDGE:
         target = scenario.target
         if target is None:
-            candidates = [entry for entry, _ in image.blocks
-                          if (cur, entry) not in eimage.patch_map
-                          and entry != cur_entry]
-            if not candidates:
-                raise HarnessError("no rogue target available from current block")
-            target = rng.choice(candidates)
+            target = _rogue_target(eimage, cur, rng)
         elif target not in image.block_index:
             raise HarnessError(f"rogue target {target:#x} is not a block entry")
         state.pc = target
@@ -195,31 +255,25 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
     elif scenario.kind == MID_BLOCK_ENTRY:
         target = scenario.target
         if target is None:
-            candidates = [
-                entry + 4 * off
-                for entry, length in image.blocks
-                for off in range(1, length)
-                if entry != cur_entry  # same-block skips are out of scope
-            ]
-            if not candidates:
-                raise HarnessError("no multi-word block to enter mid-body")
-            target = rng.choice(candidates)
+            target = _mid_block_target(image, cur, rng)
         else:
-            inside = any(entry < target < entry + 4 * length
-                         for entry, length in image.blocks)
+            # the last block entered below the target; blocks are sorted by entry
+            below = bisect_left(image.blocks, (target,)) - 1
+            inside = below >= 0 and target < image.blocks[below][0] + 4 * image.blocks[below][1]
             if not inside or target in image.block_index:
                 raise HarnessError(f"{target:#x} is not a mid-block address")
         state.pc = target
 
     elif scenario.kind == PATCH_REPLAY:
-        records = [(src, target, patch) for src, target, patch in eimage.patch_table
-                   if src != cur
-                   and (scenario.patch_source is None or src == scenario.patch_source)
-                   and (scenario.target is None or target == scenario.target)]
-        if not records:
-            raise HarnessError("no replayable patch from a different source block")
-        src, target, patch = records[0] if scenario.target is not None \
-            else rng.choice(records)
+        if scenario.target is None:
+            _, target, patch = _replay_record(eimage, cur, scenario.patch_source, rng)
+        else:
+            records = [(target, patch) for src, target, patch in eimage.patch_table
+                       if src != cur and target == scenario.target
+                       and (scenario.patch_source is None or src == scenario.patch_source)]
+            if not records:
+                raise HarnessError("no replayable patch from a different source block")
+            target, patch = records[0]
         engine.replay_patch(patch, target)
 
 

@@ -131,7 +131,7 @@ class EncryptedImage:
     """Image whose text words are ciphertext; data is never encrypted."""
 
     image: Image
-    patch_table: tuple[tuple[int, int, bytes], ...]  # (source id, target entry, patch)
+    patch_table: tuple[tuple[int, int, bytes], ...]  # sorted (source id, target entry, patch)
     entry_key: bytes
 
     @cached_property
@@ -206,6 +206,9 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
         if src >= block_count or target not in entries:
             raise ImageFormatError(
                 f"patch {src} -> {target:#x} needs a source block and a target block entry")
+    for before, (src, target, _patch) in zip(table, table[1:]):
+        if before[:2] >= (src, target):
+            raise ImageFormatError(f"patch {src} -> {target:#x} is out of order or repeated")
     return EncryptedImage(image=image, patch_table=table, entry_key=entry_key)
 
 

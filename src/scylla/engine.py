@@ -35,6 +35,31 @@ between two `advance` calls the engine's fields are exact. An aligned
 fetch inside the text reads the text word array directly; any other
 fetch, and every `lw`, goes through `Memory.load_word`. Stores always go
 through `Memory.store_word` into that same array, so a fetch sees them.
+
+The block path. The key register changes only at a transfer or a block
+boundary, so once a fetch lands inside the block its key belongs to,
+the rest of that block is the next word at the next stream offset, with
+no transfer in between. The loop runs it as one unit, up to the step
+limit, and leaves the boundary checks, the offset arithmetic and the
+fault and halt checks of the per-word path out of the inner loop: a
+unit stops at a transfer, at a memory fault, and before an illegal word
+or an ecall, which the per-word path then fetches. The per-word path
+alone serves fetches outside the key's block or outside the text, a key
+whose stream does not cover its block, and traced runs.
+
+A block that the engine has run as a unit HOT_BLOCK_VISITS times is hot:
+its words, decrypted with the current key, are decoded once into a list
+of decode-table entries up to the first illegal word or ecall
+(`Image.decoded_blocks`, keyed by block id, tagged with the key), and
+later units run straight from that list. A decoded block depends on the
+key and on the image's text, so it is rebuilt when another key enters
+the block, and an engine whose memory has taken a store into the text
+(`Memory.text_written`, copied by a fork and never cleared) stops
+reading decoded blocks at once, even inside one, and builds none; its
+units read the text words as stored. Visit counts live in a bytearray
+per image, which the garbage collector does not track; only hot blocks
+add tracked objects. Like the fetch cache, all of this is host-side: the
+counters, outcomes, digests and outputs are those of the per-word path.
 """
 
 from __future__ import annotations
@@ -66,7 +91,9 @@ FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache 
 
 MASK32 = 0xFFFFFFFF
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
+HOT_BLOCK_VISITS = 32   # unit runs of a block before it is decoded; at most 255 (a bytearray)
 _NO_BLOCK = (None, 0)   # block_index miss: no block id, zero length
+_NOT_RUN = object()   # a unit run stopped before a word it leaves to the per-word path
 _NO_STREAM = array("I")   # a plaintext run's key stream
 
 
@@ -126,7 +153,10 @@ class RunReport:
 
 
 class Memory:
-    """Text as a word array, data as bytes; word loads/stores, dirty tracking."""
+    """Text as a word array, data as bytes; word loads/stores, dirty tracking.
+
+    `text_written` records that a store went into the text, so the engine
+    no longer runs blocks decoded from the image's text (see above)."""
 
     def __init__(self, image: Image):
         self.text_base = image.text_base
@@ -136,6 +166,7 @@ class Memory:
         self.data_base = image.data_base
         self.data = bytearray(image.data)
         self.dirty: set[int] = set()
+        self.text_written = False
 
     def load_word(self, addr: int) -> int | None:
         if addr & 3:
@@ -154,6 +185,7 @@ class Memory:
         index = (addr - self.text_base) >> 2
         if 0 <= index < len(self.words):
             self.words[index] = value & MASK32
+            self.text_written = True
         else:
             at = addr - self.data_base
             if not 0 <= at <= len(self.data) - 4:
@@ -169,6 +201,7 @@ class Memory:
         clone.data_base = self.data_base
         clone.data = self.data[:]
         clone.dirty = set(self.dirty)
+        clone.text_written = self.text_written
         return clone
 
 
@@ -344,6 +377,23 @@ def _remember(cache: dict, key, value):
     return value
 
 
+def _decoded_block(cache: dict, words: array, stream: array) -> tuple[list, list]:
+    """The decode-table entries of a block's words, decrypted with `stream`
+    (empty in a plaintext run), up to the first illegal word or ecall, and
+    their handlers."""
+    instrs = []
+    for k, word in enumerate(words):
+        if stream:
+            word ^= stream[k]
+        instr = cache.get(word)
+        if instr is None:
+            instr = _remember(cache, word, decode(word))
+        if instr.__class__ is not Instruction or instr.op == "ecall":
+            break
+        instrs.append(instr)
+    return instrs, [_HANDLERS[instr.op] for instr in instrs]
+
+
 class Engine:
     """One engine instance owns one MachineState; single-threaded.
 
@@ -409,6 +459,8 @@ class Engine:
         """Fetch until `limit` instructions have retired (None) or the run ends.
 
         The fetch state lives in locals and is written back on every exit.
+        A fetch inside the key's block runs the rest of it as one unit (see
+        the module docstring); every other fetch takes the per-word path.
         """
         state = self.state
         counters = state.counters
@@ -416,8 +468,10 @@ class Engine:
         words, text_base = mem.words, mem.text_base
         n_words = len(words)
         regs = state.regs
-        cache = self.image.fetch_cache
-        block_index = self.image.block_index
+        image = self.image
+        cache = image.fetch_cache
+        block_index = image.block_index
+        visits = image.block_visits
         patch_map = self.patch_map
         encrypted = self.encrypted
         trace = self.trace
@@ -425,8 +479,10 @@ class Engine:
         pc, prev_pc = state.pc, self.prev_pc
         retired, invocations = counters.instructions_retired, counters.keystream_invocations
         key, base = state.cur_key, state.cur_block_base
-        block_end, stream = self._block(base, key)
-        n_stream = len(stream)
+        block_id, length = block_index.get(base, _NO_BLOCK)
+        block_end = base + 4 * length
+        stream = _NO_STREAM
+        unit = None   # None: the block's stream and unit flag are looked up at the next fetch
         try:
             while retired < limit:
                 index = (pc - text_base) >> 2
@@ -442,20 +498,91 @@ class Engine:
                     counters.control_transfers += 1
                     if encrypted:
                         counters.patch_lookups += 1
-                        patch = patch_map.get((block_index.get(base, _NO_BLOCK)[0], pc))
+                        patch = patch_map.get((block_id, pc))
                         if patch is not None:
                             key = derive_next_key(key, patch)
                             base = pc
                             counters.key_switches += 1
                     elif pc in block_index:
                         base = pc
-                    block_end, stream = self._block(base, key)
-                    n_stream = len(stream)
+                    block_id, length = block_index.get(base, _NO_BLOCK)
+                    block_end = base + 4 * length
+                    unit = None
+                if unit is None:
+                    first = (base - text_base) >> 2
+                    if encrypted:
+                        stream = cache.get(key)
+                        if stream is None:
+                            stream = _remember(cache, key, block_keystream(key, length))
+                    # the block runs as one unit if it lies in the text and
+                    # the stream covers it
+                    unit = (not record_trace and not base & 3 and 0 <= first <= n_words - length
+                            and (length <= len(stream) or not encrypted))
+
+                if unit and base <= pc < block_end:
+                    # The rest of the block, up to the step limit, as one unit:
+                    # each fetch is the next word at the next stream offset.
+                    off = (pc - base) >> 2
+                    stop = off + limit - retired
+                    if stop > length:
+                        stop = length
+                    hot = None
+                    if visits[block_id] < HOT_BLOCK_VISITS:
+                        visits[block_id] += 1
+                    elif not mem.text_written:
+                        hot = image.decoded_blocks.get(block_id)
+                        if hot is None or hot[0] != key:
+                            hot = image.decoded_blocks[block_id] = (
+                                key, *_decoded_block(cache, words[first:first + length], stream))
+                    if hot is None:
+                        for k in range(off, stop):
+                            word = words[first + k]
+                            if encrypted:
+                                word ^= stream[k]
+                            instr = cache.get(word)
+                            if instr is None:
+                                instr = _remember(cache, word, decode(word))
+                            if instr.__class__ is not Instruction or instr.op == "ecall":
+                                next_pc = _NOT_RUN
+                                break
+                            next_pc = handlers[instr.op](regs, instr, pc, state)
+                            if next_pc != pc + 4:
+                                break
+                            pc = next_pc
+                        else:
+                            pc -= 4
+                    elif off < len(hot[1]):
+                        _, instrs, hands = hot
+                        for k in range(off, min(stop, len(instrs))):
+                            next_pc = hands[k](regs, instrs[k], pc, state)
+                            if next_pc != pc + 4 or mem.text_written:
+                                break
+                            pc = next_pc
+                        else:
+                            pc -= 4
+                    else:   # the decoded words end before an illegal word or ecall
+                        k, next_pc = off, _NOT_RUN
+                    # Words off..k-1 ran in sequence, pc is word k's address,
+                    # and word k either ran, returning next_pc, or is left to
+                    # the per-word path below (_NOT_RUN).
+                    ran = k - off
+                    retired += ran
+                    if ran:
+                        prev_pc = pc - 4
+                    if encrypted:
+                        invocations += ran if next_pc is _NOT_RUN else ran + 1
+                    if next_pc is None:
+                        return MEMORY_FAULT, None, None
+                    if next_pc is not _NOT_RUN:
+                        retired += 1
+                        prev_pc, pc = pc, next_pc & MASK32
+                        continue
+                    word = words[first + k]
 
                 if encrypted:
                     invocations += 1
                     offset = ((pc - base) >> 2) & _OFFSET_MASK
-                    if offset < n_stream:
+                    if offset < len(stream):
                         word ^= stream[offset]
                     else:
                         word ^= keystream_word(key, offset)
@@ -480,18 +607,6 @@ class Engine:
             counters.instructions_retired = retired
             counters.keystream_invocations = invocations
             state.cur_key, state.cur_block_base = key, base
-
-    def _block(self, base: int, key: bytes | None) -> tuple[int, array]:
-        """End of the block at `base` (`base` itself if none) and the key's
-        stream over that block; an empty stream in a plaintext run."""
-        length = self.image.block_index.get(base, _NO_BLOCK)[1]
-        if key is None:
-            return base + 4 * length, _NO_STREAM
-        cache = self.image.fetch_cache
-        stream = cache.get(key)
-        if stream is None:
-            stream = _remember(cache, key, block_keystream(key, length))
-        return base + 4 * length, stream
 
     def _report(self, outcome: str, fault_pc: int | None = None,
                 fault_word: int | None = None) -> RunReport:

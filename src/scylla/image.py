@@ -72,6 +72,17 @@ class Image:
         """The engine's decode table and key streams, host-side (see engine.py)."""
         return {}
 
+    @cached_property
+    def block_visits(self) -> bytearray:
+        """Per block id, the engine's unit runs of it up to its hot mark (see
+        engine.py); a bytearray, which the garbage collector does not track."""
+        return bytearray(len(self.blocks))
+
+    @cached_property
+    def decoded_blocks(self) -> dict:
+        """Hot block id -> (key, decoded words, their handlers), host-side (see engine.py)."""
+        return {}
+
     def digest(self) -> str:
         return hashlib.sha256(dump_image(self)).hexdigest()
 

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from scylla import attacks
 from scylla.attacks import (
+    MID_BLOCK_ENTRY,
     AttackScenario,
     HarnessError,
     hijack_payload,
@@ -36,6 +38,17 @@ def test_scenario_validation():
         AttackScenario("rogue-edge", -1)
     with pytest.raises(HarnessError):
         AttackScenario("rogue-edge", 1, target=6)
+
+
+@pytest.mark.parametrize("sentinel", [3, -4, 2 ** 32, 2 ** 32 + 4])
+def test_sentinel_must_be_an_aligned_address(sentinel):
+    with pytest.raises(HarnessError, match="sentinel_addr"):
+        AttackScenario("rogue-edge", 1, sentinel_addr=sentinel)
+    with pytest.raises(HarnessError, match="sentinel_addr"):
+        scenario_from_json_dict({"kind": "rogue-edge", "trigger_step": 1,
+                                 "sentinel_addr": sentinel})
+    for edge in (0, 2 ** 32 - 4):
+        assert AttackScenario("rogue-edge", 1, sentinel_addr=edge).sentinel_addr == edge
 
 
 @pytest.mark.parametrize("field, value", [
@@ -316,3 +329,76 @@ def test_trials_csv_shape(fib, tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "trial,detected,latency"
     assert len(rows) == 21
+
+
+# Reference draws: the candidate lists the harness once built, drawn with rng.choice.
+
+def _listed_rogue_target(eimage, cur, rng):
+    image = eimage.image
+    cur_entry = image.blocks[cur][0]
+    candidates = [entry for entry, _ in image.blocks
+                  if (cur, entry) not in eimage.patch_map and entry != cur_entry]
+    if not candidates:
+        raise HarnessError("no rogue target")
+    return rng.choice(candidates)
+
+
+def _listed_mid_block_target(image, cur, rng):
+    cur_entry = image.blocks[cur][0]
+    candidates = [entry + 4 * off for entry, length in image.blocks
+                  for off in range(1, length) if entry != cur_entry]
+    if not candidates:
+        raise HarnessError("no mid-block target")
+    return rng.choice(candidates)
+
+
+def _listed_replay_record(eimage, cur, source, rng):
+    records = [record for record in eimage.patch_table
+               if record[0] != cur and (source is None or record[0] == source)]
+    if not records:
+        raise HarnessError("no replayable patch")
+    return rng.choice(records)
+
+
+def _draw(draw, *args):
+    """(drawn value, the rng's next word), or None when nothing can be drawn."""
+    rng = args[-1]
+    try:
+        value = draw(*args)
+    except HarnessError:
+        return None
+    return value, rng.getrandbits(32)
+
+
+def test_target_draws_equal_list_based_reference(corpus_encrypted):
+    for name, eimage in corpus_encrypted.items():
+        image = eimage.image
+        for cur in range(len(image.blocks)):
+            for seed in range(50):
+                def both(new, listed, *args):
+                    return (_draw(new, *args, random.Random(seed)),
+                            _draw(listed, *args, random.Random(seed)))
+
+                drawn, listed = both(attacks._rogue_target, _listed_rogue_target, eimage, cur)
+                assert drawn == listed, (name, cur, seed, "rogue-edge")
+                drawn, listed = both(attacks._mid_block_target, _listed_mid_block_target,
+                                     image, cur)
+                assert drawn == listed, (name, cur, seed, "mid-block-entry")
+                for source in (None, *range(len(image.blocks))):
+                    drawn, listed = both(attacks._replay_record, _listed_replay_record,
+                                         eimage, cur, source)
+                    assert drawn == listed, (name, cur, seed, "patch-replay", source)
+
+
+def test_explicit_mid_block_target_checked_against_every_block(corpus_encrypted):
+    for name, eimage in corpus_encrypted.items():
+        image = eimage.image
+        inside = {entry + 4 * off for entry, length in image.blocks for off in range(1, length)}
+        engine = Engine(eimage)
+        for target in range(0, image.text_base + len(image.text) + 12, 4):
+            scenario = AttackScenario(MID_BLOCK_ENTRY, 0, target=target)
+            if target in inside:
+                run_attack(eimage, scenario, step_limit=50, start=engine)
+            else:
+                with pytest.raises(HarnessError, match="mid-block"):
+                    run_attack(eimage, scenario, step_limit=50, start=engine)

@@ -146,8 +146,11 @@ _INJECT = (Path(__file__).resolve().parent.parent / "corpus" / "scenarios"
     _INJECT.replace('"target": 65552', '"target": 1e3'),
     "kind: code-injection\n",
     "[" * 100_000 + "]" * 100_000,
+    _INJECT.replace('"sentinel_addr": 65584', '"sentinel_addr": 3'),
+    _INJECT.replace('"sentinel_addr": 65584', '"sentinel_addr": -4'),
 ], ids=["string-trigger", "string-target", "not-an-object", "non-hex-payload",
-        "float-target", "not-json", "nested-too-deep"])
+        "float-target", "not-json", "nested-too-deep", "misaligned-sentinel",
+        "negative-sentinel"])
 def test_attack_rejects_malformed_scenario_file(workdir, capsys, text):
     run_cli(capsys, "assemble", workdir / "fib.s")
     run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
@@ -225,7 +228,9 @@ def test_assemble_outside_address_space_is_domain_error(workdir, capsys, source,
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
-    assert captured.err.startswith("scylla: error:")
+    # a text base is a layout error; a negative .data base, an assembler error at its line
+    error = "line 1: data base -0x8 " if source == "low_data.s" else "text ["
+    assert captured.err.startswith("scylla: error: " + error)
     assert "outside the 32-bit address space" in captured.err
     assert not (workdir / source).with_suffix(".img").exists()
 

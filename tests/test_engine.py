@@ -507,3 +507,165 @@ def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encr
             assert report.counters.keystream_invocations == k * encrypted, name
             assert _LW_FAULT.text_words()[stepped.state.pc >> 2] == encode(
                 Instruction("lw", rd=6, rs1=5, imm=0)), name
+
+
+# -- the block path against the per-word path ---------------------------------
+#
+# A traced run takes the per-word path for every fetch. HOT_BLOCK_VISITS 0
+# makes every block run from its decoded words from its first visit on.
+
+def _per_word_everywhere(monkeypatch):
+    fetch_loop = Engine._fetch_loop
+    monkeypatch.setattr(Engine, "_fetch_loop",
+                        lambda self, limit, record_trace=False: fetch_loop(self, limit, True))
+
+
+def _decoded_ids(target):
+    """Ids of the blocks decoded on the image a target runs."""
+    return set(getattr(target, "image", target).decoded_blocks)
+
+
+@pytest.mark.parametrize("hot", [0, 1, eng.HOT_BLOCK_VISITS])
+def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, monkeypatch, hot):
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+    decoded = 0
+    for name, source in corpus_sources.items():
+        image = _image(source)
+        for target in (image, encrypt_pipeline(image, 42)):
+            per_word = Engine(target)
+            expected = per_word.run(record_trace=True)
+            for _ in range(3):   # later runs find the image's blocks visited
+                engine = Engine(target)
+                assert engine.run() == expected, (name, hot)
+                assert engine.state.regs == per_word.state.regs, (name, hot)
+            stepped = Engine(target)
+            k = 0
+            while stepped.advance(k):
+                k += 1
+            assert stepped.run() == expected, (name, hot)
+            decoded += len(_decoded_ids(target))
+    if hot <= 1:
+        assert decoded
+
+
+@pytest.mark.parametrize("name", ["fib", "loop_sum"])
+@pytest.mark.parametrize("kind", ["rogue-edge", "mid-block-entry", "patch-replay"])
+def test_block_path_campaigns_equal_the_per_word_path(corpus_sources, monkeypatch, name, kind):
+    def campaign():
+        eimage = encrypt_pipeline(_image(corpus_sources[name]), 42)
+        outcomes = run_trials(eimage, kind, 60, seed=3, step_limit=4096)
+        return ([(o.to_json_dict(), o.report.final_state_digest) for o in outcomes],
+                _decoded_ids(eimage))
+
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 2)
+    blocks, decoded = campaign()
+    assert decoded
+    _per_word_everywhere(monkeypatch)
+    per_word, none = campaign()
+    assert not none
+    assert blocks == per_word
+
+
+def _inject_into_loop_sum(engine):
+    # loop_sum's loop block starts at 12; the payload stores the sentinel and halts
+    payload = hijack_payload(0x10000, 0xC0FFEE42)
+    for i in range(0, len(payload), 4):
+        assert engine.state.mem.store_word(12 + i, int.from_bytes(payload[i:i + 4], "little"))
+    engine.state.pc = 12
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_payload_over_a_decoded_block_runs_as_stored(corpus_sources, monkeypatch, encrypted):
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    image = _image(corpus_sources["loop_sum"])
+    target = encrypt_pipeline(image, 42) if encrypted else image
+    results = []
+    for record_trace in (False, True):
+        engine = Engine(target)
+        assert engine.advance(25)
+        _inject_into_loop_sum(engine)
+        results.append((engine.run(4096, record_trace=record_trace),
+                        engine.state.mem.load_word(0x10000)))
+    assert 1 in _decoded_ids(target)   # the loop block
+    assert results[0] == results[1]
+    if not encrypted:   # the payload ran: 25 + 6 retired, sentinel stored
+        assert results[0][0].outcome == HALT
+        assert results[0][0].counters.instructions_retired == 31
+        assert results[0][1] == 0xC0FFEE42
+    else:               # the plaintext payload does not decrypt
+        assert results[0][0].outcome == INTEGRITY_FAULT
+
+
+# The loop block stores into its own next word every iteration: the
+# immediate of `addi x10, x10, 1` at 20 grows by one per pass, so x10 ends
+# at 40 + (1 + 2 + ... + 40) = 860.
+_SELF_MODIFYING = """
+    lui x8, 256
+    lw x6, 20(x0)
+    addi x9, x0, 40
+loop:
+    add x6, x6, x8
+    sw x6, 20(x0)
+    addi x10, x10, 1
+    addi x9, x9, -1
+    bne x9, x0, loop
+    ecall
+"""
+
+
+@pytest.mark.parametrize("hot", [0, eng.HOT_BLOCK_VISITS])
+def test_program_storing_into_its_own_block(monkeypatch, hot):
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+    image = _image(_SELF_MODIFYING)
+    for target in (image, encrypt_pipeline(image, 42)):
+        per_word = Engine(target).run(record_trace=True)
+        engine = Engine(target)
+        assert engine.run() == per_word
+        if target is image:
+            assert per_word.outcome == HALT
+            assert engine.state.regs[10] == 860
+    # only a block decoded before the first store exists, and it is never read after it
+    assert _decoded_ids(image) == ({0, 1} if hot == 0 else set())
+
+
+def test_forks_share_decoded_blocks_but_not_text(corpus_sources, monkeypatch):
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    for target in (_image(corpus_sources["loop_sum"]),
+                   encrypt_pipeline(_image(corpus_sources["loop_sum"]), 42)):
+        whole = Engine(target).run(record_trace=True)
+        checkpoint = Engine(target)
+        assert checkpoint.advance(25)
+        attacked, clean = checkpoint.fork(), checkpoint.fork()
+        _inject_into_loop_sum(attacked)
+        attacked_again = attacked.fork()           # a fork inherits the text store
+        attacked_report = attacked.run(4096)
+        assert clean.run() == whole                # still the original code
+        assert checkpoint.run() == whole
+        reference = Engine(target)
+        reference.advance(25)
+        _inject_into_loop_sum(reference)
+        assert attacked_report == attacked_again.run(4096) == reference.run(
+            4096, record_trace=True)
+        assert 1 in _decoded_ids(target)
+
+
+def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    image = _image("addi x10, x0, 1\naddi x10, x10, 2\naddi x10, x10, 4\n"
+                   "addi x10, x10, 8\necall")
+    image = replace(image, text=image.text[:4] + bytes(4) + image.text[8:])   # word 1 illegal
+    for target in (image, encrypt_pipeline(image, 42)):
+        report = Engine(target).run()
+        assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 4
+        assert report == Engine(target).run(record_trace=True)
+        decoded = getattr(target, "image", target).decoded_blocks[0]
+        assert len(decoded[1]) == 1   # the decoded words stop before word 1
+
+        results = []
+        for record_trace in (False, True):
+            engine = Engine(target)
+            engine.state.pc = 8   # past the illegal word, in the entry block
+            results.append((engine.run(record_trace=record_trace), engine.state.regs[10]))
+        assert results[0] == results[1]
+        assert results[0][0].outcome == HALT
+        assert results[0][1] == 12

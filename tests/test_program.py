@@ -114,11 +114,23 @@ def test_repeated_bad_statement_reports_its_first_line():
     (".data\n .space 0xFFFF0001", 2),                 # default base 0x10000
     (".data 0xFFFFFFFC\n .word 5, 6\n.text\n ecall", 2),
     (".data 0xFFFFFFFF\n .byte 1, 2", 2),
-    (".data -8\n .space 1000000000000000", 2),
     (".data\n .word 1\n.data 0xFFFFFFFE", 3),
 ])
 def test_data_past_the_address_space_rejected(source, line):
     with pytest.raises(AsmError, match=rf"^line {line}: data \[.*32-bit address space"):
+        parse_assembly(source)
+
+
+@pytest.mark.parametrize("source", [
+    ".data -8\n .space 0x100000000",        # 2^32 bytes from a base clamped to 0 used to pass
+    ".data -8\n .space 1000000000000000",
+    ".data -8\n .word 5\n.text\n ecall",
+    ".data\n .word 1\n.data -4",
+])
+def test_negative_data_base_rejected_at_the_directive(source):
+    line = source.count("\n", 0, source.index("-")) + 1
+    with pytest.raises(AsmError, match=rf"^line {line}: data base -0x[48] lies outside "
+                                       "the 32-bit address space"):
         parse_assembly(source)
 
 
@@ -232,7 +244,6 @@ def test_layout_overlap_rejected():
 @pytest.mark.parametrize("source, text_base, message", [
     ("ecall", -4, "text [-0x4, 0x0)"),
     ("addi x1, x0, 1\necall", 0xFFFFFFFC, "text [0xfffffffc, 0x100000004)"),
-    (".data -8\n .word 5\n.text\n ecall", 0, "data [-0x8, -0x4)"),
     (".data 0x100000000\n.text\n ecall", 0, "data [0x100000000, 0x100000000)"),
 ])
 def test_layout_outside_address_space_rejected(source, text_base, message):
@@ -245,6 +256,14 @@ def test_layout_rejects_data_past_the_address_space():
     program = Program(instructions=(Instruction("ecall"),), labels={},
                       data=bytes(8), data_base=0xFFFFFFFC)
     with pytest.raises(LayoutError, match=re.escape("data [0xfffffffc, 0x100000004)")):
+        layout_image(program)
+
+
+def test_layout_rejects_data_below_the_address_space():
+    # the assembler rejects such a base first (see test_negative_data_base_rejected_at_the_directive)
+    program = Program(instructions=(Instruction("ecall"),), labels={},
+                      data=bytes(8), data_base=-8)
+    with pytest.raises(LayoutError, match=re.escape("data [-0x8, 0x0)")):
         layout_image(program)
 
 
