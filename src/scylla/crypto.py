@@ -134,6 +134,14 @@ class EncryptedImage:
     patch_table: tuple[tuple[int, int, bytes], ...]  # sorted (source id, target entry, patch)
     entry_key: bytes
 
+    def __post_init__(self):
+        # the attack harness finds a block's records by bisecting the table
+        table = self.patch_table
+        for before, after in zip(table, table[1:]):
+            if before[:2] >= after[:2]:
+                raise ValueError(
+                    f"patch {after[0]} -> {after[1]:#x} is out of order or repeated")
+
     @cached_property
     def patch_map(self) -> dict[tuple[int, int], bytes]:
         """(source id, target entry) -> patch, built once per image."""
@@ -206,10 +214,10 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
         if src >= block_count or target not in entries:
             raise ImageFormatError(
                 f"patch {src} -> {target:#x} needs a source block and a target block entry")
-    for before, (src, target, _patch) in zip(table, table[1:]):
-        if before[:2] >= (src, target):
-            raise ImageFormatError(f"patch {src} -> {target:#x} is out of order or repeated")
-    return EncryptedImage(image=image, patch_table=table, entry_key=entry_key)
+    try:
+        return EncryptedImage(image=image, patch_table=table, entry_key=entry_key)
+    except ValueError as err:   # records out of order or repeated
+        raise ImageFormatError(str(err)) from None
 
 
 def encrypt_pipeline(image: Image, seed: int | bytes) -> EncryptedImage:

@@ -36,29 +36,29 @@ fetch inside the text reads the text word array directly; any other
 fetch, and every `lw`, goes through `Memory.load_word`. Stores always go
 through `Memory.store_word` into that same array, so a fetch sees them.
 
-The block path. The key register changes only at a transfer or a block
-boundary, so once a fetch lands inside the block its key belongs to,
-the rest of that block is the next word at the next stream offset, with
-no transfer in between. The loop runs it as one unit, up to the step
-limit, and leaves the boundary checks, the offset arithmetic and the
-fault and halt checks of the per-word path out of the inner loop: a
-unit stops at a transfer, at a memory fault, and before an illegal word
-or an ecall, which the per-word path then fetches. The per-word path
-alone serves fetches outside the key's block or outside the text, a key
-whose stream does not cover its block, and traced runs.
+Hot blocks. The key register changes only at a transfer or a block
+boundary, so inside the block its key belongs to, each fetch is the next
+word at the next stream offset. The loop counts entries into each block
+(a transfer or a boundary crossing, and the start of a `run` or
+`advance`). After HOT_BLOCK_VISITS entries a block is hot: at its next
+entry its words, decrypted with the current key, are decoded once into
+a list of decode-table entries up to the first illegal word or ecall
+(`Image.decoded_blocks`, keyed by block id, tagged with the key). A
+fetch inside those words runs the rest of them, up to the step limit,
+in one inner loop with none of the per-word checks: it stops at a
+transfer, a memory fault or a store into the text.
+Every other fetch takes the per-word path: cold blocks, fetches past the
+decoded words or outside the key's block, a key whose stream does not
+cover its block, a block longer than MAX_WORD_OFFSET words (whose
+offsets wrap), and traced runs.
 
-A block that the engine has run as a unit HOT_BLOCK_VISITS times is hot:
-its words, decrypted with the current key, are decoded once into a list
-of decode-table entries up to the first illegal word or ecall
-(`Image.decoded_blocks`, keyed by block id, tagged with the key), and
-later units run straight from that list. A decoded block depends on the
-key and on the image's text, so it is rebuilt when another key enters
-the block, and an engine whose memory has taken a store into the text
-(`Memory.text_written`, copied by a fork and never cleared) stops
-reading decoded blocks at once, even inside one, and builds none; its
-units read the text words as stored. Visit counts live in a bytearray
-per image, which the garbage collector does not track; only hot blocks
-add tracked objects. Like the fetch cache, all of this is host-side: the
+A decoded block depends on the key and on the image's text, so it is
+rebuilt when another key enters the block, and an engine whose memory
+has taken a store into the text (`Memory.text_written`, copied by a
+fork and never cleared) stops reading decoded blocks at once, even
+inside one, and builds none. Visit counts live in a bytearray per image,
+which the garbage collector does not track; only hot blocks add tracked
+objects. Like the fetch cache, all of this is host-side: the
 counters, outcomes, digests and outputs are those of the per-word path.
 """
 
@@ -91,9 +91,8 @@ FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache 
 
 MASK32 = 0xFFFFFFFF
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
-HOT_BLOCK_VISITS = 32   # unit runs of a block before it is decoded; at most 255 (a bytearray)
+HOT_BLOCK_VISITS = 32   # entries into a block before it is decoded; at most 255 (a bytearray)
 _NO_BLOCK = (None, 0)   # block_index miss: no block id, zero length
-_NOT_RUN = object()   # a unit run stopped before a word it leaves to the per-word path
 _NO_STREAM = array("I")   # a plaintext run's key stream
 
 
@@ -459,8 +458,9 @@ class Engine:
         """Fetch until `limit` instructions have retired (None) or the run ends.
 
         The fetch state lives in locals and is written back on every exit.
-        A fetch inside the key's block runs the rest of it as one unit (see
-        the module docstring); every other fetch takes the per-word path.
+        A fetch inside a hot block's decoded words runs the rest of them in
+        one inner loop (see the module docstring); every other fetch takes
+        the per-word path.
         """
         state = self.state
         counters = state.counters
@@ -472,6 +472,7 @@ class Engine:
         cache = image.fetch_cache
         block_index = image.block_index
         visits = image.block_visits
+        decoded_blocks = image.decoded_blocks
         patch_map = self.patch_map
         encrypted = self.encrypted
         trace = self.trace
@@ -482,7 +483,7 @@ class Engine:
         block_id, length = block_index.get(base, _NO_BLOCK)
         block_end = base + 4 * length
         stream = _NO_STREAM
-        unit = None   # None: the block's stream and unit flag are looked up at the next fetch
+        entered = True   # the block's stream and decoded words are looked up at the next fetch
         try:
             while retired < limit:
                 index = (pc - text_base) >> 2
@@ -507,77 +508,52 @@ class Engine:
                         base = pc
                     block_id, length = block_index.get(base, _NO_BLOCK)
                     block_end = base + 4 * length
-                    unit = None
-                if unit is None:
-                    first = (base - text_base) >> 2
+                    entered = True
+                if entered:
+                    entered = False
                     if encrypted:
                         stream = cache.get(key)
                         if stream is None:
                             stream = _remember(cache, key, block_keystream(key, length))
-                    # the block runs as one unit if it lies in the text and
-                    # the stream covers it
-                    unit = (not record_trace and not base & 3 and 0 <= first <= n_words - length
-                            and (length <= len(stream) or not encrypted))
+                    hot_end = base   # no decoded words to run
+                    if block_id is not None and not record_trace:
+                        if visits[block_id] < HOT_BLOCK_VISITS:
+                            visits[block_id] += 1
+                        elif (not mem.text_written and length <= MAX_WORD_OFFSET
+                              and (not encrypted or length <= len(stream))):
+                            hot = decoded_blocks.get(block_id)
+                            if hot is None or hot[0] != key:
+                                first = (base - text_base) >> 2
+                                hot = decoded_blocks[block_id] = (
+                                    key, *_decoded_block(cache, words[first:first + length], stream))
+                            _, instrs, hands = hot
+                            hot_end = base + 4 * len(instrs)
 
-                if unit and base <= pc < block_end:
-                    # The rest of the block, up to the step limit, as one unit:
+                if base <= pc < hot_end and not mem.text_written:
+                    # The block's decoded words from pc on, up to the step limit:
                     # each fetch is the next word at the next stream offset.
                     off = (pc - base) >> 2
                     stop = off + limit - retired
-                    if stop > length:
-                        stop = length
-                    hot = None
-                    if visits[block_id] < HOT_BLOCK_VISITS:
-                        visits[block_id] += 1
-                    elif not mem.text_written:
-                        hot = image.decoded_blocks.get(block_id)
-                        if hot is None or hot[0] != key:
-                            hot = image.decoded_blocks[block_id] = (
-                                key, *_decoded_block(cache, words[first:first + length], stream))
-                    if hot is None:
-                        for k in range(off, stop):
-                            word = words[first + k]
-                            if encrypted:
-                                word ^= stream[k]
-                            instr = cache.get(word)
-                            if instr is None:
-                                instr = _remember(cache, word, decode(word))
-                            if instr.__class__ is not Instruction or instr.op == "ecall":
-                                next_pc = _NOT_RUN
-                                break
-                            next_pc = handlers[instr.op](regs, instr, pc, state)
-                            if next_pc != pc + 4:
-                                break
-                            pc = next_pc
-                        else:
-                            pc -= 4
-                    elif off < len(hot[1]):
-                        _, instrs, hands = hot
-                        for k in range(off, min(stop, len(instrs))):
-                            next_pc = hands[k](regs, instrs[k], pc, state)
-                            if next_pc != pc + 4 or mem.text_written:
-                                break
-                            pc = next_pc
-                        else:
-                            pc -= 4
-                    else:   # the decoded words end before an illegal word or ecall
-                        k, next_pc = off, _NOT_RUN
-                    # Words off..k-1 ran in sequence, pc is word k's address,
-                    # and word k either ran, returning next_pc, or is left to
-                    # the per-word path below (_NOT_RUN).
-                    ran = k - off
-                    retired += ran
-                    if ran:
-                        prev_pc = pc - 4
+                    if stop > len(instrs):
+                        stop = len(instrs)
+                    for k in range(off, stop):
+                        next_pc = hands[k](regs, instrs[k], pc, state)
+                        if next_pc != pc + 4 or mem.text_written:
+                            break
+                        pc = next_pc
+                    else:
+                        pc -= 4
+                    # words off..k ran in sequence, and pc is word k's address
                     if encrypted:
-                        invocations += ran if next_pc is _NOT_RUN else ran + 1
+                        invocations += k + 1 - off
                     if next_pc is None:
+                        retired += k - off
+                        if k > off:
+                            prev_pc = pc - 4
                         return MEMORY_FAULT, None, None
-                    if next_pc is not _NOT_RUN:
-                        retired += 1
-                        prev_pc, pc = pc, next_pc & MASK32
-                        continue
-                    word = words[first + k]
+                    retired += k + 1 - off
+                    prev_pc, pc = pc, next_pc & MASK32
+                    continue
 
                 if encrypted:
                     invocations += 1

@@ -74,7 +74,7 @@ class Image:
 
     @cached_property
     def block_visits(self) -> bytearray:
-        """Per block id, the engine's unit runs of it up to its hot mark (see
+        """Per block id, the engine's entries into it up to its hot mark (see
         engine.py); a bytearray, which the garbage collector does not track."""
         return bytearray(len(self.blocks))
 

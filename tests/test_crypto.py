@@ -320,3 +320,21 @@ def test_encrypted_container_keyt_section_checks(corpus_sources):
         struct.pack_into("<I", forged, records_at + field, value)
         with pytest.raises(ImageFormatError, match="needs a source block and a target"):
             load_encrypted_image_bytes(bytes(forged))
+    # records out of (source id, target) order, or a pair twice
+    size = crypto._PATCH_REC.size
+    first, second = (slice(records_at + size * i, records_at + size * (i + 1)) for i in (0, 1))
+    for forged_records in (blob[second] + blob[first], blob[first] + blob[first]):
+        forged = blob[:records_at] + forged_records + blob[second.stop:]
+        with pytest.raises(ImageFormatError, match="out of order or repeated"):
+            load_encrypted_image_bytes(forged)
+
+
+def test_encrypted_image_requires_a_sorted_patch_table(corpus_sources):
+    from dataclasses import replace
+    eimage = encrypt_pipeline(_image(corpus_sources["fib"]), SEED)
+    table = eimage.patch_table
+    assert list(table) == sorted(table)
+    for bad in (table[::-1], table[:1] + table[:1] + table[1:],
+                table[:1] + ((table[0][0], table[0][1], bytes(16)),) + table[1:]):
+        with pytest.raises(ValueError, match="out of order or repeated"):
+            replace(eimage, patch_table=bad)

@@ -669,3 +669,16 @@ def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
         assert results[0] == results[1]
         assert results[0][0].outcome == HALT
         assert results[0][1] == 12
+
+
+def test_block_longer_than_the_offset_range_takes_the_per_word_path(monkeypatch):
+    # Stream offsets wrap at MAX_WORD_OFFSET; shrink it so a 9-word block wraps.
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    monkeypatch.setattr(eng, "MAX_WORD_OFFSET", 4)
+    monkeypatch.setattr(eng, "_OFFSET_MASK", 3)
+    image = _image("addi x10, x0, 1\n" + "addi x10, x10, 1\n" * 7 + "ecall")
+    target = encrypt_pipeline(image, 42)
+    report = Engine(target).run()
+    assert report == Engine(target).run(record_trace=True)
+    assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 16   # word 4 wraps
+    assert not _decoded_ids(target)
