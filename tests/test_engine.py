@@ -682,3 +682,35 @@ def test_block_longer_than_the_offset_range_takes_the_per_word_path(monkeypatch)
     assert report == Engine(target).run(record_trace=True)
     assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 16   # word 4 wraps
     assert not _decoded_ids(target)
+
+
+def test_memory_fault_inside_a_decoded_block(monkeypatch):
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    for target in (_LW_FAULT, encrypt_pipeline(_LW_FAULT, 42)):
+        engines = [Engine(target), Engine(target)]
+        reports = [engines[0].run(), engines[1].run(record_trace=True)]
+        assert reports[0] == reports[1]
+        assert reports[0].outcome == MEMORY_FAULT
+        # the lw after lui in block 2: pc at the lw, prev_pc at the lui
+        assert [(e.state.pc, e.prev_pc) for e in engines] == [(16, 12)] * 2
+        assert 2 in _decoded_ids(target)
+
+
+def test_stale_key_whose_stream_is_shorter_than_its_block(monkeypatch):
+    # Block 1's key first enters block 0 (2 words) by a replayed patch, so
+    # its cached stream covers 2 words; the legal run then enters block 1
+    # (7 words) with that key, and the words past the stream are decrypted
+    # one by one.
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    eimage = encrypt_pipeline(
+        _image("addi x10, x0, 1\njal x0, long\nlong:\n" + "addi x10, x10, 1\n" * 6 + "ecall"),
+        42)
+    assert [length for _, length in eimage.image.blocks] == [2, 7]
+    replayed = Engine(eimage)
+    replayed.replay_patch(eimage.patch_map[(0, 8)], 0)   # key of block 1, in block 0
+    replayed.run(1)
+    engine = Engine(eimage)
+    report = engine.run()
+    assert report == Engine(eimage).run(record_trace=True)
+    assert report.outcome == HALT and engine.state.regs[10] == 7
+    assert _decoded_ids(eimage) == {0}
