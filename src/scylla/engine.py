@@ -43,11 +43,11 @@ word at the next stream offset. The loop counts entries into each block
 `advance`). After HOT_BLOCK_VISITS entries a block is hot: at its next
 entry its words, decrypted with the current key, are decoded once into
 a list of decode-table entries up to the first illegal word or ecall
-(`Image.decoded_blocks`, keyed by block id, tagged with the key). A
-fetch inside those words runs the rest of them, up to the step limit,
-in one inner loop with none of the per-word checks: it stops at a
-transfer, a memory fault or a store into the text.
-Every other fetch takes the per-word path: cold blocks, fetches past the
+(`Image.decoded_blocks`, keyed by block id, tagged with the key). An
+entry that lands inside those words runs the rest of them, up to the
+step limit, in one inner loop with none of the per-word checks: it
+stops at a transfer, a memory fault or a store into the text. Every
+other fetch takes the per-word path: cold blocks, fetches past the
 decoded words or outside the key's block, a key whose stream does not
 cover its block, a block longer than MAX_WORD_OFFSET words (whose
 offsets wrap), and traced runs.
@@ -458,9 +458,9 @@ class Engine:
         """Fetch until `limit` instructions have retired (None) or the run ends.
 
         The fetch state lives in locals and is written back on every exit.
-        A fetch inside a hot block's decoded words runs the rest of them in
-        one inner loop (see the module docstring); every other fetch takes
-        the per-word path.
+        A block entry inside a hot block's decoded words runs the rest of
+        them in one inner loop (see the module docstring); every other
+        fetch takes the per-word path.
         """
         state = self.state
         counters = state.counters
@@ -510,12 +510,13 @@ class Engine:
                     block_end = base + 4 * length
                     entered = True
                 if entered:
+                    # a block entry: the key's stream, and the decoded words once the block is hot
                     entered = False
                     if encrypted:
                         stream = cache.get(key)
                         if stream is None:
                             stream = _remember(cache, key, block_keystream(key, length))
-                    hot_end = base   # no decoded words to run
+                    hot = None
                     if block_id is not None and not record_trace:
                         if visits[block_id] < HOT_BLOCK_VISITS:
                             visits[block_id] += 1
@@ -526,34 +527,32 @@ class Engine:
                                 first = (base - text_base) >> 2
                                 hot = decoded_blocks[block_id] = (
                                     key, *_decoded_block(cache, words[first:first + length], stream))
-                            _, instrs, hands = hot
-                            hot_end = base + 4 * len(instrs)
-
-                if base <= pc < hot_end and not mem.text_written:
-                    # The block's decoded words from pc on, up to the step limit:
-                    # each fetch is the next word at the next stream offset.
                     off = (pc - base) >> 2
-                    stop = off + limit - retired
-                    if stop > len(instrs):
-                        stop = len(instrs)
-                    for k in range(off, stop):
-                        next_pc = hands[k](regs, instrs[k], pc, state)
-                        if next_pc != pc + 4 or mem.text_written:
-                            break
-                        pc = next_pc
-                    else:
-                        pc -= 4
-                    # words off..k ran in sequence, and pc is word k's address
-                    if encrypted:
-                        invocations += k + 1 - off
-                    if next_pc is None:
-                        retired += k - off
-                        if k > off:
-                            prev_pc = pc - 4
-                        return MEMORY_FAULT, None, None
-                    retired += k + 1 - off
-                    prev_pc, pc = pc, next_pc & MASK32
-                    continue
+                    if hot is not None and 0 <= off < len(hot[1]):
+                        # The decoded words from pc on, up to the step limit:
+                        # each fetch is the next word at the next stream offset.
+                        _, instrs, hands = hot
+                        stop = off + limit - retired
+                        if stop > len(instrs):
+                            stop = len(instrs)
+                        for k in range(off, stop):
+                            next_pc = hands[k](regs, instrs[k], pc, state)
+                            if next_pc != pc + 4 or mem.text_written:
+                                break
+                            pc = next_pc
+                        else:
+                            pc -= 4
+                        # words off..k ran in sequence, and pc is word k's address
+                        if encrypted:
+                            invocations += k + 1 - off
+                        if next_pc is None:
+                            retired += k - off
+                            if k > off:
+                                prev_pc = pc - 4
+                            return MEMORY_FAULT, None, None
+                        retired += k + 1 - off
+                        prev_pc, pc = pc, next_pc & MASK32
+                        continue
 
                 if encrypted:
                     invocations += 1
