@@ -39,18 +39,18 @@ through `Memory.store_word` into that same array, so a fetch sees them.
 Hot blocks. The key register changes only at a transfer or a block
 boundary, so inside the block its key belongs to, each fetch is the next
 word at the next stream offset. The loop counts entries into each block
-(a transfer or a boundary crossing, and the start of a `run` or
-`advance`). After HOT_BLOCK_VISITS entries a block is hot: at its next
-entry its words, decrypted with the current key, are decoded once into
-a list of decode-table entries up to the first illegal word or ecall
-(`Image.decoded_blocks`, keyed by block id, tagged with the key). An
-entry that lands inside those words runs the rest of them, up to the
-step limit, in one inner loop with none of the per-word checks: it
-stops at a transfer, a memory fault or a store into the text. Every
-other fetch takes the per-word path: cold blocks, fetches past the
-decoded words or outside the key's block, a key whose stream does not
-cover its block, a block longer than MAX_WORD_OFFSET words (whose
-offsets wrap), and traced runs.
+(a transfer or a boundary crossing). After HOT_BLOCK_VISITS entries a
+block is hot: at its next entry its words, decrypted with the current
+key, are decoded once into a list of decode-table entries up to the
+first illegal word or ecall (`Image.decoded_blocks`, keyed by block id,
+tagged with the key). An entry that lands inside those words runs the
+rest of them, up to the step limit, in one inner loop with none of the
+per-word checks: it stops at a transfer, a memory fault or a store into
+the text. Every other fetch takes the per-word path: cold blocks, the
+rest of a block when a run starts, fetches past the decoded words or
+outside the key's block, a key whose stream does not cover its block, a
+block longer than MAX_WORD_OFFSET words (whose offsets wrap), and traced
+runs.
 
 A decoded block depends on the key and on the image's text, so it is
 rebuilt when another key enters the block, and an engine whose memory
@@ -376,6 +376,14 @@ def _remember(cache: dict, key, value):
     return value
 
 
+def _key_stream(cache: dict, key: bytes, length: int) -> array:
+    """`key`'s stream; it covers `length` words unless `key` first served a shorter block."""
+    stream = cache.get(key)
+    if stream is None:
+        stream = _remember(cache, key, block_keystream(key, length))
+    return stream
+
+
 def _decoded_block(cache: dict, words: array, stream: array) -> tuple[list, list]:
     """The decode-table entries of a block's words, decrypted with `stream`
     (empty in a plaintext run), up to the first illegal word or ecall, and
@@ -458,9 +466,9 @@ class Engine:
         """Fetch until `limit` instructions have retired (None) or the run ends.
 
         The fetch state lives in locals and is written back on every exit.
-        A block entry inside a hot block's decoded words runs the rest of
-        them in one inner loop (see the module docstring); every other
-        fetch takes the per-word path.
+        An entry into a hot block runs its decoded words in one inner loop
+        (see the module docstring); every other fetch takes the per-word
+        path.
         """
         state = self.state
         counters = state.counters
@@ -482,8 +490,7 @@ class Engine:
         key, base = state.cur_key, state.cur_block_base
         block_id, length = block_index.get(base, _NO_BLOCK)
         block_end = base + 4 * length
-        stream = _NO_STREAM
-        entered = True   # the block's stream and decoded words are looked up at the next fetch
+        stream = _key_stream(cache, key, length) if encrypted else _NO_STREAM
         try:
             while retired < limit:
                 index = (pc - text_base) >> 2
@@ -508,14 +515,9 @@ class Engine:
                         base = pc
                     block_id, length = block_index.get(base, _NO_BLOCK)
                     block_end = base + 4 * length
-                    entered = True
-                if entered:
-                    # a block entry: the key's stream, and the decoded words once the block is hot
-                    entered = False
                     if encrypted:
-                        stream = cache.get(key)
-                        if stream is None:
-                            stream = _remember(cache, key, block_keystream(key, length))
+                        stream = _key_stream(cache, key, length)
+                    # a block entry: once the block is hot, run its decoded words
                     hot = None
                     if block_id is not None and not record_trace:
                         if visits[block_id] < HOT_BLOCK_VISITS:
@@ -527,8 +529,7 @@ class Engine:
                                 first = (base - text_base) >> 2
                                 hot = decoded_blocks[block_id] = (
                                     key, *_decoded_block(cache, words[first:first + length], stream))
-                    off = (pc - base) >> 2
-                    if hot is not None and 0 <= off < len(hot[1]):
+                    if hot is not None and 0 <= (off := (pc - base) >> 2) < len(hot[1]):
                         # The decoded words from pc on, up to the step limit:
                         # each fetch is the next word at the next stream offset.
                         _, instrs, hands = hot

@@ -512,7 +512,8 @@ def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encr
 # -- the block path against the per-word path ---------------------------------
 #
 # A traced run takes the per-word path for every fetch. HOT_BLOCK_VISITS 0
-# makes every block run from its decoded words from its first visit on.
+# makes every block run from its decoded words from its first entry by a
+# transfer or a boundary crossing on.
 
 def _per_word_everywhere(monkeypatch):
     fetch_loop = Engine._fetch_loop
@@ -624,8 +625,9 @@ def test_program_storing_into_its_own_block(monkeypatch, hot):
         if target is image:
             assert per_word.outcome == HALT
             assert engine.state.regs[10] == 860
-    # only a block decoded before the first store exists, and it is never read after it
-    assert _decoded_ids(image) == ({0, 1} if hot == 0 else set())
+    # only the loop block, entered before the first store, was decoded, and it
+    # is never read after it; the entry block is never entered by a transfer
+    assert _decoded_ids(image) == ({1} if hot == 0 else set())
 
 
 def test_forks_share_decoded_blocks_but_not_text(corpus_sources, monkeypatch):
@@ -650,25 +652,24 @@ def test_forks_share_decoded_blocks_but_not_text(corpus_sources, monkeypatch):
 
 
 def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    image = _image("addi x10, x0, 1\naddi x10, x10, 2\naddi x10, x10, 4\n"
-                   "addi x10, x10, 8\necall")
-    image = replace(image, text=image.text[:4] + bytes(4) + image.text[8:])   # word 1 illegal
+    image = _image("jal x0, body\nbody:\naddi x10, x0, 1\naddi x10, x10, 2\n"
+                   "addi x10, x10, 4\naddi x10, x10, 8\necall")
+    image = replace(image, text=image.text[:8] + bytes(4) + image.text[12:])   # word 2 illegal
     for target in (image, encrypt_pipeline(image, 42)):
-        report = Engine(target).run()
-        assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 4
-        assert report == Engine(target).run(record_trace=True)
-        decoded = getattr(target, "image", target).decoded_blocks[0]
-        assert len(decoded[1]) == 1   # the decoded words stop before word 1
-
         results = []
-        for record_trace in (False, True):
+        for hot in (0, 255):   # 255: no block is decoded in this test
+            monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+            report = Engine(target).run()
             engine = Engine(target)
-            engine.state.pc = 8   # past the illegal word, in the entry block
-            results.append((engine.run(record_trace=record_trace), engine.state.regs[10]))
+            assert engine.advance(2)   # the jal, then block 1's first word
+            engine.state.pc = 12       # past the illegal word, in block 1
+            results.append((report, engine.run(), engine.state.regs[10]))
         assert results[0] == results[1]
-        assert results[0][0].outcome == HALT
-        assert results[0][1] == 12
+        report, entered_past, x10 = results[0]
+        assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 8
+        assert entered_past.outcome == HALT and x10 == 13
+        decoded = getattr(target, "image", target).decoded_blocks[1]
+        assert len(decoded[1]) == 1   # the decoded words stop before word 2
 
 
 def test_block_longer_than_the_offset_range_takes_the_per_word_path(monkeypatch):
@@ -676,11 +677,11 @@ def test_block_longer_than_the_offset_range_takes_the_per_word_path(monkeypatch)
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
     monkeypatch.setattr(eng, "MAX_WORD_OFFSET", 4)
     monkeypatch.setattr(eng, "_OFFSET_MASK", 3)
-    image = _image("addi x10, x0, 1\n" + "addi x10, x10, 1\n" * 7 + "ecall")
+    image = _image("jal x0, body\nbody:\naddi x10, x0, 1\n" + "addi x10, x10, 1\n" * 7 + "ecall")
     target = encrypt_pipeline(image, 42)
     report = Engine(target).run()
     assert report == Engine(target).run(record_trace=True)
-    assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 16   # word 4 wraps
+    assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 20   # word 4 wraps
     assert not _decoded_ids(target)
 
 
@@ -713,4 +714,4 @@ def test_stale_key_whose_stream_is_shorter_than_its_block(monkeypatch):
     report = engine.run()
     assert report == Engine(eimage).run(record_trace=True)
     assert report.outcome == HALT and engine.state.regs[10] == 7
-    assert _decoded_ids(eimage) == {0}
+    assert not _decoded_ids(eimage)
