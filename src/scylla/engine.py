@@ -38,27 +38,30 @@ through `Memory.store_word` into that same array, so a fetch sees them.
 
 Hot blocks. The key register changes only at a transfer or a block
 boundary, so inside the block its key belongs to, each fetch is the next
-word at the next stream offset. The loop counts entries into each block
-(a transfer or a boundary crossing). After HOT_BLOCK_VISITS entries a
-block is hot: at its next entry its words, decrypted with the current
-key, are decoded once into a list of decode-table entries up to the
-first illegal word or ecall (`Image.decoded_blocks`, keyed by block id,
-tagged with the key). An entry that lands inside those words runs the
-rest of them, up to the step limit, in one inner loop with none of the
-per-word checks: it stops at a transfer, a memory fault or a store into
-the text. Every other fetch takes the per-word path: cold blocks, the
-rest of a block when a run starts, fetches past the decoded words or
-outside the key's block, a key whose stream does not cover its block, a
-block longer than MAX_WORD_OFFSET words (whose offsets wrap), and traced
-runs.
+word at the next stream offset. Each call of the fetch loop counts its
+entries into each block (a transfer or a boundary crossing). A block
+entered HOT_BLOCK_VISITS times in one call is hot: at its next entry its
+words, decrypted with the current key, are decoded once into a list of
+decode-table entries up to the first illegal word or ecall
+(`Image.decoded_blocks`, keyed by block id, tagged with the key). An
+entry that lands inside those words runs the rest of them, up to the
+step limit, in one inner loop with none of the per-word checks: it stops
+at a transfer, a memory fault or a store into the text. Every other
+fetch takes the per-word path: cold blocks, the rest of a block when a
+call starts, fetches past the decoded words or outside the key's block,
+a key whose stream does not cover its block, a block longer than
+MAX_WORD_OFFSET words (whose offsets wrap), and traced runs.
 
 A decoded block depends on the key and on the image's text, so it is
 rebuilt when another key enters the block, and an engine whose memory
 has taken a store into the text (`Memory.text_written`, copied by a
 fork and never cleared) stops reading decoded blocks at once, even
-inside one, and builds none. Visit counts live in a bytearray per image,
-which the garbage collector does not track; only hot blocks add tracked
-objects. Like the fetch cache, all of this is host-side: the
+inside one, and builds none. Entry counts live in a bytearray per call,
+which the garbage collector does not track, and `Image.decoded_blocks`
+is made at the first hot block: a run with no hot block, such as each
+short run of an attack campaign, leaves no new object for the collector
+to track, so its collections fall where they did without the cache. Like
+the fetch cache, all of this is host-side: the
 counters, outcomes, digests and outputs are those of the per-word path.
 """
 
@@ -91,7 +94,7 @@ FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache 
 
 MASK32 = 0xFFFFFFFF
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
-HOT_BLOCK_VISITS = 32   # entries into a block before it is decoded; at most 255 (a bytearray)
+HOT_BLOCK_VISITS = 32   # entries into a block in one run before it is decoded; at most 255
 _NO_BLOCK = (None, 0)   # block_index miss: no block id, zero length
 _NO_STREAM = array("I")   # a plaintext run's key stream
 
@@ -479,8 +482,7 @@ class Engine:
         image = self.image
         cache = image.fetch_cache
         block_index = image.block_index
-        visits = image.block_visits
-        decoded_blocks = image.decoded_blocks
+        visits = bytearray(len(image.blocks))   # entries per block in this call
         patch_map = self.patch_map
         encrypted = self.encrypted
         trace = self.trace
@@ -524,10 +526,10 @@ class Engine:
                             visits[block_id] += 1
                         elif (not mem.text_written and length <= MAX_WORD_OFFSET
                               and (not encrypted or length <= len(stream))):
-                            hot = decoded_blocks.get(block_id)
+                            hot = image.decoded_blocks.get(block_id)
                             if hot is None or hot[0] != key:
                                 first = (base - text_base) >> 2
-                                hot = decoded_blocks[block_id] = (
+                                hot = image.decoded_blocks[block_id] = (
                                     key, *_decoded_block(cache, words[first:first + length], stream))
                     if hot is not None and 0 <= (off := (pc - base) >> 2) < len(hot[1]):
                         # The decoded words from pc on, up to the step limit:

@@ -73,12 +73,6 @@ class Image:
         return {}
 
     @cached_property
-    def block_visits(self) -> bytearray:
-        """Per block id, the engine's entries into it up to its hot mark (see
-        engine.py); a bytearray, which the garbage collector does not track."""
-        return bytearray(len(self.blocks))
-
-    @cached_property
     def decoded_blocks(self) -> dict:
         """Hot block id -> (key, decoded words, their handlers), host-side (see engine.py)."""
         return {}

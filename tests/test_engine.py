@@ -535,7 +535,7 @@ def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, monk
         for target in (image, encrypt_pipeline(image, 42)):
             per_word = Engine(target)
             expected = per_word.run(record_trace=True)
-            for _ in range(3):   # later runs find the image's blocks visited
+            for _ in range(3):   # later runs reuse the blocks the first one decoded
                 engine = Engine(target)
                 assert engine.run() == expected, (name, hot)
                 assert engine.state.regs == per_word.state.regs, (name, hot)
@@ -715,3 +715,17 @@ def test_stale_key_whose_stream_is_shorter_than_its_block(monkeypatch):
     assert report == Engine(eimage).run(record_trace=True)
     assert report.outcome == HALT and engine.state.regs[10] == 7
     assert not _decoded_ids(eimage)
+
+
+def test_entries_are_counted_per_run(monkeypatch):
+    # The loop block is entered once per iteration: by the fallthrough into
+    # it, then by its back edge. Blocks entered HOT_BLOCK_VISITS times in
+    # every run, but no more, are never decoded, however many runs there are.
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 2)
+    loop = "addi x9, x0, {}\nloop:\naddi x9, x9, -1\nbne x9, x0, loop\necall"
+    for iterations, decoded in ((2, set()), (3, {1})):
+        image = _image(loop.format(iterations))
+        for target in (image, encrypt_pipeline(image, 42)):
+            for _ in range(5):
+                assert Engine(target).run().outcome == HALT
+            assert _decoded_ids(target) == decoded
