@@ -493,6 +493,7 @@ class Engine:
         block_id, length = block_index.get(base, _NO_BLOCK)
         block_end = base + 4 * length
         stream = _key_stream(cache, key, length) if encrypted else _NO_STREAM
+        n_stream = len(stream)
         try:
             while retired < limit:
                 index = (pc - text_base) >> 2
@@ -519,13 +520,14 @@ class Engine:
                     block_end = base + 4 * length
                     if encrypted:
                         stream = _key_stream(cache, key, length)
+                        n_stream = len(stream)
                     # a block entry: once the block is hot, run its decoded words
                     hot = None
                     if block_id is not None and not record_trace:
                         if visits[block_id] < HOT_BLOCK_VISITS:
                             visits[block_id] += 1
                         elif (not mem.text_written and length <= MAX_WORD_OFFSET
-                              and (not encrypted or length <= len(stream))):
+                              and (not encrypted or length <= n_stream)):
                             hot = image.decoded_blocks.get(block_id)
                             if hot is None or hot[0] != key:
                                 first = (base - text_base) >> 2
@@ -560,7 +562,7 @@ class Engine:
                 if encrypted:
                     invocations += 1
                     offset = ((pc - base) >> 2) & _OFFSET_MASK
-                    if offset < len(stream):
+                    if offset < n_stream:
                         word ^= stream[offset]
                     else:
                         word ^= keystream_word(key, offset)
