@@ -78,6 +78,8 @@ class AttackScenario:
                 self.sentinel_addr % 4 or not 0 <= self.sentinel_addr < ADDRESS_SPACE):
             raise HarnessError("sentinel_addr must be a 4-byte-aligned address in "
                                f"[0, 2^32), got {self.sentinel_addr}")
+        if not 0 <= self.sentinel_value < ADDRESS_SPACE:   # a stored word is 32-bit
+            raise HarnessError(f"sentinel_value must lie in [0, 2^32), got {self.sentinel_value}")
 
     def to_json_dict(self) -> dict:
         doc = {"kind": self.kind, "trigger_step": self.trigger_step}
@@ -229,8 +231,6 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
     state = engine.state
     image = eimage.image
     cur = engine.current_block()
-    if cur is None:
-        raise HarnessError("engine key state is not at a block entry")
 
     if scenario.kind == CODE_INJECTION:
         if scenario.payload is None or scenario.target is None:

@@ -34,7 +34,14 @@ from functools import cached_property, lru_cache
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .image import FLAG_ENCRYPTED, Image, ImageFormatError, dump_image, parse_container
+from .image import (
+    FLAG_ENCRYPTED,
+    Image,
+    ImageFormatError,
+    LayoutError,
+    dump_image,
+    parse_container,
+)
 
 KEY_BYTES = 16
 MAX_WORD_OFFSET = 1 << 20
@@ -135,6 +142,13 @@ class EncryptedImage:
     entry_key: bytes
 
     def __post_init__(self):
+        # A fetch's offset wraps at MAX_WORD_OFFSET words, the block's stream
+        # does not. The blocks tile the text, so only a long text holds a long block.
+        if len(self.image.text) > 4 * MAX_WORD_OFFSET:
+            longest = max(length for _, length in self.image.blocks)
+            if longest > MAX_WORD_OFFSET:
+                raise LayoutError(f"a block of {longest} words exceeds the "
+                                  f"{MAX_WORD_OFFSET}-word offset range")
         # the attack harness finds a block's records by bisecting the table
         table = self.patch_table
         for before, after in zip(table, table[1:]):
@@ -216,7 +230,7 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
                 f"patch {src} -> {target:#x} needs a source block and a target block entry")
     try:
         return EncryptedImage(image=image, patch_table=table, entry_key=entry_key)
-    except ValueError as err:   # records out of order or repeated
+    except ValueError as err:   # records out of order or repeated, or a block too long
         raise ImageFormatError(str(err)) from None
 
 

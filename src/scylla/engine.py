@@ -18,50 +18,50 @@ The cycle model is deliberately two scalars: cycles = instructions
 + decrypt_cost * keystream invocations + switch_cost * key switches.
 
 The host serves fetches from one dict per image (`Image.fetch_cache`),
-shared by every engine and attack trial on it. A key maps to its block
-keystream array, from one AES call when an engine first holds the key;
-an encrypted fetch XORs the raw word with the stream word at its offset,
-or with `keystream_word` past the stream (stale key, mid-block entry,
-rogue target). A word maps to its decode result: plaintext and
-decrypted words share this decode table, and equal words one
-Instruction. Neither entry depends on memory, so stores into the text
-invalidate nothing; a full cache is cleared. The cache is host-side
-only: every counter counts every modelled fetch and transfer.
+shared by every engine and attack trial on it. A key maps to its
+keystream array, from one AES call; a word maps to its decode result,
+plaintext or decrypted, and equal words share one Instruction. Neither
+depends on memory, so stores into the text invalidate nothing; a full
+cache is cleared. Every counter still counts every modelled fetch.
 
-The fetch loop keeps pc, the previous pc, the retired count, the
-keystream invocations, the key register, its block base and the block's
-stream in locals, and writes them back to the engine on every exit, so
-between two `advance` calls the engine's fields are exact. An aligned
-fetch inside the text reads the text word array directly; any other
-fetch, and every `lw`, goes through `Memory.load_word`. Stores always go
-through `Memory.store_word` into that same array, so a fetch sees them.
+The fetch loop keeps its state (pc, previous pc, counters, key register,
+block base, the key's stream) in locals and writes it back on every
+exit, so between two `advance` calls the engine's fields are exact. An
+aligned fetch inside the text reads the text word array, which every
+store writes; other fetches and every `lw` go through `Memory.load_word`.
 
-Hot blocks. The key register changes only at a transfer or a block
-boundary, so inside the block its key belongs to, each fetch is the next
+The loop relies on three invariants, each held where the data is made:
+- the key register's base is a block entry: it starts at the image
+  entry (a block entry by `layout_image` and the loader) and moves only
+  to patch targets, which are block entries, or in plaintext to block
+  entries;
+- a key's stream covers the block it is held in: `_key_stream` replaces
+  a cached stream shorter than the block being entered;
+- blocks fit the offset range: `EncryptedImage` rejects a block longer
+  than MAX_WORD_OFFSET words, so in-block offsets never wrap.
+
+Hot blocks. Inside the block its key belongs to, each fetch is the next
 word at the next stream offset. Each call of the fetch loop counts its
-entries into each block (a transfer or a boundary crossing). A block
-entered HOT_BLOCK_VISITS times in one call is hot: at its next entry its
-words, decrypted with the current key, are decoded once into a list of
-decode-table entries up to the first illegal word or ecall
+entries into each block; a block entered HOT_BLOCK_VISITS times in one
+call is hot, and at its next entry its words, decrypted with the current
+key, are decoded once up to the first illegal word or ecall
 (`Image.decoded_blocks`, keyed by block id, tagged with the key). An
-entry that lands inside those words runs the rest of them, up to the
-step limit, in one inner loop with none of the per-word checks: it stops
-at a transfer, a memory fault or a store into the text. Every other
-fetch takes the per-word path: cold blocks, the rest of a block when a
-call starts, fetches past the decoded words or outside the key's block,
-a key whose stream does not cover its block, a block longer than
-MAX_WORD_OFFSET words (whose offsets wrap), and traced runs.
+entry inside those words runs the rest of them, up to the step limit,
+in one inner loop that stops at a transfer, a memory fault or a store
+into the text. The per-word path serves every other fetch: cold blocks,
+the rest of a block when a call starts, and fetches past the decoded
+words or outside the key's block; those past the key's stream (rogue,
+mid-block and stale fetches) decrypt with `keystream_word`. A call that
+retires one instruction enters a block at most once, so `trace`, which
+steps one instruction per call, is the per-word reference.
 
-A decoded block depends on the key and on the image's text, so it is
-rebuilt when another key enters the block, and an engine whose memory
-has taken a store into the text (`Memory.text_written`, copied by a
-fork and never cleared) stops reading decoded blocks at once, even
-inside one, and builds none. Entry counts live in a bytearray per call,
-which the garbage collector does not track, and `Image.decoded_blocks`
-is made at the first hot block: a run with no hot block, such as each
-short run of an attack campaign, leaves no new object for the collector
-to track, so its collections fall where they did without the cache. Like
-the fetch cache, all of this is host-side: the
+A decoded block is rebuilt when another key enters the block; an engine
+whose memory has taken a store into the text (`Memory.text_written`,
+copied by a fork, never cleared) stops reading decoded blocks at once
+and builds none. Entry counts live in a bytearray per call, untracked
+by the garbage collector, and `Image.decoded_blocks` is made at the
+first hot block, so a run with no hot block, such as each short run of
+an attack campaign, moves no collection. All of this is host-side: the
 counters, outcomes, digests and outputs are those of the per-word path.
 """
 
@@ -95,7 +95,6 @@ FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache 
 MASK32 = 0xFFFFFFFF
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
 HOT_BLOCK_VISITS = 32   # entries into a block in one run before it is decoded; at most 255
-_NO_BLOCK = (None, 0)   # block_index miss: no block id, zero length
 _NO_STREAM = array("I")   # a plaintext run's key stream
 
 
@@ -380,9 +379,10 @@ def _remember(cache: dict, key, value):
 
 
 def _key_stream(cache: dict, key: bytes, length: int) -> array:
-    """`key`'s stream; it covers `length` words unless `key` first served a shorter block."""
+    """`key`'s stream, covering at least `length` words: a stream cached for
+    a shorter block (a stale key's) is replaced."""
     stream = cache.get(key)
-    if stream is None:
+    if stream is None or len(stream) < length:
         stream = _remember(cache, key, block_keystream(key, length))
     return stream
 
@@ -426,14 +426,12 @@ class Engine:
         self.switch_cost = switch_cost
         self.state = MachineState(mem=Memory(image), pc=image.entry,
                                   cur_key=entry_key, cur_block_base=image.entry)
-        self.trace: list[tuple[int, Instruction]] = []
         self.prev_pc: int | None = None
         self._end: tuple | None = None   # (outcome, fault_pc, fault_word); it sticks
 
-    def run(self, step_limit: int = DEFAULT_STEP_LIMIT, *,
-            record_trace: bool = False) -> RunReport:
+    def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunReport:
         if self._end is None:
-            self._end = self._fetch_loop(step_limit, record_trace)
+            self._end = self._fetch_loop(step_limit)
         return self._report(*(self._end or (STEP_LIMIT,)))
 
     def fork(self) -> Engine:
@@ -445,7 +443,6 @@ class Engine:
         clone = Engine.__new__(Engine)
         clone.__dict__.update(self.__dict__)
         clone.state = self.state.fork()
-        clone.trace = self.trace[:]
         return clone
 
     def advance(self, steps: int) -> bool:
@@ -454,25 +451,21 @@ class Engine:
             self._end = self._fetch_loop(steps)
         return self._end is None
 
-    def current_block(self) -> int | None:
-        """Id of the block the key register belongs to; None off a block entry."""
-        return self.image.block_index.get(self.state.cur_block_base, _NO_BLOCK)[0]
+    def current_block(self) -> int:
+        """Id of the block the key register belongs to."""
+        return self.image.block_index[self.state.cur_block_base][0]
 
     def replay_patch(self, patch: bytes, target: int) -> None:
-        """Transfer to `target`, absorbing `patch` whichever block it was minted for."""
+        """Transfer to `target`, a block entry, absorbing `patch` whichever
+        block it was minted for."""
         state = self.state
         state.cur_key = derive_next_key(state.cur_key, patch)
         state.cur_block_base = target
         state.pc = target
 
-    def _fetch_loop(self, limit: int, record_trace: bool = False) -> tuple | None:
-        """Fetch until `limit` instructions have retired (None) or the run ends.
-
-        The fetch state lives in locals and is written back on every exit.
-        An entry into a hot block runs its decoded words in one inner loop
-        (see the module docstring); every other fetch takes the per-word
-        path.
-        """
+    def _fetch_loop(self, limit: int) -> tuple | None:
+        """Fetch until `limit` instructions have retired (None) or the run
+        ends; an entry into a hot block runs its decoded words (see above)."""
         state = self.state
         counters = state.counters
         mem = state.mem
@@ -485,12 +478,11 @@ class Engine:
         visits = bytearray(len(image.blocks))   # entries per block in this call
         patch_map = self.patch_map
         encrypted = self.encrypted
-        trace = self.trace
         handlers = _HANDLERS
         pc, prev_pc = state.pc, self.prev_pc
         retired, invocations = counters.instructions_retired, counters.keystream_invocations
         key, base = state.cur_key, state.cur_block_base
-        block_id, length = block_index.get(base, _NO_BLOCK)
+        block_id, length = block_index[base]
         block_end = base + 4 * length
         stream = _key_stream(cache, key, length) if encrypted else _NO_STREAM
         n_stream = len(stream)
@@ -516,23 +508,21 @@ class Engine:
                             counters.key_switches += 1
                     elif pc in block_index:
                         base = pc
-                    block_id, length = block_index.get(base, _NO_BLOCK)
+                    block_id, length = block_index[base]
                     block_end = base + 4 * length
                     if encrypted:
                         stream = _key_stream(cache, key, length)
                         n_stream = len(stream)
                     # a block entry: once the block is hot, run its decoded words
                     hot = None
-                    if block_id is not None and not record_trace:
-                        if visits[block_id] < HOT_BLOCK_VISITS:
-                            visits[block_id] += 1
-                        elif (not mem.text_written and length <= MAX_WORD_OFFSET
-                              and (not encrypted or length <= n_stream)):
-                            hot = image.decoded_blocks.get(block_id)
-                            if hot is None or hot[0] != key:
-                                first = (base - text_base) >> 2
-                                hot = image.decoded_blocks[block_id] = (
-                                    key, *_decoded_block(cache, words[first:first + length], stream))
+                    if visits[block_id] < HOT_BLOCK_VISITS:
+                        visits[block_id] += 1
+                    elif not mem.text_written:
+                        hot = image.decoded_blocks.get(block_id)
+                        if hot is None or hot[0] != key:
+                            first = (base - text_base) >> 2
+                            hot = image.decoded_blocks[block_id] = (
+                                key, *_decoded_block(cache, words[first:first + length], stream))
                     if hot is not None and 0 <= (off := (pc - base) >> 2) < len(hot[1]):
                         # The decoded words from pc on, up to the step limit:
                         # each fetch is the next word at the next stream offset.
@@ -576,8 +566,6 @@ class Engine:
                 if next_pc is None:
                     return MEMORY_FAULT, None, None
                 retired += 1
-                if record_trace:
-                    trace.append((pc, instr))
                 prev_pc, pc = pc, next_pc & MASK32
                 if state.halted:
                     return HALT, None, None
@@ -606,12 +594,19 @@ class Engine:
 plaintext_engine = encrypted_engine = Engine
 
 
-def trace(target: Image | EncryptedImage,
-          step_limit: int = DEFAULT_STEP_LIMIT) -> list[tuple[int, Instruction]]:
-    """Retired (pc, instruction) sequence of the corresponding run."""
+def trace(target: Image | EncryptedImage, step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
+    """Retired pc sequence of the corresponding run, one `advance` per
+    instruction, so every fetch takes the per-word path."""
     engine = Engine(target)
-    engine.run(step_limit, record_trace=True)
-    return engine.trace
+    pcs = []
+    for k in range(1, step_limit + 1):
+        pc = engine.state.pc
+        alive = engine.advance(k)
+        if engine.state.counters.instructions_retired == k:
+            pcs.append(pc)
+        if not alive:
+            break
+    return pcs
 
 
 def overhead_report(plain: RunReport, enc: RunReport,

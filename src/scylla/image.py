@@ -81,6 +81,19 @@ class Image:
         return hashlib.sha256(dump_image(self)).hexdigest()
 
 
+def _check_segments(text_base: int, text_size: int, data_base: int, data_size: int) -> None:
+    """Both segments lie in the 32-bit address space, and text and data,
+    when neither is empty, do not overlap; LayoutError otherwise."""
+    text_end, data_end = text_base + text_size, data_base + data_size
+    for name, base, end in (("text", text_base, text_end), ("data", data_base, data_end)):
+        if not (0 <= base < ADDRESS_SPACE and end <= ADDRESS_SPACE):
+            raise LayoutError(
+                f"{name} [{base:#x}, {end:#x}) lies outside the 32-bit address space")
+    if data_size and text_size and not (data_end <= text_base or data_base >= text_end):
+        raise LayoutError(
+            f"text [{text_base:#x}, {text_end:#x}) overlaps data [{data_base:#x}, {data_end:#x})")
+
+
 def layout_image(program: Program, text_base: int = 0) -> Image:
     """Place the program at `text_base`; byte-deterministic."""
     if text_base % 4:
@@ -93,19 +106,7 @@ def layout_image(program: Program, text_base: int = 0) -> Image:
     if sys.byteorder == "big":   # container words are little-endian
         text_words.byteswap()
     text = text_words.tobytes()
-
-    text_end = text_base + len(text)
-    data_end = program.data_base + len(program.data)
-    for name, base, end in (("text", text_base, text_end),
-                            ("data", program.data_base, data_end)):
-        if not (0 <= base < ADDRESS_SPACE and end <= ADDRESS_SPACE):
-            raise LayoutError(
-                f"{name} [{base:#x}, {end:#x}) lies outside the 32-bit address space")
-    if program.data and text and not (data_end <= text_base or program.data_base >= text_end):
-        raise LayoutError(
-            f"text [{text_base:#x}, {text_end:#x}) overlaps "
-            f"data [{program.data_base:#x}, {data_end:#x})")
-
+    _check_segments(text_base, len(text), program.data_base, len(program.data))
     return Image(
         text_base=text_base,
         entry=text_base,
@@ -150,6 +151,10 @@ def parse_container(blob: bytes) -> tuple[Image, int, int]:
         raise ImageFormatError(f"unsupported container version {version}")
     if text_base % 4 or text_len % 4:
         raise ImageFormatError("text base and text length must be multiples of 4")
+    try:   # the segments obey the rules layout_image applies
+        _check_segments(text_base, text_len, data_base, data_len)
+    except LayoutError as err:
+        raise ImageFormatError(str(err)) from None
     blocks_end = _HEADER.size + block_count * _BLOCK_REC.size
     text_at = blocks_end + edge_count * _EDGE_REC.size
     data_at = text_at + text_len

@@ -47,8 +47,8 @@ def test_criterion_1_functional_transparency(corpus_images, corpus_encrypted):
                 and plain.final_state_digest == enc.final_state_digest):
             ok, detail = False, f"{name}: digest or outcome diverged"
             break
-        plain_pcs = [pc for pc, _ in trace(corpus_images[name], STEP_LIMIT)]
-        enc_pcs = [pc for pc, _ in trace(corpus_encrypted[name], STEP_LIMIT)]
+        plain_pcs = trace(corpus_images[name], STEP_LIMIT)
+        enc_pcs = trace(corpus_encrypted[name], STEP_LIMIT)
         if plain_pcs != enc_pcs:
             ok, detail = False, f"{name}: pc traces diverged"
             break
@@ -195,7 +195,7 @@ def test_criterion_7_counter_exactness(corpus_images, corpus_encrypted):
     for name in corpus_images:
         image = corpus_images[name]
         entries = {entry for entry, _ in image.blocks}
-        pcs = [pc for pc, _ in trace(image, STEP_LIMIT)]
+        pcs = trace(image, STEP_LIMIT)
         independent = sum(1 for pc in pcs[1:] if pc in entries)
         enc = Engine(corpus_encrypted[name]).run(STEP_LIMIT)
         if enc.counters.key_switches != independent:

@@ -40,15 +40,23 @@ def test_scenario_validation():
         AttackScenario("rogue-edge", 1, target=6)
 
 
-@pytest.mark.parametrize("sentinel", [3, -4, 2 ** 32, 2 ** 32 + 4])
-def test_sentinel_must_be_an_aligned_address(sentinel):
-    with pytest.raises(HarnessError, match="sentinel_addr"):
-        AttackScenario("rogue-edge", 1, sentinel_addr=sentinel)
-    with pytest.raises(HarnessError, match="sentinel_addr"):
-        scenario_from_json_dict({"kind": "rogue-edge", "trigger_step": 1,
-                                 "sentinel_addr": sentinel})
+@pytest.mark.parametrize("field, value", [
+    ("sentinel_addr", 3), ("sentinel_addr", -4),
+    ("sentinel_addr", 2 ** 32), ("sentinel_addr", 2 ** 32 + 4),
+    # a stored 32-bit word never equals these, so no run could report a hijack
+    ("sentinel_value", -1), ("sentinel_value", 2 ** 32), ("sentinel_value", 2 ** 33),
+])
+def test_sentinel_must_be_in_range(field, value):
+    fields = {"sentinel_addr": 0, field: value}
+    with pytest.raises(HarnessError, match=field):
+        AttackScenario("rogue-edge", 1, **fields)
+    with pytest.raises(HarnessError, match=field):
+        scenario_from_json_dict({"kind": "rogue-edge", "trigger_step": 1, **fields})
     for edge in (0, 2 ** 32 - 4):
         assert AttackScenario("rogue-edge", 1, sentinel_addr=edge).sentinel_addr == edge
+    for edge in (0, 2 ** 32 - 1):
+        assert AttackScenario("rogue-edge", 1, sentinel_addr=0,
+                              sentinel_value=edge).sentinel_value == edge
 
 
 @pytest.mark.parametrize("field, value", [

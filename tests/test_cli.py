@@ -148,9 +148,11 @@ _INJECT = (Path(__file__).resolve().parent.parent / "corpus" / "scenarios"
     "[" * 100_000 + "]" * 100_000,
     _INJECT.replace('"sentinel_addr": 65584', '"sentinel_addr": 3'),
     _INJECT.replace('"sentinel_addr": 65584', '"sentinel_addr": -4'),
+    _INJECT.replace('"sentinel_value": 3237998146', '"sentinel_value": -1'),
+    _INJECT.replace('"sentinel_value": 3237998146', '"sentinel_value": 8589934592'),
 ], ids=["string-trigger", "string-target", "not-an-object", "non-hex-payload",
         "float-target", "not-json", "nested-too-deep", "misaligned-sentinel",
-        "negative-sentinel"])
+        "negative-sentinel", "negative-sentinel-value", "sentinel-value-past-32-bits"])
 def test_attack_rejects_malformed_scenario_file(workdir, capsys, text):
     run_cli(capsys, "assemble", workdir / "fib.s")
     run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
@@ -241,6 +243,8 @@ def test_assemble_outside_address_space_is_domain_error(workdir, capsys, source,
     (20, 246),        # text length not a multiple of 4
     (32, 10 ** 6),    # block records overrun the container
     (36, 10 ** 6),    # edge records overrun the container
+    (24, 0),          # data_base 0: the data lies over the text
+    (24, 0xFFFFFFF0), # the 64 data bytes run past 2^32
 ])
 def test_run_rejects_malformed_container(workdir, capsys, suffix, field, value):
     run_cli(capsys, "assemble", workdir / "fib.s")
@@ -255,6 +259,18 @@ def test_run_rejects_malformed_container(workdir, capsys, suffix, field, value):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "scylla: error:" in captured.err
+
+
+def test_encrypt_rejects_a_block_longer_than_the_offset_range(workdir, capsys, monkeypatch):
+    # shrink the offset range below fib's longest block (5 words)
+    run_cli(capsys, "assemble", workdir / "fib.s")
+    monkeypatch.setattr("scylla.crypto.MAX_WORD_OFFSET", 4)
+    code = main(["encrypt", str(workdir / "fib.img"), "--seed", SEED])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("scylla: error: a block of 5 words exceeds the 4-word")
+    assert not (workdir / "fib.eimg").exists()
 
 
 @pytest.mark.parametrize("command", ["encrypt", "run"])

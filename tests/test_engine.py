@@ -5,10 +5,16 @@ from dataclasses import replace
 
 import pytest
 
+from scylla import crypto
 from scylla import engine as eng
 from scylla.asm import parse_assembly
 from scylla.attacks import AttackScenario, hijack_payload, run_attack, run_trials
-from scylla.crypto import encrypt_pipeline, keystream_word
+from scylla.crypto import (
+    dump_encrypted_image,
+    encrypt_pipeline,
+    keystream_word,
+    load_encrypted_image_bytes,
+)
 from scylla.engine import (
     HALT,
     INTEGRITY_FAULT,
@@ -19,7 +25,7 @@ from scylla.engine import (
     overhead_report,
     trace,
 )
-from scylla.image import layout_image
+from scylla.image import ImageFormatError, LayoutError, layout_image
 from scylla.isa import Instruction, encode
 
 
@@ -126,7 +132,7 @@ def test_encrypted_corpus_transparency(corpus_images, corpus_encrypted, manifest
 
 def test_key_switches_equal_independent_edge_count(corpus_images, corpus_encrypted):
     for name in corpus_images:
-        pcs = [pc for pc, _ in trace(corpus_images[name])]
+        pcs = trace(corpus_images[name])
         expected = dynamic_edge_traversals(corpus_images[name], pcs)
         enc = Engine(corpus_encrypted[name]).run()
         assert enc.counters.key_switches == expected, name
@@ -145,15 +151,25 @@ def test_trace_straightline_length():
 
 
 def test_trace_diamond_skips_fallthrough_block(corpus_images):
-    pcs = [pc for pc, _ in trace(corpus_images["diamond"])]
+    pcs = trace(corpus_images["diamond"])
     assert pcs == [0, 8, 12]  # branch taken; block at 4 never runs
 
 
 def test_traces_identical_plain_vs_encrypted(corpus_images, corpus_encrypted):
+    # step both runs side by side: every step leaves the same architectural state
     for name in corpus_images:
-        plain_trace = trace(corpus_images[name])
-        enc_trace = trace(corpus_encrypted[name])
-        assert plain_trace == enc_trace, name
+        plain, enc = Engine(corpus_images[name]), Engine(corpus_encrypted[name])
+        k, alive = 0, True
+        while alive:
+            k += 1
+            alive = plain.advance(k)
+            assert enc.advance(k) == alive, (name, k)
+            assert ((plain.state.pc, plain.prev_pc, plain.state.regs,
+                     plain.state.counters.instructions_retired)
+                    == (enc.state.pc, enc.prev_pc, enc.state.regs,
+                        enc.state.counters.instructions_retired)), (name, k)
+        assert plain.run().outcome == enc.run().outcome == HALT, name
+        assert len(trace(corpus_images[name])) == k, name
 
 
 def test_trace_only_walks_cfg_edges(corpus_images):
@@ -162,7 +178,7 @@ def test_trace_only_walks_cfg_edges(corpus_images):
         spans = block_of_pc(image)
         entries = {entry for entry, _ in image.blocks}
         pairs = {(s, t) for s, t, _ in image.edges}
-        pcs = [pc for pc, _ in trace(image)]
+        pcs = trace(image)
         for prev, here in zip(pcs, pcs[1:]):
             if here in entries:
                 assert (spans[prev], spans[here]) in pairs, (name, hex(prev), hex(here))
@@ -449,7 +465,7 @@ def test_stale_key_past_its_stream_takes_the_per_word_fallback(corpus_sources, m
 def _fetch_state(engine):
     state = engine.state
     return (state.pc, engine.prev_pc, state.counters.copy(), state.cur_key,
-            state.cur_block_base, state.regs[:], state.halted, engine.trace[:])
+            state.cur_block_base, state.regs[:], state.halted)
 
 
 # a loop, then a load from an unmapped address
@@ -482,25 +498,22 @@ def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encr
     # The fetch loop keeps its state in locals; stepping one instruction per
     # call only works if every exit writes all of it back.
     for name, make, end in _single_step_cases(corpus_images, corpus_encrypted):
-        stepped, stepped_traced = make(), make()
+        stepped = make()
         encrypted = stepped.encrypted
         k, alive = 0, True
         while alive:
             k += 1
             alive = stepped.advance(k)
-            stepped_traced.run(k, record_trace=True)
-            once, once_traced = make(), make()
+            once = make()
             assert once.advance(k) == alive, (name, k)
-            once_traced.run(k, record_trace=True)
             assert _fetch_state(stepped) == _fetch_state(once), (name, k)
-            assert _fetch_state(stepped_traced) == _fetch_state(once_traced), (name, k)
             counters = stepped.state.counters
             if alive:
                 assert counters.instructions_retired == k, (name, k)
                 assert counters.keystream_invocations == (k if encrypted else 0), (name, k)
         report = stepped.run()
         assert report.outcome == end, name
-        assert report == once.run() == stepped_traced.run(), name
+        assert report == once.run(), name
         if end != HALT:
             assert k > 5, name   # the run ended past its first few fetches
         if end == MEMORY_FAULT:   # inside lw: the fetch at pc decoded and executed
@@ -511,14 +524,24 @@ def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encr
 
 # -- the block path against the per-word path ---------------------------------
 #
-# A traced run takes the per-word path for every fetch. HOT_BLOCK_VISITS 0
-# makes every block run from its decoded words from its first entry by a
+# A call that retires one instruction never runs a decoded block, so an
+# engine stepped one `advance` at a time is the per-word reference; it is
+# taken before a test lowers HOT_BLOCK_VISITS. HOT_BLOCK_VISITS 0 makes
+# every block run from its decoded words from its first entry by a
 # transfer or a boundary crossing on.
 
-def _per_word_everywhere(monkeypatch):
-    fetch_loop = Engine._fetch_loop
-    monkeypatch.setattr(Engine, "_fetch_loop",
-                        lambda self, limit, record_trace=False: fetch_loop(self, limit, True))
+def _step(engine, limit=eng.DEFAULT_STEP_LIMIT):
+    """Step `engine` one instruction per call to its end or `limit`; its report."""
+    k = engine.state.counters.instructions_retired
+    while k < limit and engine.advance(k + 1):
+        k += 1
+    return engine.run(limit)
+
+
+def _stepped(target, limit=eng.DEFAULT_STEP_LIMIT):
+    """The per-word reference run of `target`: its report and its engine."""
+    engine = Engine(target)
+    return _step(engine, limit), engine
 
 
 def _decoded_ids(target):
@@ -528,23 +551,21 @@ def _decoded_ids(target):
 
 @pytest.mark.parametrize("hot", [0, 1, eng.HOT_BLOCK_VISITS])
 def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, monkeypatch, hot):
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
-    decoded = 0
+    targets = []
     for name, source in corpus_sources.items():
         image = _image(source)
-        for target in (image, encrypt_pipeline(image, 42)):
-            per_word = Engine(target)
-            expected = per_word.run(record_trace=True)
-            for _ in range(3):   # later runs reuse the blocks the first one decoded
-                engine = Engine(target)
-                assert engine.run() == expected, (name, hot)
-                assert engine.state.regs == per_word.state.regs, (name, hot)
-            stepped = Engine(target)
-            k = 0
-            while stepped.advance(k):
-                k += 1
-            assert stepped.run() == expected, (name, hot)
-            decoded += len(_decoded_ids(target))
+        targets += [(name, image), (name, encrypt_pipeline(image, 42))]
+    references = [_stepped(target) for _, target in targets]
+    assert not any(_decoded_ids(target) for _, target in targets)   # stepping decodes none
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+    decoded = 0
+    for (name, target), (expected, per_word) in zip(targets, references):
+        for _ in range(3):   # later runs reuse the blocks the first one decoded
+            engine = Engine(target)
+            assert engine.run() == expected, (name, hot)
+            assert engine.state.regs == per_word.state.regs, (name, hot)
+        assert _step(Engine(target)) == expected, (name, hot)
+        decoded += len(_decoded_ids(target))
     if hot <= 1:
         assert decoded
 
@@ -558,12 +579,13 @@ def test_block_path_campaigns_equal_the_per_word_path(corpus_sources, monkeypatc
         return ([(o.to_json_dict(), o.report.final_state_digest) for o in outcomes],
                 _decoded_ids(eimage))
 
+    # no block of these programs is entered HOT_BLOCK_VISITS times in one
+    # run, so a campaign at the default decodes none
+    per_word, none = campaign()
+    assert not none
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 2)
     blocks, decoded = campaign()
     assert decoded
-    _per_word_everywhere(monkeypatch)
-    per_word, none = campaign()
-    assert not none
     assert blocks == per_word
 
 
@@ -575,26 +597,31 @@ def _inject_into_loop_sum(engine):
     engine.state.pc = 12
 
 
+def _attacked_loop_sum(target):
+    """An engine on loop_sum after 25 steps, with the payload over its loop block."""
+    engine = Engine(target)
+    assert engine.advance(25)
+    _inject_into_loop_sum(engine)
+    return engine
+
+
 @pytest.mark.parametrize("encrypted", [False, True])
 def test_payload_over_a_decoded_block_runs_as_stored(corpus_sources, monkeypatch, encrypted):
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
     image = _image(corpus_sources["loop_sum"])
     target = encrypt_pipeline(image, 42) if encrypted else image
-    results = []
-    for record_trace in (False, True):
-        engine = Engine(target)
-        assert engine.advance(25)
-        _inject_into_loop_sum(engine)
-        results.append((engine.run(4096, record_trace=record_trace),
-                        engine.state.mem.load_word(0x10000)))
-    assert 1 in _decoded_ids(target)   # the loop block
-    assert results[0] == results[1]
+    reference = _attacked_loop_sum(target)
+    expected = _step(reference, 4096), reference.state.mem.load_word(0x10000)
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    engine = _attacked_loop_sum(target)
+    report = engine.run(4096)
+    assert 1 in _decoded_ids(target)   # the loop block, decoded before the payload
+    assert (report, engine.state.mem.load_word(0x10000)) == expected
     if not encrypted:   # the payload ran: 25 + 6 retired, sentinel stored
-        assert results[0][0].outcome == HALT
-        assert results[0][0].counters.instructions_retired == 31
-        assert results[0][1] == 0xC0FFEE42
+        assert report.outcome == HALT
+        assert report.counters.instructions_retired == 31
+        assert expected[1] == 0xC0FFEE42
     else:               # the plaintext payload does not decrypt
-        assert results[0][0].outcome == INTEGRITY_FAULT
+        assert report.outcome == INTEGRITY_FAULT
 
 
 # The loop block stores into its own next word every iteration: the
@@ -616,10 +643,11 @@ loop:
 
 @pytest.mark.parametrize("hot", [0, eng.HOT_BLOCK_VISITS])
 def test_program_storing_into_its_own_block(monkeypatch, hot):
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
     image = _image(_SELF_MODIFYING)
-    for target in (image, encrypt_pipeline(image, 42)):
-        per_word = Engine(target).run(record_trace=True)
+    targets = (image, encrypt_pipeline(image, 42))
+    references = [_stepped(target)[0] for target in targets]
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+    for target, per_word in zip(targets, references):
         engine = Engine(target)
         assert engine.run() == per_word
         if target is image:
@@ -631,10 +659,12 @@ def test_program_storing_into_its_own_block(monkeypatch, hot):
 
 
 def test_forks_share_decoded_blocks_but_not_text(corpus_sources, monkeypatch):
+    image = _image(corpus_sources["loop_sum"])
+    targets = (image, encrypt_pipeline(image, 42))
+    references = [(_stepped(target)[0], _step(_attacked_loop_sum(target), 4096))
+                  for target in targets]
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    for target in (_image(corpus_sources["loop_sum"]),
-                   encrypt_pipeline(_image(corpus_sources["loop_sum"]), 42)):
-        whole = Engine(target).run(record_trace=True)
+    for target, (whole, injected) in zip(targets, references):
         checkpoint = Engine(target)
         assert checkpoint.advance(25)
         attacked, clean = checkpoint.fork(), checkpoint.fork()
@@ -643,11 +673,7 @@ def test_forks_share_decoded_blocks_but_not_text(corpus_sources, monkeypatch):
         attacked_report = attacked.run(4096)
         assert clean.run() == whole                # still the original code
         assert checkpoint.run() == whole
-        reference = Engine(target)
-        reference.advance(25)
-        _inject_into_loop_sum(reference)
-        assert attacked_report == attacked_again.run(4096) == reference.run(
-            4096, record_trace=True)
+        assert attacked_report == attacked_again.run(4096) == injected
         assert 1 in _decoded_ids(target)
 
 
@@ -672,49 +698,62 @@ def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
         assert len(decoded[1]) == 1   # the decoded words stop before word 2
 
 
-def test_block_longer_than_the_offset_range_takes_the_per_word_path(monkeypatch):
-    # Stream offsets wrap at MAX_WORD_OFFSET; shrink it so a 9-word block wraps.
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    monkeypatch.setattr(eng, "MAX_WORD_OFFSET", 4)
-    monkeypatch.setattr(eng, "_OFFSET_MASK", 3)
+def test_block_longer_than_the_offset_range_is_rejected(monkeypatch):
+    # A fetch's offset wraps at MAX_WORD_OFFSET words, so no longer block may
+    # be encrypted or loaded; shrink the range so a 9-word block is too long.
     image = _image("jal x0, body\nbody:\naddi x10, x0, 1\n" + "addi x10, x10, 1\n" * 7 + "ecall")
-    target = encrypt_pipeline(image, 42)
-    report = Engine(target).run()
-    assert report == Engine(target).run(record_trace=True)
-    assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 20   # word 4 wraps
-    assert not _decoded_ids(target)
+    assert [length for _, length in image.blocks] == [1, 9]
+    blob = dump_encrypted_image(encrypt_pipeline(image, 42))
+    monkeypatch.setattr(crypto, "MAX_WORD_OFFSET", 8)
+    with pytest.raises(LayoutError, match="a block of 9 words exceeds the 8-word offset range"):
+        encrypt_pipeline(image, 42)
+    with pytest.raises(ImageFormatError, match="offset range"):
+        load_encrypted_image_bytes(blob)
+    monkeypatch.setattr(crypto, "MAX_WORD_OFFSET", 9)   # a block as long as the range fits
+    assert load_encrypted_image_bytes(blob) == encrypt_pipeline(image, 42)
 
 
 def test_memory_fault_inside_a_decoded_block(monkeypatch):
+    targets = (_LW_FAULT, encrypt_pipeline(_LW_FAULT, 42))
+    references = [_stepped(target) for target in targets]
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    for target in (_LW_FAULT, encrypt_pipeline(_LW_FAULT, 42)):
-        engines = [Engine(target), Engine(target)]
-        reports = [engines[0].run(), engines[1].run(record_trace=True)]
-        assert reports[0] == reports[1]
-        assert reports[0].outcome == MEMORY_FAULT
+    for target, (expected, per_word) in zip(targets, references):
+        engine = Engine(target)
+        report = engine.run()
+        assert report == expected
+        assert report.outcome == MEMORY_FAULT
         # the lw after lui in block 2: pc at the lw, prev_pc at the lui
-        assert [(e.state.pc, e.prev_pc) for e in engines] == [(16, 12)] * 2
+        assert [(e.state.pc, e.prev_pc) for e in (engine, per_word)] == [(16, 12)] * 2
         assert 2 in _decoded_ids(target)
 
 
 def test_stale_key_whose_stream_is_shorter_than_its_block(monkeypatch):
     # Block 1's key first enters block 0 (2 words) by a replayed patch, so
-    # its cached stream covers 2 words; the legal run then enters block 1
-    # (7 words) with that key, and the words past the stream are decrypted
-    # one by one.
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    eimage = encrypt_pipeline(
-        _image("addi x10, x0, 1\njal x0, long\nlong:\n" + "addi x10, x10, 1\n" * 6 + "ecall"),
-        42)
+    # its cached stream covers 2 words. The legal run then enters block 1
+    # (7 words) with that key: the stream is replaced by one that covers the
+    # block, the block is decoded, and no word is decrypted on its own.
+    source = "addi x10, x0, 1\njal x0, long\nlong:\n" + "addi x10, x10, 1\n" * 6 + "ecall"
+    expected = _stepped(encrypt_pipeline(_image(source), 42))[0]   # an image of its own
+    eimage = encrypt_pipeline(_image(source), 42)
     assert [length for _, length in eimage.image.blocks] == [2, 7]
     replayed = Engine(eimage)
     replayed.replay_patch(eimage.patch_map[(0, 8)], 0)   # key of block 1, in block 0
     replayed.run(1)
+    key = replayed.state.cur_key
+    cache = eimage.image.fetch_cache
+    assert len(cache[key]) == 2
+
+    offsets = []
+    monkeypatch.setattr(eng, "keystream_word",
+                        lambda key, offset: offsets.append(offset) or keystream_word(key, offset))
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
     engine = Engine(eimage)
     report = engine.run()
-    assert report == Engine(eimage).run(record_trace=True)
+    assert report == expected
     assert report.outcome == HALT and engine.state.regs[10] == 7
-    assert not _decoded_ids(eimage)
+    assert len(cache[key]) == 7
+    assert _decoded_ids(eimage) == {1}
+    assert offsets == []
 
 
 def test_entries_are_counted_per_run(monkeypatch):
