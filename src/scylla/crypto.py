@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -149,12 +149,18 @@ class EncryptedImage:
             if longest > MAX_WORD_OFFSET:
                 raise LayoutError(f"a block of {longest} words exceeds the "
                                   f"{MAX_WORD_OFFSET}-word offset range")
-        # the attack harness finds a block's records by bisecting the table
-        table = self.patch_table
-        for before, after in zip(table, table[1:]):
-            if before[:2] >= after[:2]:
-                raise ValueError(
-                    f"patch {after[0]} -> {after[1]:#x} is out of order or repeated")
+        # Each record leaves a block for a block entry, so the key register's
+        # base stays a block entry; the attack harness finds a block's records
+        # by bisecting the table, so they ascend by (source id, target).
+        block_count, entries = len(self.image.blocks), self.image.block_index
+        last_src = last_target = -1
+        for src, target, _patch in self.patch_table:
+            if not 0 <= src < block_count or target not in entries:
+                raise LayoutError(
+                    f"patch {src} -> {target:#x} needs a source block and a target block entry")
+            if src < last_src or src == last_src and target <= last_target:
+                raise LayoutError(f"patch {src} -> {target:#x} is out of order or repeated")
+            last_src, last_target = src, target
 
     @cached_property
     def patch_map(self) -> dict[tuple[int, int], bytes]:
@@ -171,13 +177,10 @@ def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
         raise KeyScheduleError(
             f"schedule covers {len(schedule.block_keys)} blocks, "
             f"image has {len(image.blocks)}")
-    for (_, target) in schedule.patches:
-        if target not in image.block_index:
-            raise KeyScheduleError(f"patch target {target:#x} is not a block entry")
 
-    # The blocks tile the text in block order (layout_image and parse_container
-    # guarantee it), so their streams, joined, line up with the text byte for
-    # byte, and XOR on little-endian bytes is XOR on little-endian words.
+    # The blocks tile the text in block order (Image guarantees it), so their
+    # streams, joined, line up with the text byte for byte, and XOR on
+    # little-endian bytes is XOR on little-endian words.
     keys, blocks = schedule.block_keys, image.blocks
     stream = b"".join([_stream_bytes(keys[block_id], length)
                        for block_id, (_, length) in enumerate(blocks)])
@@ -185,9 +188,7 @@ def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
     text = (int.from_bytes(image.text, "little")
             ^ int.from_bytes(stream, "little")).to_bytes(size, "little")
 
-    encrypted = Image(text_base=image.text_base, entry=image.entry,
-                      text=text, data_base=image.data_base, data=image.data,
-                      blocks=blocks, edges=image.edges)
+    encrypted = replace(image, text=text)
     table = tuple(sorted(
         (src, target, patch) for (src, target), patch in schedule.patches.items()))
     return EncryptedImage(image=encrypted, patch_table=table,
@@ -223,14 +224,9 @@ def load_encrypted_image_bytes(blob: bytes) -> EncryptedImage:
     if end != len(blob):
         raise ImageFormatError(f"{len(blob) - end} bytes trail the last patch record")
     table = tuple(_PATCH_REC.iter_unpack(blob[offset:end]))
-    block_count, entries = len(image.blocks), image.block_index
-    for src, target, _patch in table:
-        if src >= block_count or target not in entries:
-            raise ImageFormatError(
-                f"patch {src} -> {target:#x} needs a source block and a target block entry")
     try:
         return EncryptedImage(image=image, patch_table=table, entry_key=entry_key)
-    except ValueError as err:   # records out of order or repeated, or a block too long
+    except LayoutError as err:
         raise ImageFormatError(str(err)) from None
 
 

@@ -32,9 +32,10 @@ store writes; other fetches and every `lw` go through `Memory.load_word`.
 
 The loop relies on three invariants, each held where the data is made:
 - the key register's base is a block entry: it starts at the image
-  entry (a block entry by `layout_image` and the loader) and moves only
-  to patch targets, which are block entries, or in plaintext to block
-  entries;
+  entry and moves only to patch targets or, in plaintext, to block
+  entries; `Image` and `EncryptedImage` check at construction that the
+  entry and every patch target are block entries, however the image
+  was made;
 - a key's stream covers the block it is held in: `_key_stream` replaces
   a cached stream shorter than the block being entered;
 - blocks fit the offset range: `EncryptedImage` rejects a block longer
@@ -161,9 +162,7 @@ class Memory:
 
     def __init__(self, image: Image):
         self.text_base = image.text_base
-        self.words = array("I", image.text)
-        if sys.byteorder == "big":   # container words are little-endian
-            self.words.byteswap()
+        self.words = image.text_words()
         self.data_base = image.data_base
         self.data = bytearray(image.data)
         self.dirty: set[int] = set()

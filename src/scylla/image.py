@@ -38,7 +38,8 @@ _EDGE_REC = struct.Struct("<III")
 
 
 class LayoutError(ValueError):
-    """Image segments cannot be placed as requested."""
+    """An image breaks a structural rule: its segments, block or edge
+    table, entry, or (encrypted) its patch table or block lengths."""
 
 
 class ImageFormatError(ValueError):
@@ -57,9 +58,47 @@ class Image:
     blocks: tuple[tuple[int, int], ...]        # (entry addr, length in words)
     edges: tuple[tuple[int, int, str], ...]    # (source id, target id, kind)
 
-    def text_words(self) -> list[int]:
-        return [int.from_bytes(self.text[i:i + 4], "little")
-                for i in range(0, len(self.text), 4)]
+    def __post_init__(self):
+        """The container rules of docs/formats.md hold for every image,
+        however it is made: LayoutError names the first one broken."""
+        text_base, text_size = self.text_base, len(self.text)
+        data_base, data_size = self.data_base, len(self.data)
+        blocks, block_count = self.blocks, len(self.blocks)
+        if text_base % 4 or text_size % 4:
+            raise LayoutError("text base and text length must be multiples of 4")
+        # both segments lie in the 32-bit address space, and text and data,
+        # when neither is empty, do not overlap
+        text_end, data_end = text_base + text_size, data_base + data_size
+        for name, base, end in (("text", text_base, text_end), ("data", data_base, data_end)):
+            if not (0 <= base < ADDRESS_SPACE and end <= ADDRESS_SPACE):
+                raise LayoutError(
+                    f"{name} [{base:#x}, {end:#x}) lies outside the 32-bit address space")
+        if data_size and text_size and not (data_end <= text_base or data_base >= text_end):
+            raise LayoutError(f"text [{text_base:#x}, {text_end:#x}) overlaps "
+                              f"data [{data_base:#x}, {data_end:#x})")
+        at = text_base
+        for block_id, (block_entry, length) in enumerate(blocks):   # blocks tile the text
+            if block_entry != at:
+                raise LayoutError(f"block {block_id} starts at {block_entry:#x}, not at {at:#x}")
+            if length < 1:
+                raise LayoutError(f"block {block_id} is empty")
+            at += 4 * length
+        if at != text_end:
+            raise LayoutError(f"blocks end at {at:#x}, the text at {text_end:#x}")
+        found = bisect_left(blocks, (self.entry,))   # tiled blocks are sorted by entry
+        if found == block_count or blocks[found][0] != self.entry:
+            raise LayoutError(f"entry {self.entry:#x} is not a block entry")
+        for src, tgt, _kind in self.edges:
+            if src >= block_count or tgt >= block_count:
+                raise LayoutError(
+                    f"edge {src} -> {tgt} names a block past the last id {block_count - 1}")
+
+    def text_words(self) -> array:
+        """The text's little-endian words, as a new array."""
+        words = array("I", self.text)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
 
     @cached_property
     def block_index(self) -> dict[int, tuple[int, int]]:
@@ -81,23 +120,8 @@ class Image:
         return hashlib.sha256(dump_image(self)).hexdigest()
 
 
-def _check_segments(text_base: int, text_size: int, data_base: int, data_size: int) -> None:
-    """Both segments lie in the 32-bit address space, and text and data,
-    when neither is empty, do not overlap; LayoutError otherwise."""
-    text_end, data_end = text_base + text_size, data_base + data_size
-    for name, base, end in (("text", text_base, text_end), ("data", data_base, data_end)):
-        if not (0 <= base < ADDRESS_SPACE and end <= ADDRESS_SPACE):
-            raise LayoutError(
-                f"{name} [{base:#x}, {end:#x}) lies outside the 32-bit address space")
-    if data_size and text_size and not (data_end <= text_base or data_base >= text_end):
-        raise LayoutError(
-            f"text [{text_base:#x}, {text_end:#x}) overlaps data [{data_base:#x}, {data_end:#x})")
-
-
 def layout_image(program: Program, text_base: int = 0) -> Image:
     """Place the program at `text_base`; byte-deterministic."""
-    if text_base % 4:
-        raise LayoutError(f"text base {text_base:#x} is not 4-byte aligned")
     graph = build_cfg(program)
     words = dict.fromkeys(program.instructions)    # each distinct Instruction -> its word
     for instr in words:
@@ -106,7 +130,6 @@ def layout_image(program: Program, text_base: int = 0) -> Image:
     if sys.byteorder == "big":   # container words are little-endian
         text_words.byteswap()
     text = text_words.tobytes()
-    _check_segments(text_base, len(text), program.data_base, len(program.data))
     return Image(
         text_base=text_base,
         entry=text_base,
@@ -149,45 +172,25 @@ def parse_container(blob: bytes) -> tuple[Image, int, int]:
      block_count, edge_count) = _header(blob)
     if version != VERSION:
         raise ImageFormatError(f"unsupported container version {version}")
-    if text_base % 4 or text_len % 4:
-        raise ImageFormatError("text base and text length must be multiples of 4")
-    try:   # the segments obey the rules layout_image applies
-        _check_segments(text_base, text_len, data_base, data_len)
-    except LayoutError as err:
-        raise ImageFormatError(str(err)) from None
     blocks_end = _HEADER.size + block_count * _BLOCK_REC.size
     text_at = blocks_end + edge_count * _EDGE_REC.size
     data_at = text_at + text_len
     if data_at + data_len > len(blob):
         raise ImageFormatError("container truncated")
 
-    blocks = tuple(_BLOCK_REC.iter_unpack(blob[_HEADER.size:blocks_end]))
-    at = text_base
-    for block_id, (block_entry, length) in enumerate(blocks):   # blocks tile the text
-        if block_entry != at:
-            raise ImageFormatError(
-                f"block {block_id} starts at {block_entry:#x}, not at {at:#x}")
-        if length < 1:
-            raise ImageFormatError(f"block {block_id} is empty")
-        at += 4 * length
-    if at != text_base + text_len:
-        raise ImageFormatError(
-            f"blocks end at {at:#x}, the text at {text_base + text_len:#x}")
-    found = bisect_left(blocks, (entry,))   # tiled blocks are sorted by entry
-    if found == block_count or blocks[found][0] != entry:
-        raise ImageFormatError(f"entry {entry:#x} is not a block entry")
     edges = []
     for src, tgt, code in _EDGE_REC.iter_unpack(blob[blocks_end:text_at]):
         if code >= len(EDGE_KINDS):
             raise ImageFormatError(f"bad edge kind code {code}")
-        if src >= block_count or tgt >= block_count:
-            raise ImageFormatError(
-                f"edge {src} -> {tgt} names a block past the last id {block_count - 1}")
         edges.append((src, tgt, EDGE_KINDS[code]))
 
-    image = Image(text_base=text_base, entry=entry, text=blob[text_at:data_at],
-                  data_base=data_base, data=blob[data_at:data_at + data_len],
-                  blocks=blocks, edges=tuple(edges))
+    try:
+        image = Image(text_base=text_base, entry=entry, text=blob[text_at:data_at],
+                      data_base=data_base, data=blob[data_at:data_at + data_len],
+                      blocks=tuple(_BLOCK_REC.iter_unpack(blob[_HEADER.size:blocks_end])),
+                      edges=tuple(edges))
+    except LayoutError as err:
+        raise ImageFormatError(str(err)) from None
     return image, flags, data_at + data_len
 
 

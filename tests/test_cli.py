@@ -310,11 +310,15 @@ def test_mutated_containers_end_in_a_result_or_a_domain_error(workdir, capsys):
     path, out = workdir / "mutant.bin", workdir / "out.bin"
     codes = Counter()
     for name in ("fib.img", "fib.eimg"):
+        # analyze reads the mutant in its own place, next to the intact partner
+        pair = (path, workdir / "fib.eimg") if name == "fib.img" else (workdir / "fib.img", path)
         for mutant in _mutants((workdir / name).read_bytes(), rng, 150):
             path.write_bytes(mutant)
             # an exception other than a domain error escapes main as a traceback
             for argv in (["run", path, "--step-limit", 2000],
-                         ["encrypt", path, "--seed", SEED, "--out", out]):
+                         ["encrypt", path, "--seed", SEED, "--out", out],
+                         ["attack", path, "--kind", "rogue-edge", "--trials", 5],
+                         ["analyze", *pair]):
                 codes[main([str(a) for a in argv])] += 1
                 capsys.readouterr()
     assert set(codes) == {0, 1}

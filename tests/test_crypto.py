@@ -1,6 +1,7 @@
 import random
 import struct
 from array import array
+from dataclasses import replace
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -20,7 +21,7 @@ from scylla.crypto import (
     seed_bytes,
 )
 from scylla.engine import HALT, Engine, trace
-from scylla.image import dump_image, layout_image, load_image_bytes
+from scylla.image import LayoutError, dump_image, layout_image, load_image_bytes
 from scylla.isa import Instruction, decode
 
 SEED = 42
@@ -299,6 +300,11 @@ def test_derive_next_key_is_bytewise_xor():
         assert derive_next_key(current, patch) == bytes(a ^ b for a, b in zip(current, patch))
 
 
+# fib has 5 blocks; its first patch record is (0, 24): (byte offset in the
+# record, value) for a source id past the last block and a mid-block target
+FORGED_PATCH_FIELDS = ((0, 5), (4, 28))
+
+
 def test_encrypted_container_keyt_section_checks(corpus_sources):
     from scylla.image import ImageFormatError
     eimage = encrypt_pipeline(_image(corpus_sources["fib"]), SEED)
@@ -314,8 +320,7 @@ def test_encrypted_container_keyt_section_checks(corpus_sources):
     # bytes after the last patch record are not part of any container
     with pytest.raises(ImageFormatError, match="5 bytes trail the last patch record"):
         load_encrypted_image_bytes(blob + b"\0" * 5)
-    # fib has 5 blocks; its first patch record is (0, 24)
-    for field, value in ((0, 5), (4, 28)):
+    for field, value in FORGED_PATCH_FIELDS:
         forged = bytearray(blob)
         struct.pack_into("<I", forged, records_at + field, value)
         with pytest.raises(ImageFormatError, match="needs a source block and a target"):
@@ -327,6 +332,24 @@ def test_encrypted_container_keyt_section_checks(corpus_sources):
         forged = blob[:records_at] + forged_records + blob[second.stop:]
         with pytest.raises(ImageFormatError, match="out of order or repeated"):
             load_encrypted_image_bytes(forged)
+
+
+@pytest.mark.parametrize("field, value", FORGED_PATCH_FIELDS)
+def test_encrypted_image_built_by_hand_needs_patches_between_blocks(
+        corpus_sources, field, value):
+    eimage = encrypt_pipeline(_image(corpus_sources["fib"]), SEED)
+    record = list(eimage.patch_table[0])
+    record[field // 4] = value
+    with pytest.raises(LayoutError, match="needs a source block and a target block entry"):
+        replace(eimage, patch_table=(tuple(record),) + eimage.patch_table[1:])
+
+
+def test_schedule_patch_to_a_mid_block_address_is_a_layout_error(corpus_sources):
+    image = _image(corpus_sources["fib"])
+    schedule = gen_keys(image, SEED)
+    schedule.patches[(0, 28)] = bytes(16)
+    with pytest.raises(LayoutError, match="patch 0 -> 0x1c needs a source block"):
+        encrypt_image(image, schedule)
 
 
 def test_encrypted_image_requires_a_sorted_patch_table(corpus_sources):

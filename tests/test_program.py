@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -308,7 +309,7 @@ def test_container_rejects_trailing_bytes(corpus_sources):
 # fib's block records (0, 3) (12, 3) (24, 4) (40, 5) (60, 2) sit at byte
 # offsets 40-79 and cover its 68 text bytes; its first edge record
 # (0 -> 2, call) starts at offset 80.
-@pytest.mark.parametrize("field, value, message", [
+BROKEN_TABLES = [
     (16, 4, "entry 0x4 is not a block entry"),
     (40, 4, "block 0 starts at 0x4, not at 0x0"),
     (44, 0, "block 0 is empty"),
@@ -316,12 +317,37 @@ def test_container_rejects_trailing_bytes(corpus_sources):
     (76, 1, "blocks end at 0x40, the text at 0x44"),
     (80, 5, "edge 5 -> 2 names a block past the last id 4"),
     (84, 7, "edge 0 -> 7 names a block past the last id 4"),
-])
+    (12, 2, "text base and text length must be multiples of 4"),
+    (24, 0, "text [0x0, 0x44) overlaps data [0x0, 0x40)"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BROKEN_TABLES)
 def test_container_rejects_broken_tables(corpus_sources, field, value, message):
     blob = bytearray(dump_image(layout_image(parse_assembly(corpus_sources["fib"]))))
     struct.pack_into("<I", blob, field, value)
     with pytest.raises(ImageFormatError, match=re.escape(message)):
         load_image_bytes(bytes(blob))
+
+
+def _changed_field(image, field, value):
+    """The Image field holding container byte offset `field` of `image`
+    (see BROKEN_TABLES), with that u32 set to `value`."""
+    if field < 40:
+        return {12: "text_base", 16: "entry", 24: "data_base"}[field], value
+    name, at, size = ("blocks", 40, 8) if field < 80 else ("edges", 80, 12)
+    records = [list(record) for record in getattr(image, name)]
+    records[(field - at) // size][(field - at) % size // 4] = value
+    return name, tuple(map(tuple, records))
+
+
+@pytest.mark.parametrize("field, value, message", BROKEN_TABLES)
+def test_image_built_by_hand_obeys_the_container_rules(corpus_sources, field, value, message):
+    # the rules bind every image, not only a loaded one: `replace` constructs anew
+    image = layout_image(parse_assembly(corpus_sources["fib"]))
+    name, forged = _changed_field(image, field, value)
+    with pytest.raises(LayoutError, match=re.escape(message)):
+        replace(image, **{name: forged})
 
 
 def test_block_addresses_shift_with_base(corpus_sources):
