@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .isa import ADDRESS_SPACE, ISA_TABLE, EncodingError, Instruction, encode
+from .isa import ADDRESS_SPACE, ISA_TABLE, LOAD, EncodingError, Instruction, encode
 
 DATA_BASE_DEFAULT = 0x10000
 
@@ -225,49 +225,48 @@ def parse_assembly(text: str) -> Program:
 
 def _resolve_instruction(op: str, rest: str, line: int, index: int,
                          labels: dict[str, int]) -> Instruction:
+    """The Instruction of one statement, whose operands are read by its
+    row's format; a load is the one I-format row written `offset(reg)`."""
     def label_offset(token: str) -> int:
         token = token.strip()
         if token not in labels:
             raise AsmError(f"unresolved label {token!r}", line)
         return 4 * (labels[token] - index)
 
+    if op not in ISA_TABLE:
+        raise AsmError(f"unknown mnemonic {op!r}", line)
+    fmt, opcode, _, _ = ISA_TABLE[op]
     try:
-        if op in ("add", "sub", "and", "or", "xor", "slt"):
+        if fmt == "R":
             rd, rs1, rs2 = _split_operands(rest, line, 3)
             instr = Instruction(op, rd=_parse_reg(rd, line), rs1=_parse_reg(rs1, line),
                                 rs2=_parse_reg(rs2, line))
-        elif op in ("addi", "andi", "ori", "xori", "slti"):
-            rd, rs1, imm = _split_operands(rest, line, 3)
-            instr = Instruction(op, rd=_parse_reg(rd, line), rs1=_parse_reg(rs1, line),
-                                imm=_parse_int(imm, line))
-        elif op == "jalr":
-            rd, rs1, imm = _split_operands(rest, line, 3)
-            instr = Instruction(op, rd=_parse_reg(rd, line), rs1=_parse_reg(rs1, line),
-                                imm=_parse_int(imm, line))
-        elif op == "lui":
-            rd, imm = _split_operands(rest, line, 2)
-            instr = Instruction(op, rd=_parse_reg(rd, line), imm=_parse_int(imm, line))
-        elif op == "lw":
+        elif fmt == "I" and opcode == LOAD:
             rd, mem = _split_operands(rest, line, 2)
             offset, base = _parse_mem_operand(mem, line)
             instr = Instruction(op, rd=_parse_reg(rd, line), rs1=base, imm=offset)
-        elif op == "sw":
+        elif fmt == "I":
+            rd, rs1, imm = _split_operands(rest, line, 3)
+            instr = Instruction(op, rd=_parse_reg(rd, line), rs1=_parse_reg(rs1, line),
+                                imm=_parse_int(imm, line))
+        elif fmt == "U":
+            rd, imm = _split_operands(rest, line, 2)
+            instr = Instruction(op, rd=_parse_reg(rd, line), imm=_parse_int(imm, line))
+        elif fmt == "S":
             rs2, mem = _split_operands(rest, line, 2)
             offset, base = _parse_mem_operand(mem, line)
             instr = Instruction(op, rs1=base, rs2=_parse_reg(rs2, line), imm=offset)
-        elif op in ("beq", "bne", "blt", "bge"):
+        elif fmt == "B":
             rs1, rs2, target = _split_operands(rest, line, 3)
             instr = Instruction(op, rs1=_parse_reg(rs1, line), rs2=_parse_reg(rs2, line),
                                 imm=label_offset(target))
-        elif op == "jal":
+        elif fmt == "J":
             rd, target = _split_operands(rest, line, 2)
             instr = Instruction(op, rd=_parse_reg(rd, line), imm=label_offset(target))
-        elif op == "ecall":
+        else:   # SYS
             if rest.strip():
-                raise AsmError("ecall takes no operands", line)
-            instr = Instruction("ecall")
-        else:
-            raise AsmError(f"unknown mnemonic {op!r}", line)
+                raise AsmError(f"{op} takes no operands", line)
+            instr = Instruction(op)
         encode(instr)  # range-check operands now, with the source line attached
     except EncodingError as exc:
         raise AsmError(str(exc), line) from None

@@ -81,7 +81,7 @@ from .crypto import (
     keystream_word,
 )
 from .image import Image
-from .isa import Instruction, decode
+from .isa import MASK32, Instruction, decode
 
 HALT = "halt"
 INTEGRITY_FAULT = "integrity-fault"
@@ -93,7 +93,6 @@ DEFAULT_DECRYPT_COST = 1
 DEFAULT_SWITCH_COST = 4
 FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache is cleared
 
-MASK32 = 0xFFFFFFFF
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
 HOT_BLOCK_VISITS = 32   # entries into a block in one run before it is decoded; at most 255
 _NO_STREAM = array("I")   # a plaintext run's key stream
@@ -456,7 +455,9 @@ class Engine:
 
     def replay_patch(self, patch: bytes, target: int) -> None:
         """Transfer to `target`, a block entry, absorbing `patch` whichever
-        block it was minted for."""
+        block it was minted for; any other target is refused unchanged."""
+        if target not in self.image.block_index:
+            raise ValueError(f"replay target {target:#x} is not a block entry")
         state = self.state
         state.cur_key = derive_next_key(state.cur_key, patch)
         state.cur_block_base = target

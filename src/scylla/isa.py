@@ -13,6 +13,7 @@ Formats (bit layout is normative for tests, see also docs/isa.md):
     B: imm[12|10:5][31:25] rs2[24:20] rs1[19:15] funct3[14:12] imm[4:1|11][11:7] opcode[6:0]
     U: imm[31:12][31:12]                                       rd[11:7] opcode[6:0]
     J: imm[20|10:1|11|19:12][31:12]                            rd[11:7] opcode[6:0]
+    SYS: funct3[14:12] opcode[6:0], every other bit zero
 
 Supported operations:
 
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 MASK32 = 0xFFFFFFFF
 ADDRESS_SPACE = 1 << 32          # bytes of the 32-bit address space
@@ -72,8 +74,6 @@ BRANCH = 0x63
 JAL = 0x6F
 JALR = 0x67
 SYSTEM = 0x73
-
-ECALL_WORD = 0x00000073
 
 # mnemonic -> (format, opcode, funct3, funct7); None where the format has no such field
 ISA_TABLE: dict[str, tuple[str, int, int | None, int | None]] = {
@@ -102,10 +102,21 @@ ISA_TABLE: dict[str, tuple[str, int, int | None, int | None]] = {
 
 MNEMONICS = tuple(ISA_TABLE)
 
-_R_BY_KEY = {(f3, f7): m for m, (fmt, _, f3, f7) in ISA_TABLE.items() if fmt == "R"}
-_I_ALU_BY_F3 = {f3: m for m, (fmt, op, f3, _) in ISA_TABLE.items()
-                if fmt == "I" and op == OP_IMM}
-_B_BY_F3 = {f3: m for m, (fmt, _, f3, _) in ISA_TABLE.items() if fmt == "B"}
+
+def _fixed_bits(fmt: str, f3: int | None, f7: int | None) -> int:
+    """Mask of the bits a row of ISA_TABLE fixes: its opcode, funct3 and
+    funct7 where it has them, and for SYS the whole word."""
+    if fmt == "SYS":
+        return MASK32
+    return 0x7F | (0x7 << 12 if f3 is not None else 0) | (0x7F << 25 if f7 is not None else 0)
+
+
+# What decode reads off ISA_TABLE: each opcode's format and the bits its rows
+# fix, and each row's mnemonic under the value of those bits
+_OPCODE_SHAPE = {opcode: (fmt, _fixed_bits(fmt, f3, f7))
+                 for fmt, opcode, f3, f7 in ISA_TABLE.values()}
+_MNEMONIC_AT = {(f7 or 0) << 25 | (f3 or 0) << 12 | opcode: m
+                for m, (_, opcode, f3, f7) in ISA_TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -223,11 +234,11 @@ def encode(instr: Instruction) -> int:
             | (((off >> 11) & 0x1) << 20) | (((off >> 12) & 0xFF) << 12) \
             | (rd << 7) | opcode
 
-    # SYS: ecall carries no operands
+    # SYS: the opcode and funct3, every other bit zero
     for field in (instr.rd, instr.rs1, instr.rs2, instr.imm):
         if field is not None:
-            raise EncodingError("ecall takes no operands")
-    return ECALL_WORD
+            raise EncodingError(f"{instr.op} takes no operands")
+    return (f3 << 12) | opcode
 
 
 def decode(word: int) -> Instruction | DecodeError:
@@ -239,89 +250,48 @@ def decode(word: int) -> Instruction | DecodeError:
         return DecodeError(word, ILLEGAL_ALL_ONES)
 
     opcode = word & 0x7F
-    f3 = (word >> 12) & 0x7
+    shape = _OPCODE_SHAPE.get(opcode)
+    if shape is None:
+        return DecodeError(word, UNKNOWN_OPCODE)
+    fmt, fixed = shape
+    op = _MNEMONIC_AT.get(word & fixed)
+    if op is None:
+        return DecodeError(word, RESERVED_FIELD)
+
     rd = (word >> 7) & 0x1F
     rs1 = (word >> 15) & 0x1F
     rs2 = (word >> 20) & 0x1F
-
-    if opcode == OP:
-        f7 = (word >> 25) & 0x7F
-        op = _R_BY_KEY.get((f3, f7))
-        if op is None:
-            return DecodeError(word, RESERVED_FIELD)
+    if fmt == "R":
         return Instruction(op, rd=rd, rs1=rs1, rs2=rs2)
-
-    if opcode == OP_IMM:
-        op = _I_ALU_BY_F3.get(f3)
-        if op is None:
-            return DecodeError(word, RESERVED_FIELD)
+    if fmt == "I":
         return Instruction(op, rd=rd, rs1=rs1, imm=sign_extend(word >> 20, 12))
-
-    if opcode == LUI:
-        return Instruction("lui", rd=rd, imm=word >> 12)
-
-    if opcode == LOAD:
-        if f3 != 0x2:
-            return DecodeError(word, RESERVED_FIELD)
-        return Instruction("lw", rd=rd, rs1=rs1, imm=sign_extend(word >> 20, 12))
-
-    if opcode == STORE:
-        if f3 != 0x2:
-            return DecodeError(word, RESERVED_FIELD)
-        imm = ((word >> 25) << 5) | rd
-        return Instruction("sw", rs1=rs1, rs2=rs2, imm=sign_extend(imm, 12))
-
-    if opcode == BRANCH:
-        op = _B_BY_F3.get(f3)
-        if op is None:
-            return DecodeError(word, RESERVED_FIELD)
+    if fmt == "S":
+        return Instruction(op, rs1=rs1, rs2=rs2, imm=sign_extend(((word >> 25) << 5) | rd, 12))
+    if fmt == "B":
         imm = (((word >> 31) & 0x1) << 12) | (((word >> 7) & 0x1) << 11) \
             | (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
         return Instruction(op, rs1=rs1, rs2=rs2, imm=sign_extend(imm, 13))
-
-    if opcode == JAL:
+    if fmt == "U":
+        return Instruction(op, rd=rd, imm=word >> 12)
+    if fmt == "J":
         imm = (((word >> 31) & 0x1) << 20) | (((word >> 12) & 0xFF) << 12) \
             | (((word >> 20) & 0x1) << 11) | (((word >> 21) & 0x3FF) << 1)
-        return Instruction("jal", rd=rd, imm=sign_extend(imm, 21))
-
-    if opcode == JALR:
-        if f3 != 0x0:
-            return DecodeError(word, RESERVED_FIELD)
-        return Instruction("jalr", rd=rd, rs1=rs1, imm=sign_extend(word >> 20, 12))
-
-    if opcode == SYSTEM:
-        if word != ECALL_WORD:
-            return DecodeError(word, RESERVED_FIELD)
-        return Instruction("ecall")
-
-    return DecodeError(word, UNKNOWN_OPCODE)
+        return Instruction(op, rd=rd, imm=sign_extend(imm, 21))
+    return Instruction(op)   # SYS
 
 
+@cache   # the analysis reports read it once per program
 def exact_valid_decode_count() -> int:
-    """Census of legal 32-bit words, by walking the opcode/funct structure.
+    """Census of legal 32-bit words, by walking ISA_TABLE's rows.
 
-    Counts combinatorially, never through decode(): for each opcode the
-    constrained funct fields are enumerated and the remaining operand
-    bits (registers, immediates) are free.
+    Counts combinatorially, never through decode(): each row fixes the
+    bits `_fixed_bits` names and leaves the rest (registers, immediates)
+    free. Rows differ in their fixed bits, so no word is counted twice.
     """
-    free_regs_r = 1 << 15        # rd, rs1, rs2 free in R format
-    free_i = 1 << 22             # rd/imm-slot (17 bits) + rs1 (5) free with funct3 fixed
-    free_u = 1 << 25             # rd + imm20 free
-
-    n_op = len(_R_BY_KEY) * free_regs_r
-    n_op_imm = len(_I_ALU_BY_F3) * free_i
-    n_lui = free_u
-    n_load = 1 * free_i          # lw only
-    n_store = 1 * free_i         # sw only
-    n_branch = len(_B_BY_F3) * free_i
-    n_jal = free_u
-    n_jalr = 1 * free_i
-    n_system = 1                 # the ecall word
-
     # The all-zero and all-ones words fall under opcodes 0x00/0x7F, which
     # are not in the table, so the special-case rejections subtract nothing.
-    return (n_op + n_op_imm + n_lui + n_load + n_store
-            + n_branch + n_jal + n_jalr + n_system)
+    return sum(1 << 32 - _fixed_bits(fmt, f3, f7).bit_count()
+               for fmt, _, f3, f7 in ISA_TABLE.values())
 
 
 def exact_valid_decode_fraction() -> float:

@@ -301,6 +301,22 @@ def test_fork_leaves_checkpoint_untouched(corpus_encrypted):
     assert checkpoint.run() == whole
 
 
+
+@pytest.mark.parametrize("target", [16, 13, 0x10000, -4])
+def test_replay_patch_refuses_a_target_off_a_block_entry(corpus_encrypted, target):
+    fib = corpus_encrypted["fib"]
+    checkpoint = Engine(fib)
+    checkpoint.advance(10)              # inside the loop, block 3
+    state = checkpoint.state
+    before = (state.pc, checkpoint.prev_pc, state.cur_key, state.cur_block_base,
+              state.counters.copy(), state.digest())
+    with pytest.raises(ValueError, match="not a block entry"):
+        checkpoint.replay_patch(fib.patch_map[(4, 12)], target)
+    assert (state.pc, checkpoint.prev_pc, state.cur_key, state.cur_block_base,
+            state.counters, state.digest()) == before
+    assert checkpoint.run() == Engine(fib).run()
+
+
 def _per_word_digest(state):
     """Reference digest: registers, then (address, word) per dirty address."""
     h = hashlib.sha256()

@@ -1,9 +1,12 @@
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from scylla import isa
+from scylla import engine, isa
+from scylla.asm import parse_assembly
 from scylla.isa import DecodeError, EncodingError, Instruction, decode, encode
 
 
@@ -67,6 +70,12 @@ def test_decode_reserved_fields():
     assert decode(0x00010083) == DecodeError(0x00010083, isa.RESERVED_FIELD)
     # SYSTEM that is not exactly ecall (ebreak)
     assert decode(0x00100073) == DecodeError(0x00100073, isa.RESERVED_FIELD)
+    # a funct3 no row has: STORE other than sw, BRANCH 2 and 3, JALR and SYSTEM other than 0
+    for word, legal_f3 in ((0x00A12023, {0x2}), (0x00050463, {0x0, 0x1, 0x4, 0x5}),
+                           (0x00008067, {0x0}), (0x00000073, {0x0})):
+        for f3 in set(range(8)) - legal_f3:
+            other = word & ~(0x7 << 12) | f3 << 12
+            assert decode(other) == DecodeError(other, isa.RESERVED_FIELD), hex(other)
 
 
 def test_encode_range_errors():
@@ -133,6 +142,28 @@ def test_decode_total_on_random_words():
             assert encode(out) == word
 
 
+# sha256 of decode over DECODE_SWEEP_WORDS, recorded before decode was
+# rewritten to read ISA_TABLE; any change to a decoded field or reason shows
+DECODE_SWEEP_SHA256 = "8e2c50df99f5589cab822542d40fc9fec55866f9948833396d490df62b9d838d"
+
+
+def decode_sweep_words() -> list[int]:
+    """Every opcode x funct3 x funct7 with fixed operand bits, the two
+    degenerate words, and seeded random words."""
+    operands = (0b10110 << 20) | (0b01011 << 15) | (0b10101 << 7)
+    words = [(f7 << 25) | operands | (f3 << 12) | opcode
+             for opcode in range(128) for f3 in range(8) for f7 in range(128)]
+    rng = random.Random(14)
+    return words + [0x00000000, 0xFFFFFFFF] + [rng.getrandbits(32) for _ in range(50_000)]
+
+
+def test_decode_sweep_matches_golden_digest():
+    digest = hashlib.sha256()
+    for word in decode_sweep_words():
+        digest.update(f"{word:08x} {decode(word)!r}\n".encode())
+    assert digest.hexdigest() == DECODE_SWEEP_SHA256
+
+
 def test_exact_count_value():
     # census spelled out in the module docstring
     assert isa.exact_valid_decode_count() == 117_637_121
@@ -162,3 +193,55 @@ def test_monte_carlo_matches_enumeration():
 
 def test_valid_decode_fraction_deterministic():
     assert isa.valid_decode_fraction(100_000, seed=9) == isa.valid_decode_fraction(100_000, seed=9)
+
+
+def test_census_never_calls_decode(monkeypatch):
+    def refuse(word):
+        raise AssertionError("the census walked through decode()")
+    monkeypatch.setattr(isa, "decode", refuse)
+    assert isa.exact_valid_decode_count.__wrapped__() == 117_637_121
+
+
+def _doc_operations() -> dict[str, tuple]:
+    """The rows of docs/isa.md's Operations table, in ISA_TABLE's shape."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "isa.md").read_text()
+    section = text.split("## Operations", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or cells[0] == "mnemonic" or set(cells[0]) == {"-"}:
+            continue
+        mnemonic, fmt, opcode, f3, f7 = cells
+        rows[mnemonic] = (fmt, int(opcode, 16),
+                          int(f3, 16) if f3 else None, int(f7, 16) if f7 else None)
+    return rows
+
+
+def test_docs_operations_table_is_the_isa_table():
+    assert _doc_operations() == isa.ISA_TABLE
+
+
+def _source_line(mnemonic: str) -> str:
+    """A statement of the dialect for `mnemonic`, written by its row's format;
+    pc-relative operands name the label `top` one instruction back."""
+    fmt, opcode, _, _ = isa.ISA_TABLE[mnemonic]
+    if fmt == "I" and opcode == isa.LOAD:
+        return f"{mnemonic} x5, -8(x6)"
+    return {
+        "R": f"{mnemonic} x5, x6, x7",
+        "I": f"{mnemonic} x5, x6, -7",
+        "U": f"{mnemonic} x5, 0xABCDE",
+        "S": f"{mnemonic} x7, 12(x6)",
+        "B": f"{mnemonic} x6, x7, top",
+        "J": f"{mnemonic} x1, top",
+        "SYS": mnemonic,
+    }[fmt]
+
+
+def test_every_row_assembles_round_trips_and_has_a_handler():
+    for mnemonic in isa.MNEMONICS:
+        program = parse_assembly(f"top: addi x0, x0, 0\n{_source_line(mnemonic)}\n")
+        instr = program.instructions[1]
+        assert instr.op == mnemonic
+        assert decode(encode(instr)) == instr, mnemonic
+    assert set(engine._HANDLERS) == set(isa.MNEMONICS)
