@@ -26,9 +26,11 @@ cache is cleared. Every counter still counts every modelled fetch.
 
 The fetch loop keeps its state (pc, previous pc, counters, key register,
 block base, the key's stream) in locals and writes it back on every
-exit, so between two `advance` calls the engine's fields are exact. An
-aligned fetch inside the text reads the text word array, which every
-store writes; other fetches and every `lw` go through `Memory.load_word`.
+exit, so between two `advance` calls the engine's fields are exact.
+`Memory` holds the text and the data segment as word arrays. An aligned
+fetch inside the text reads the text array, which every store writes;
+other fetches, every `lw` and the digest go through `Memory.load_word`,
+and every `sw` through `Memory.store_word`.
 
 The loop relies on three invariants, each held where the data is made:
 - the key register's base is a block entry: it starts at the image
@@ -62,8 +64,19 @@ copied by a fork, never cleared) stops reading decoded blocks at once
 and builds none. Entry counts live in a bytearray per call, untracked
 by the garbage collector, and `Image.decoded_blocks` is made at the
 first hot block, so a run with no hot block, such as each short run of
-an attack campaign, moves no collection. All of this is host-side: the
-counters, outcomes, digests and outputs are those of the per-word path.
+an attack campaign, moves no collection.
+
+Chained exits. A transfer out of a decoded block resolves its successor
+once per call: the patch lookup, the key derivation, the block table
+entry and the key's stream are kept under (block id, exit pc) in a dict
+local to the call, made at the first such exit, together with the key
+they were resolved under. A later exit there under an equal key, compared
+by value (a self-loop's zero patch derives a new, equal key), takes them
+from the dict; under another key it resolves them again. The successor
+of an exit is a function of the block, the pc and the key, so a link
+never goes stale, and the transfer's counters are counted as before.
+All of this is host-side: the counters, outcomes, digests and outputs
+are those of the per-word path.
 """
 
 from __future__ import annotations
@@ -154,7 +167,14 @@ class RunReport:
 
 
 class Memory:
-    """Text as a word array, data as bytes; word loads/stores, dirty tracking.
+    """Text and data as word arrays; word loads/stores, dirty tracking.
+
+    A word access is legal at an aligned address whose 4 bytes lie inside
+    the text or inside the data segment. The data array holds the data
+    segment's word-aligned span, the words at aligned addresses `a` with
+    data_base <= a <= data_base + len(data) - 4, which are all the words an
+    access can reach: the leading bytes of an unaligned base and the
+    trailing bytes of a length that is not a multiple of 4 are not held.
 
     `text_written` records that a store went into the text, so the engine
     no longer runs blocks decoded from the image's text (see above)."""
@@ -162,8 +182,17 @@ class Memory:
     def __init__(self, image: Image):
         self.text_base = image.text_base
         self.words = image.text_words()
-        self.data_base = image.data_base
-        self.data = bytearray(image.data)
+        # the word-aligned span: drop the bytes below the first aligned address
+        # and those of a partial last word (a segment no longer than `skip`
+        # holds no word)
+        base, data = image.data_base, image.data
+        skip = -base & 3
+        if skip or len(data) & 3:
+            data = data[skip:skip + (len(data) - skip) // 4 * 4]
+        self.data_start = base + skip
+        self.data_words = array("I", data)
+        if sys.byteorder == "big":
+            self.data_words.byteswap()
         self.dirty: set[int] = set()
         self.text_written = False
 
@@ -173,9 +202,9 @@ class Memory:
         index = (addr - self.text_base) >> 2
         if 0 <= index < len(self.words):
             return self.words[index]
-        at = addr - self.data_base
-        if 0 <= at <= len(self.data) - 4:
-            return int.from_bytes(self.data[at:at + 4], "little")
+        index = (addr - self.data_start) >> 2
+        if 0 <= index < len(self.data_words):
+            return self.data_words[index]
         return None
 
     def store_word(self, addr: int, value: int) -> bool:
@@ -186,10 +215,10 @@ class Memory:
             self.words[index] = value & MASK32
             self.text_written = True
         else:
-            at = addr - self.data_base
-            if not 0 <= at <= len(self.data) - 4:
+            index = (addr - self.data_start) >> 2
+            if not 0 <= index < len(self.data_words):
                 return False
-            self.data[at:at + 4] = (value & MASK32).to_bytes(4, "little")
+            self.data_words[index] = value & MASK32
         self.dirty.add(addr)
         return True
 
@@ -197,8 +226,8 @@ class Memory:
         clone = Memory.__new__(Memory)
         clone.text_base = self.text_base
         clone.words = self.words[:]
-        clone.data_base = self.data_base
-        clone.data = self.data[:]
+        clone.data_start = self.data_start
+        clone.data_words = self.data_words[:]
         clone.dirty = set(self.dirty)
         clone.text_written = self.text_written
         return clone
@@ -455,7 +484,10 @@ class Engine:
 
     def replay_patch(self, patch: bytes, target: int) -> None:
         """Transfer to `target`, a block entry, absorbing `patch` whichever
-        block it was minted for; any other target is refused unchanged."""
+        block it was minted for; any other target, and a plaintext engine,
+        which has no key register, are refused unchanged."""
+        if not self.encrypted:
+            raise ValueError("a plaintext engine has no key register to absorb a patch")
         if target not in self.image.block_index:
             raise ValueError(f"replay target {target:#x} is not a block entry")
         state = self.state
@@ -476,6 +508,7 @@ class Engine:
         cache = image.fetch_cache
         block_index = image.block_index
         visits = bytearray(len(image.blocks))   # entries per block in this call
+        links = chain = None   # exit links of decoded blocks in this call; chain: see below
         patch_map = self.patch_map
         encrypted = self.encrypted
         handlers = _HANDLERS
@@ -501,18 +534,34 @@ class Engine:
                     counters.control_transfers += 1
                     if encrypted:
                         counters.patch_lookups += 1
-                        patch = patch_map.get((block_id, pc))
-                        if patch is not None:
-                            key = derive_next_key(key, patch)
-                            base = pc
-                            counters.key_switches += 1
-                    elif pc in block_index:
-                        base = pc
-                    block_id, length = block_index[base]
-                    block_end = base + 4 * length
-                    if encrypted:
-                        stream = _key_stream(cache, key, length)
+                    # chain is links when this transfer leaves a decoded block:
+                    # its successor under an equal key was resolved before
+                    if (chain is not None and (link := chain.get((block_id, pc))) is not None
+                            and link[0] == key):
+                        chain = None
+                        _, key, base, block_id, length, block_end, stream, switched = link
                         n_stream = len(stream)
+                        if switched:
+                            counters.key_switches += 1
+                    else:
+                        if encrypted:
+                            patch = patch_map.get((block_id, pc))
+                            if patch is not None:
+                                key = derive_next_key(key, patch)
+                                base = pc
+                                counters.key_switches += 1
+                        elif pc in block_index:
+                            base = pc
+                        block_id, length = block_index[base]
+                        block_end = base + 4 * length
+                        if encrypted:
+                            stream = _key_stream(cache, key, length)
+                            n_stream = len(stream)
+                        if chain is not None:
+                            chain[exit_id, pc] = (exit_key, key, base, block_id, length,
+                                                  block_end, stream,
+                                                  encrypted and patch is not None)
+                            chain = None
                     # a block entry: once the block is hot, run its decoded words
                     hot = None
                     if visits[block_id] < HOT_BLOCK_VISITS:
@@ -547,6 +596,11 @@ class Engine:
                             return MEMORY_FAULT, None, None
                         retired += k + 1 - off
                         prev_pc, pc = pc, next_pc & MASK32
+                        if pc != prev_pc + 4 or pc == block_end:
+                            # the next fetch leaves this block under this key
+                            if links is None:
+                                links = {}
+                            chain, exit_id, exit_key = links, block_id, key
                         continue
 
                 if encrypted:

@@ -104,6 +104,49 @@ def test_memory_fault_on_misaligned_store():
     assert Engine(_image(source)).run().outcome == MEMORY_FAULT
 
 
+# `.data 0x1002` holds 7 bytes, 0x1002..0x1008. The one word an access can
+# reach is the aligned word at 0x1004 (bytes 0x44 0x33 0x22 0x11); the word
+# at 0x1008 is one past it, since only its first byte is mapped.
+_UNALIGNED_DATA = """
+    lui x5, 1
+    {}
+end:
+    ecall
+.data 0x1002
+    .byte 0x11, 0x22, 0x44, 0x33, 0x22, 0x11, 0x99
+"""
+
+
+@pytest.mark.parametrize("body, outcome, x6", [
+    ("lw x6, 4(x5)", HALT, 0x11223344),     # the last legal word
+    ("lw x6, 8(x5)", MEMORY_FAULT, 0),      # one word past it
+    ("lw x6, 0(x5)", MEMORY_FAULT, 0),      # below the base
+    ("sw x5, 8(x5)", MEMORY_FAULT, 0),
+    ("jalr x0, x5, 8\n.targets end", MEMORY_FAULT, 0),   # a fetch one word past
+    # store ecall into the last legal word, then fetch it from data
+    ("addi x6, x0, 0x73\nsw x6, 4(x5)\njalr x0, x5, 4\n.targets end", HALT, 0x73),
+])
+def test_word_access_on_an_unaligned_data_segment(body, outcome, x6):
+    image = _image(_UNALIGNED_DATA.format(body))
+    assert (image.data_base, len(image.data)) == (0x1002, 7)
+    engine = Engine(image)
+    report = engine.run()
+    assert (report.outcome, engine.state.regs[6]) == (outcome, x6)
+    assert report.final_state_digest == _per_word_digest(engine.state)
+    if "sw x6" in body:
+        assert engine.state.mem.dirty == {0x1004}
+        assert engine.state.mem.load_word(0x1004) == 0x73
+        assert report.final_state_digest == (
+            "da2b72b65136d14a7f31a485a554ae305b3aa7047b2b8f56ab292bcdd552ce5f")
+
+    eimage = encrypt_pipeline(image, 42)
+    encrypted = Engine(eimage).run()
+    assert encrypted == _stepped(eimage)[0]
+    if "jalr" not in body:   # data is never encrypted
+        assert encrypted.final_state_digest == report.final_state_digest
+        assert encrypted.outcome == outcome
+
+
 def test_encrypted_trivial_single_block():
     eimage = encrypt_pipeline(_image("addi x1, x0, 5\necall"), 42)
     engine = Engine(eimage)
@@ -312,6 +355,20 @@ def test_replay_patch_refuses_a_target_off_a_block_entry(corpus_encrypted, targe
               state.counters.copy(), state.digest())
     with pytest.raises(ValueError, match="not a block entry"):
         checkpoint.replay_patch(fib.patch_map[(4, 12)], target)
+    assert (state.pc, checkpoint.prev_pc, state.cur_key, state.cur_block_base,
+            state.counters, state.digest()) == before
+    assert checkpoint.run() == Engine(fib).run()
+
+
+def test_replay_patch_refuses_a_plaintext_engine(corpus_images):
+    fib = corpus_images["fib"]
+    checkpoint = Engine(fib)
+    checkpoint.advance(5)
+    state = checkpoint.state
+    before = (state.pc, checkpoint.prev_pc, state.cur_key, state.cur_block_base,
+              state.counters.copy(), state.digest())
+    with pytest.raises(ValueError, match="plaintext engine has no key register"):
+        checkpoint.replay_patch(bytes(16), 0)
     assert (state.pc, checkpoint.prev_pc, state.cur_key, state.cur_block_base,
             state.counters, state.digest()) == before
     assert checkpoint.run() == Engine(fib).run()
@@ -565,10 +622,23 @@ def _decoded_ids(target):
     return set(getattr(target, "image", target).decoded_blocks)
 
 
+# One block that branches back to its own entry: the back edge's patch is
+# the zero patch, so every iteration derives a new key equal to the one held.
+_SELF_LOOP = """
+    addi x9, x0, 200
+loop:
+    addi x10, x10, 3
+    xor x11, x11, x10
+    addi x9, x9, -1
+    bne x9, x0, loop
+    ecall
+"""
+
+
 @pytest.mark.parametrize("hot", [0, 1, eng.HOT_BLOCK_VISITS])
 def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, monkeypatch, hot):
     targets = []
-    for name, source in corpus_sources.items():
+    for name, source in {**corpus_sources, "self-loop": _SELF_LOOP}.items():
         image = _image(source)
         targets += [(name, image), (name, encrypt_pipeline(image, 42))]
     references = [_stepped(target) for _, target in targets]
@@ -579,11 +649,82 @@ def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, monk
         for _ in range(3):   # later runs reuse the blocks the first one decoded
             engine = Engine(target)
             assert engine.run() == expected, (name, hot)
-            assert engine.state.regs == per_word.state.regs, (name, hot)
+            assert _fetch_state(engine) == _fetch_state(per_word), (name, hot)
         assert _step(Engine(target)) == expected, (name, hot)
         decoded += len(_decoded_ids(target))
     if hot <= 1:
         assert decoded
+
+
+def _counting_derivations(monkeypatch) -> list:
+    """The patches the engine absorbs by calling `derive_next_key`, in order."""
+    derived = []
+    monkeypatch.setattr(eng, "derive_next_key", lambda key, patch: (
+        derived.append(patch) or crypto.derive_next_key(key, patch)))
+    return derived
+
+
+@pytest.mark.parametrize("hot", [0, eng.HOT_BLOCK_VISITS])
+def test_chained_self_loop_resolves_its_exit_once(monkeypatch, hot):
+    image = _image(_SELF_LOOP)
+    targets = (image, encrypt_pipeline(image, 42))
+    references = [(_stepped(target), trace(target)) for target in targets]
+    derived = _counting_derivations(monkeypatch)
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+    for target, ((expected, per_word), pcs) in zip(targets, references):
+        engine = Engine(target)
+        assert engine.run() == expected
+        assert _fetch_state(engine) == _fetch_state(per_word)
+        assert expected.outcome == HALT and engine.state.regs[10] == 600
+        assert len(pcs) == expected.counters.instructions_retired == 2 + 4 * 200
+    # 201 key switches: into the loop, 199 back edges, out of it. The first
+    # hot + 1 entries into the loop block each derive their key, the last of
+    # them starting its decoded run; from then on each exit of the decoded
+    # block, the back edge and the way out, is resolved once.
+    assert expected.counters.key_switches == 201
+    assert len(derived) == 1 + hot + 2
+
+
+@pytest.mark.parametrize("case", ["replayed fork", "alternating patch"])
+def test_chained_exits_compare_the_key_they_were_made_under(monkeypatch, case):
+    # Under the zero keystream every key decrypts every block, and the key
+    # register only records the patches it has absorbed. A wrong key then
+    # still runs the loop, so its block is left under two keys: after a patch
+    # replayed into a fork of a legal run, or, in one call, when the back
+    # edge's patch flips the key on every iteration. An exit resolved under
+    # one key must not serve the other.
+    delta = bytes(range(1, 17))
+    eimage = encrypt_pipeline(_image(_SELF_LOOP), 42)
+    eimage = replace(eimage, image=_image(_SELF_LOOP))   # its words decrypt to themselves
+    if case == "alternating patch":
+        eimage = replace(eimage, patch_table=tuple(
+            (src, target, delta if (src, target) == (1, 4) else patch)
+            for src, target, patch in eimage.patch_table))
+
+    def scenario(advance):
+        engine = Engine(eimage)
+        advance(engine, 40)   # a first call, into the loop's tenth iteration
+        if case == "replayed fork":
+            engine = engine.fork()
+            engine.replay_patch(delta, 4)
+        advance(engine, eng.DEFAULT_STEP_LIMIT)
+        return engine
+
+    monkeypatch.setattr(eng, "block_keystream", lambda key, n: array("I", bytes(4 * n)))
+    monkeypatch.setattr(eng, "keystream_word", lambda key, offset: 0)
+    reference = scenario(_step)
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    derived = _counting_derivations(monkeypatch)
+    chained = scenario(Engine.advance)
+    report = chained.run()
+    assert report == reference.run()
+    assert report.outcome == HALT and chained.state.regs[10] == 600
+    assert _fetch_state(chained) == _fetch_state(reference)
+    # the loop block was last decoded under the key its legal run never holds
+    legal = crypto.derive_next_key(eimage.entry_key, eimage.patch_map[(0, 4)])
+    assert eimage.image.decoded_blocks[1][0] == crypto.derive_next_key(legal, delta)
+    if case == "alternating patch":   # every exit is resolved again
+        assert len(derived) == report.counters.key_switches == 201
 
 
 @pytest.mark.parametrize("name", ["fib", "loop_sum"])
