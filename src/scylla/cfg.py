@@ -17,6 +17,7 @@ callers. Any other jalr must carry a declared `.targets` set.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .asm import Program
@@ -99,13 +100,6 @@ def build_cfg(program: Program) -> ControlFlowGraph:
     for site, callee in call_sites.items():
         return_sites[callee].append(site + 1)
 
-    def enclosing_fn(i: int) -> int:
-        latest = 0
-        for entry in fn_entries:
-            if entry <= i:
-                latest = entry
-        return latest
-
     edges: set[tuple[int, int, str]] = set()
     for src, (entry, length) in enumerate(blocks):
         last = entry // 4 + length - 1
@@ -117,8 +111,8 @@ def build_cfg(program: Program) -> ControlFlowGraph:
             target = _branch_target(last, instr, n)
             edges.add((src, block_of_index[target], CALL if instr.rd != 0 else JUMP))
         elif instr.op == "jalr":
-            if _is_return(instr):
-                sites = return_sites.get(enclosing_fn(last), [])
+            if _is_return(instr):   # of the function with the last entry at or before it
+                sites = return_sites.get(fn_entries[bisect_right(fn_entries, last) - 1], [])
                 if not sites:
                     raise AnalysisError(
                         f"return at address {4 * last:#x} has no known call sites")

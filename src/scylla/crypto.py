@@ -167,6 +167,12 @@ class EncryptedImage:
         """(source id, target entry) -> patch, built once per image."""
         return {(src, tgt): patch for src, tgt, patch in self.patch_table}
 
+    @cached_property
+    def decoded_blocks(self) -> dict:
+        """Hot block id -> (key, decoded words, their handlers, exit links), host-side,
+        under this patch table (see engine.py)."""
+        return {}
+
 
 def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
     """XOR each text word with its block keystream; involution, in place.

@@ -47,36 +47,41 @@ Hot blocks. Inside the block its key belongs to, each fetch is the next
 word at the next stream offset. Each call of the fetch loop counts its
 entries into each block; a block entered HOT_BLOCK_VISITS times in one
 call is hot, and at its next entry its words, decrypted with the current
-key, are decoded once up to the first illegal word or ecall
-(`Image.decoded_blocks`, keyed by block id, tagged with the key). An
-entry inside those words runs the rest of them, up to the step limit,
-in one inner loop that stops at a transfer, a memory fault or a store
-into the text. The per-word path serves every other fetch: cold blocks,
-the rest of a block when a call starts, and fetches past the decoded
-words or outside the key's block; those past the key's stream (rogue,
-mid-block and stale fetches) decrypt with `keystream_word`. A call that
-retires one instruction enters a block at most once, so `trace`, which
-steps one instruction per call, is the per-word reference.
+key, are decoded once up to the first illegal word or ecall. The engine's
+target holds them (`EncryptedImage.decoded_blocks`, or a plaintext
+`Image.decoded_blocks`), keyed by block id and tagged with the key, for
+every later call and every engine on that target. An entry inside those
+words runs the rest of them, up to the step limit, in one inner loop that
+stops at a transfer, a memory fault or a store into the text. The
+per-word path serves every other fetch: cold blocks, the rest of a block
+when a call starts, and fetches past the decoded words or outside the
+key's block; those past the key's stream (rogue, mid-block and stale
+fetches) decrypt with `keystream_word`. A call that retires one
+instruction enters a block at most once, so `trace`, which steps one
+instruction per call, is the per-word reference.
 
 A decoded block is rebuilt when another key enters the block; an engine
 whose memory has taken a store into the text (`Memory.text_written`,
 copied by a fork, never cleared) stops reading decoded blocks at once
 and builds none. Entry counts live in a bytearray per call, untracked
-by the garbage collector, and `Image.decoded_blocks` is made at the
-first hot block, so a run with no hot block, such as each short run of
-an attack campaign, moves no collection.
+by the garbage collector, and `decoded_blocks` is made at the first hot
+block, so a run with no hot block, such as each short run of an attack
+campaign, moves no collection.
 
-Chained exits. A transfer out of a decoded block resolves its successor
-once per call: the patch lookup, the key derivation, the block table
-entry and the key's stream are kept under (block id, exit pc) in a dict
-local to the call, made at the first such exit, together with the key
-they were resolved under. A later exit there under an equal key, compared
-by value (a self-loop's zero patch derives a new, equal key), takes them
-from the dict; under another key it resolves them again. The successor
-of an exit is a function of the block, the pc and the key, so a link
-never goes stale, and the transfer's counters are counted as before.
-All of this is host-side: the counters, outcomes, digests and outputs
-are those of the per-word path.
+Chained exits. A decoded block also holds links, one per exit pc: the
+first transfer out of it there resolves its successor (the patch lookup,
+the key derivation, the block table entry and the key's stream) and
+links it, and every later transfer there, in any call on the target,
+takes the link. A successor is a function of the block, the exit pc, the
+key and the patch table. After a decoded run the block and key stay
+those the block was decoded under up to the next transfer, the one the
+link serves, and a block entered under another key is decoded again
+without links; the patch table is the target's, so two `EncryptedImage`s
+over one `Image` hold their own. A link therefore never goes stale, and
+the transfer's counters are counted as before. `Image.fetch_cache` stays
+on the image: its words and streams depend on neither key state nor
+patch table. All of this is host-side: the counters, outcomes, digests
+and outputs are those of the per-word path.
 """
 
 from __future__ import annotations
@@ -447,6 +452,7 @@ class Engine:
             image, self.patch_map, entry_key = target.image, target.patch_map, target.entry_key
         else:
             image, self.patch_map, entry_key = target, {}, None
+        self.target = target
         self.image = image
         self.encrypted = entry_key is not None
         self.decrypt_cost = decrypt_cost
@@ -465,7 +471,7 @@ class Engine:
         """An independent engine in exactly this engine's current state.
 
         Memory, registers, counters, key register, pc and the sticky end of
-        the run are copied; the image, patch map and costs are shared.
+        the run are copied; the target, image, patch map and costs are shared.
         """
         clone = Engine.__new__(Engine)
         clone.__dict__.update(self.__dict__)
@@ -508,7 +514,8 @@ class Engine:
         cache = image.fetch_cache
         block_index = image.block_index
         visits = bytearray(len(image.blocks))   # entries per block in this call
-        links = chain = None   # exit links of decoded blocks in this call; chain: see below
+        target = self.target
+        chain = None   # the exits of the decoded block last run, until the next transfer
         patch_map = self.patch_map
         encrypted = self.encrypted
         handlers = _HANDLERS
@@ -534,12 +541,9 @@ class Engine:
                     counters.control_transfers += 1
                     if encrypted:
                         counters.patch_lookups += 1
-                    # chain is links when this transfer leaves a decoded block:
-                    # its successor under an equal key was resolved before
-                    if (chain is not None and (link := chain.get((block_id, pc))) is not None
-                            and link[0] == key):
-                        chain = None
-                        _, key, base, block_id, length, block_end, stream, switched = link
+                    # leaving a decoded block: its successor may be linked already
+                    if chain is not None and (link := chain.get(pc)) is not None:
+                        key, base, block_id, length, block_end, stream, switched = link
                         n_stream = len(stream)
                         if switched:
                             counters.key_switches += 1
@@ -558,24 +562,24 @@ class Engine:
                             stream = _key_stream(cache, key, length)
                             n_stream = len(stream)
                         if chain is not None:
-                            chain[exit_id, pc] = (exit_key, key, base, block_id, length,
-                                                  block_end, stream,
-                                                  encrypted and patch is not None)
-                            chain = None
+                            chain[pc] = (key, base, block_id, length, block_end, stream,
+                                         encrypted and patch is not None)
+                    chain = None
                     # a block entry: once the block is hot, run its decoded words
                     hot = None
                     if visits[block_id] < HOT_BLOCK_VISITS:
                         visits[block_id] += 1
                     elif not mem.text_written:
-                        hot = image.decoded_blocks.get(block_id)
+                        hot = target.decoded_blocks.get(block_id)
                         if hot is None or hot[0] != key:
                             first = (base - text_base) >> 2
-                            hot = image.decoded_blocks[block_id] = (
-                                key, *_decoded_block(cache, words[first:first + length], stream))
+                            hot = target.decoded_blocks[block_id] = (
+                                key, *_decoded_block(cache, words[first:first + length], stream),
+                                {})
                     if hot is not None and 0 <= (off := (pc - base) >> 2) < len(hot[1]):
                         # The decoded words from pc on, up to the step limit:
                         # each fetch is the next word at the next stream offset.
-                        _, instrs, hands = hot
+                        _, instrs, hands, exits = hot
                         stop = off + limit - retired
                         if stop > len(instrs):
                             stop = len(instrs)
@@ -596,11 +600,7 @@ class Engine:
                             return MEMORY_FAULT, None, None
                         retired += k + 1 - off
                         prev_pc, pc = pc, next_pc & MASK32
-                        if pc != prev_pc + 4 or pc == block_end:
-                            # the next fetch leaves this block under this key
-                            if links is None:
-                                links = {}
-                            chain, exit_id, exit_key = links, block_id, key
+                        chain = exits
                         continue
 
                 if encrypted:

@@ -113,7 +113,8 @@ class Image:
 
     @cached_property
     def decoded_blocks(self) -> dict:
-        """Hot block id -> (key, decoded words, their handlers), host-side (see engine.py)."""
+        """Hot block id -> (key, decoded words, their handlers, exit links) of a
+        plaintext run, host-side (see engine.py)."""
         return {}
 
     def digest(self) -> str:

@@ -129,19 +129,6 @@ class Instruction:
     rs2: int | None = None
     imm: int | None = None
 
-    def __str__(self) -> str:
-        parts = [self.op]
-        operands = []
-        if self.rd is not None:
-            operands.append(f"x{self.rd}")
-        if self.rs1 is not None:
-            operands.append(f"x{self.rs1}")
-        if self.rs2 is not None:
-            operands.append(f"x{self.rs2}")
-        if self.imm is not None:
-            operands.append(str(self.imm))
-        return parts[0] + (" " + ", ".join(operands) if operands else "")
-
 
 @dataclass(frozen=True)
 class DecodeError:

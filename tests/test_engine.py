@@ -618,8 +618,8 @@ def _stepped(target, limit=eng.DEFAULT_STEP_LIMIT):
 
 
 def _decoded_ids(target):
-    """Ids of the blocks decoded on the image a target runs."""
-    return set(getattr(target, "image", target).decoded_blocks)
+    """Ids of the blocks decoded for a target."""
+    return set(target.decoded_blocks)
 
 
 # One block that branches back to its own entry: the back edge's patch is
@@ -683,6 +683,34 @@ def test_chained_self_loop_resolves_its_exit_once(monkeypatch, hot):
     # block, the back edge and the way out, is resolved once.
     assert expected.counters.key_switches == 201
     assert len(derived) == 1 + hot + 2
+    # The links outlive the call: a second run derives the key into the loop,
+    # from the entry block, which is never decoded, and those of the loop's
+    # entries counted before it is hot, and no other.
+    eimage = targets[1]
+    del derived[:]
+    assert Engine(eimage).run() == expected
+    assert derived == [eimage.patch_map[(0, 4)]] + [eimage.patch_map[(1, 4)]] * hot
+
+
+def test_targets_sharing_an_image_hold_their_own_links(monkeypatch):
+    # Two patch tables over one image: the second lacks the loop's way out,
+    # so its run leaves the loop under the loop's key and faults. A link that
+    # the first table's run made must not serve the second's.
+    full = encrypt_pipeline(_image(_SELF_LOOP), 42)
+    cut = replace(full, patch_table=tuple(
+        record for record in full.patch_table if record[:2] != (1, 20)))
+    assert cut.image is full.image and len(cut.patch_map) == len(full.patch_map) - 1
+    references = [_stepped(target)[0] for target in (full, cut)]
+    assert [report.outcome for report in references] == [HALT, INTEGRITY_FAULT]
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    for _ in range(2):
+        for target, expected in zip((full, cut), references):
+            assert Engine(target).run() == expected
+    # each target links the loop's way out, at 20, under its own table: to
+    # the next block's key under the full one, keeping the loop's key under the cut one
+    loop_key = full.decoded_blocks[1][0]
+    assert cut.decoded_blocks[1][0] == loop_key
+    assert full.decoded_blocks[1][3][20][0] != loop_key == cut.decoded_blocks[1][3][20][0]
 
 
 @pytest.mark.parametrize("case", ["replayed fork", "alternating patch"])
@@ -722,7 +750,7 @@ def test_chained_exits_compare_the_key_they_were_made_under(monkeypatch, case):
     assert _fetch_state(chained) == _fetch_state(reference)
     # the loop block was last decoded under the key its legal run never holds
     legal = crypto.derive_next_key(eimage.entry_key, eimage.patch_map[(0, 4)])
-    assert eimage.image.decoded_blocks[1][0] == crypto.derive_next_key(legal, delta)
+    assert eimage.decoded_blocks[1][0] == crypto.derive_next_key(legal, delta)
     if case == "alternating patch":   # every exit is resolved again
         assert len(derived) == report.counters.key_switches == 201
 
@@ -851,7 +879,7 @@ def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
         report, entered_past, x10 = results[0]
         assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 8
         assert entered_past.outcome == HALT and x10 == 13
-        decoded = getattr(target, "image", target).decoded_blocks[1]
+        decoded = target.decoded_blocks[1]
         assert len(decoded[1]) == 1   # the decoded words stop before word 2
 
 
