@@ -68,20 +68,18 @@ by the garbage collector, and `decoded_blocks` is made at the first hot
 block, so a run with no hot block, such as each short run of an attack
 campaign, moves no collection.
 
-Chained exits. A decoded block also holds links, one per exit pc: the
-first transfer out of it there resolves its successor (the patch lookup,
-the key derivation, the block table entry and the key's stream) and
-links it, and every later transfer there, in any call on the target,
-takes the link. A successor is a function of the block, the exit pc, the
-key and the patch table. After a decoded run the block and key stay
-those the block was decoded under up to the next transfer, the one the
-link serves, and a block entered under another key is decoded again
-without links; the patch table is the target's, so two `EncryptedImage`s
-over one `Image` hold their own. A link therefore never goes stale, and
-the transfer's counters are counted as before. `Image.fetch_cache` stays
-on the image: its words and streams depend on neither key state nor
-patch table. All of this is host-side: the counters, outcomes, digests
-and outputs are those of the per-word path.
+Chained exits. A decoded block also holds one link per exit pc: the
+successor (the patch lookup, the key derivation, the block table entry
+and the key's stream) that the first transfer out of it there resolved.
+A successor is a function of the block, the exit pc, the key and the
+patch table. A link is taken only at the first transfer after a decoded
+run, and key and block change only at transfers, so it is taken under
+the key the block was decoded with; the patch table is the target's. A
+link therefore never goes stale, in any call or engine on the target,
+and a linked transfer counts what a resolved one does. `Image.fetch_cache`
+is per image because its words and streams depend on neither the key
+state nor the patch table. All of this is host-side: the counters,
+outcomes, digests and outputs are those of the per-word path.
 """
 
 from __future__ import annotations

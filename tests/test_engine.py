@@ -838,9 +838,9 @@ def test_program_storing_into_its_own_block(monkeypatch, hot):
         if target is image:
             assert per_word.outcome == HALT
             assert engine.state.regs[10] == 860
-    # only the loop block, entered before the first store, was decoded, and it
-    # is never read after it; the entry block is never entered by a transfer
-    assert _decoded_ids(image) == ({1} if hot == 0 else set())
+        # only the loop block, entered before the first store, was decoded, and
+        # it is never read after it; the entry block is never entered by a transfer
+        assert _decoded_ids(target) == ({1} if hot == 0 else set())
 
 
 def test_forks_share_decoded_blocks_but_not_text(corpus_sources, monkeypatch):
