@@ -169,8 +169,8 @@ class EncryptedImage:
 
     @cached_property
     def decoded_blocks(self) -> dict:
-        """Hot block id -> (key, decoded words, their handlers, exit links), host-side,
-        under this patch table (see engine.py)."""
+        """Hot block id -> (key, decoded word count, their generated function,
+        exit links), host-side, under this patch table (see engine.py)."""
         return {}
 
 

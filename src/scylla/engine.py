@@ -27,10 +27,11 @@ cache is cleared. Every counter still counts every modelled fetch.
 The fetch loop keeps its state (pc, previous pc, counters, key register,
 block base, the key's stream) in locals and writes it back on every
 exit, so between two `advance` calls the engine's fields are exact.
-`Memory` holds the text and the data segment as word arrays. An aligned
-fetch inside the text reads the text array, which every store writes;
-other fetches, every `lw` and the digest go through `Memory.load_word`,
-and every `sw` through `Memory.store_word`.
+`Memory` holds the text and the data segment as word arrays, copies of
+those each image builds once (`Image.word_arrays`). An aligned fetch
+inside the text reads the text array, which every store writes; other
+fetches, every `lw` and the digest go through `Memory.load_word`, and
+every `sw` through `Memory.store_word`.
 
 The loop relies on three invariants, each held where the data is made:
 - the key register's base is a block entry: it starts at the image
@@ -47,18 +48,31 @@ Hot blocks. Inside the block its key belongs to, each fetch is the next
 word at the next stream offset. Each call of the fetch loop counts its
 entries into each block; a block entered HOT_BLOCK_VISITS times in one
 call is hot, and at its next entry its words, decrypted with the current
-key, are decoded once up to the first illegal word or ecall. The engine's
-target holds them (`EncryptedImage.decoded_blocks`, or a plaintext
+key, are decoded once up to the first illegal word or ecall and run as
+one generated function (`_compiled`, from the per-op `_TEMPLATES`): every
+operand is a constant, a write to x0 is dropped, a branch or jal to the
+next word falls through, and it returns at the first transfer, at a
+memory fault and after a store into the text. The engine's target holds
+the decoded block (`EncryptedImage.decoded_blocks`, or a plaintext
 `Image.decoded_blocks`), keyed by block id and tagged with the key, for
-every later call and every engine on that target. An entry inside those
-words runs the rest of them, up to the step limit, in one inner loop that
-stops at a transfer, a memory fault or a store into the text. The
-per-word path serves every other fetch: cold blocks, the rest of a block
-when a call starts, and fetches past the decoded words or outside the
-key's block; those past the key's stream (rogue, mid-block and stale
-fetches) decrypt with `keystream_word`. A call that retires one
-instruction enters a block at most once, so `trace`, which steps one
-instruction per call, is the per-word reference.
+every later call and every engine on that target. An entry on the
+block's first word whose whole decoded body fits under the step limit
+calls the function. The per-word path serves every other fetch: cold
+blocks, entries past a block's first word, runs the step limit cuts
+short, the rest of a block when a call starts, and fetches past the
+decoded words or outside the key's block; those past the key's stream
+(rogue, mid-block and stale fetches) decrypt with `keystream_word`. A
+call that retires one instruction enters a block at most once, so
+`trace`, which steps one instruction per call, is the per-word reference.
+
+The generated code is memoised by the tuple of decoded instructions
+alone, in a bounded `lru_cache`: a function depends on neither the key,
+nor the block's address (its `base` argument), nor the image, so a
+program's plaintext and encrypted runs, and every `scylla attack` call on
+it, each of which loads a fresh image, share one compile. The functions
+share one globals dict with no builtins and none of them is kept in the
+namespace it was made in, so they hold no reference cycle, and a target
+whose last reference is dropped is freed at once.
 
 A decoded block is rebuilt when another key enters the block; an engine
 whose memory has taken a store into the text (`Memory.text_written`,
@@ -87,7 +101,9 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .crypto import (
     MAX_WORD_OFFSET,
@@ -173,29 +189,17 @@ class Memory:
     """Text and data as word arrays; word loads/stores, dirty tracking.
 
     A word access is legal at an aligned address whose 4 bytes lie inside
-    the text or inside the data segment. The data array holds the data
-    segment's word-aligned span, the words at aligned addresses `a` with
-    data_base <= a <= data_base + len(data) - 4, which are all the words an
-    access can reach: the leading bytes of an unaligned base and the
-    trailing bytes of a length that is not a multiple of 4 are not held.
+    the text or inside the data segment. Both arrays are copies of the
+    image's (`Image.word_arrays`); the data array holds the data segment's
+    word-aligned span, which is all the words an access can reach.
 
     `text_written` records that a store went into the text, so the engine
     no longer runs blocks decoded from the image's text (see above)."""
 
     def __init__(self, image: Image):
         self.text_base = image.text_base
-        self.words = image.text_words()
-        # the word-aligned span: drop the bytes below the first aligned address
-        # and those of a partial last word (a segment no longer than `skip`
-        # holds no word)
-        base, data = image.data_base, image.data
-        skip = -base & 3
-        if skip or len(data) & 3:
-            data = data[skip:skip + (len(data) - skip) // 4 * 4]
-        self.data_start = base + skip
-        self.data_words = array("I", data)
-        if sys.byteorder == "big":
-            self.data_words.byteswap()
+        text_words, self.data_start, data_words = image.word_arrays()
+        self.words, self.data_words = text_words[:], data_words[:]
         self.dirty: set[int] = set()
         self.text_written = False
 
@@ -265,9 +269,11 @@ class MachineState:
         return hashlib.sha256(words).hexdigest()
 
 
-# Op handlers: (regs, instruction, pc, state) -> next pc before masking,
-# None on a memory fault. Registers hold 32-bit values; a write to x0 is
-# dropped. Flipping bit 31 orders two's-complement words as unsigned ints.
+# Op handlers of the per-word path, and the reference the generated block
+# functions are tested against: (regs, instruction, pc, state) -> next pc
+# before masking, None on a memory fault. Registers hold 32-bit values; a
+# write to x0 is dropped. Flipping bit 31 orders two's-complement words as
+# unsigned ints.
 
 _SIGN = 0x80000000
 
@@ -417,10 +423,79 @@ def _key_stream(cache: dict, key: bytes, length: int) -> array:
     return stream
 
 
-def _decoded_block(cache: dict, words: array, stream: array) -> tuple[list, list]:
-    """The decode-table entries of a block's words, decrypted with `stream`
-    (empty in a plaintext run), up to the first illegal word or ecall, and
-    their handlers."""
+# Block templates: the lines each op compiles to in a decoded block's
+# generated function `(regs, mem, base) -> (next pc before masking or None
+# on a memory fault, index of the last word run)`, where `base` is the
+# address of word 0. Every placeholder is an int: the operand fields, `k`
+# (the word's index), `next` (4k + 4) and `target` (4k + imm), both from
+# base, `uimm` (imm as a 32-bit word), `upper` (lui's value), `mask` and
+# `sign`. A line that writes regs[{rd}] is dropped when rd is 0, and a line
+# that goes to {target} when the target is the next word, so such a branch
+# or jal falls through. The function returns at the first transfer, at a
+# memory fault and after a store into the text; an ecall ends the decoded
+# words, so it has no template.
+_TEMPLATES = {
+    "add": ("regs[{rd}] = (regs[{rs1}] + regs[{rs2}]) & {mask}",),
+    "sub": ("regs[{rd}] = (regs[{rs1}] - regs[{rs2}]) & {mask}",),
+    "and": ("regs[{rd}] = regs[{rs1}] & regs[{rs2}]",),
+    "or": ("regs[{rd}] = regs[{rs1}] | regs[{rs2}]",),
+    "xor": ("regs[{rd}] = regs[{rs1}] ^ regs[{rs2}]",),
+    "slt": ("regs[{rd}] = 1 if regs[{rs1}] ^ {sign} < regs[{rs2}] ^ {sign} else 0",),
+    "addi": ("regs[{rd}] = (regs[{rs1}] + {imm}) & {mask}",),
+    "andi": ("regs[{rd}] = regs[{rs1}] & {uimm}",),
+    "ori": ("regs[{rd}] = regs[{rs1}] | {uimm}",),
+    "xori": ("regs[{rd}] = regs[{rs1}] ^ {uimm}",),
+    "slti": ("regs[{rd}] = 1 if (regs[{rs1}] ^ {sign}) - {sign} < {imm} else 0",),
+    "lui": ("regs[{rd}] = {upper}",),
+    "lw": ("value = mem.load_word((regs[{rs1}] + {imm}) & {mask})",
+           "if value is None: return None, {k}",
+           "regs[{rd}] = value"),
+    "sw": ("if not mem.store_word((regs[{rs1}] + {imm}) & {mask}, regs[{rs2}]): return None, {k}",
+           "if mem.text_written: return base + {next}, {k}"),
+    "beq": ("if regs[{rs1}] == regs[{rs2}]: return base + {target}, {k}",),
+    "bne": ("if regs[{rs1}] != regs[{rs2}]: return base + {target}, {k}",),
+    "blt": ("if regs[{rs1}] ^ {sign} < regs[{rs2}] ^ {sign}: return base + {target}, {k}",),
+    "bge": ("if regs[{rs1}] ^ {sign} >= regs[{rs2}] ^ {sign}: return base + {target}, {k}",),
+    "jal": ("regs[{rd}] = (base + {next}) & {mask}",
+            "return base + {target}, {k}"),
+    "jalr": ("target = (regs[{rs1}] + {imm}) & -2",
+             "regs[{rd}] = (base + {next}) & {mask}",
+             "return target, {k}"),
+}
+# the generated functions' globals: they read no global and call no builtin
+_BLOCK_GLOBALS = {"__builtins__": {}}
+
+
+@lru_cache(maxsize=16)   # the hot blocks of a few programs
+def _compiled(instrs: tuple[Instruction, ...]):
+    """The generated function of a block's decoded words (see above), one per
+    distinct word sequence: it depends on neither the key, nor the block's
+    address, nor the image, so every target and run that decodes the same
+    words shares it."""
+    lines = []
+    for k, instr in enumerate(instrs):
+        imm = instr.imm or 0
+        for line in _TEMPLATES[instr.op]:
+            if instr.rd == 0 and line.startswith("regs[{rd}]") or (
+                    imm == 4 and "{target}" in line):
+                continue
+            lines.append(line.format(
+                rd=instr.rd, rs1=instr.rs1, rs2=instr.rs2, imm=imm, uimm=imm & MASK32,
+                upper=(imm << 12) & MASK32, k=k, next=4 * k + 4, target=4 * k + imm,
+                mask=MASK32, sign=_SIGN))
+        if lines and lines[-1].startswith("return"):   # the words after it never run
+            break
+    else:
+        lines.append(f"return base + {4 * len(instrs)}, {len(instrs) - 1}")
+    namespace = {}
+    exec("def run(regs, mem, base):\n    " + "\n    ".join(lines), _BLOCK_GLOBALS, namespace)
+    return namespace["run"]
+
+
+def _decoded_block(cache: dict, words: array, stream: array) -> tuple[int, Callable | None]:
+    """The number of a block's words, decrypted with `stream` (empty in a
+    plaintext run), that decode before the first illegal word or ecall, and
+    their generated function (None if there are none)."""
     instrs = []
     for k, word in enumerate(words):
         if stream:
@@ -431,7 +506,7 @@ def _decoded_block(cache: dict, words: array, stream: array) -> tuple[list, list
         if instr.__class__ is not Instruction or instr.op == "ecall":
             break
         instrs.append(instr)
-    return instrs, [_HANDLERS[instr.op] for instr in instrs]
+    return len(instrs), _compiled(tuple(instrs)) if instrs else None
 
 
 class Engine:
@@ -574,31 +649,22 @@ class Engine:
                             hot = target.decoded_blocks[block_id] = (
                                 key, *_decoded_block(cache, words[first:first + length], stream),
                                 {})
-                    if hot is not None and 0 <= (off := (pc - base) >> 2) < len(hot[1]):
-                        # The decoded words from pc on, up to the step limit:
-                        # each fetch is the next word at the next stream offset.
-                        _, instrs, hands, exits = hot
-                        stop = off + limit - retired
-                        if stop > len(instrs):
-                            stop = len(instrs)
-                        for k in range(off, stop):
-                            next_pc = hands[k](regs, instrs[k], pc, state)
-                            if next_pc != pc + 4 or mem.text_written:
-                                break
-                            pc = next_pc
-                        else:
-                            pc -= 4
-                        # words off..k ran in sequence, and pc is word k's address
+                    if hot is not None and pc == base and 0 < hot[1] <= limit - retired:
+                        # The whole decoded body fits under the step limit: each
+                        # fetch is the next word at the next stream offset, and
+                        # words 0..k run in sequence.
+                        next_pc, k = hot[2](regs, mem, base)
                         if encrypted:
-                            invocations += k + 1 - off
-                        if next_pc is None:
-                            retired += k - off
-                            if k > off:
-                                prev_pc = pc - 4
+                            invocations += k + 1
+                        if next_pc is None:   # word k faulted
+                            retired += k
+                            if k:
+                                prev_pc = base + 4 * k - 4
+                            pc = base + 4 * k
                             return MEMORY_FAULT, None, None
-                        retired += k + 1 - off
-                        prev_pc, pc = pc, next_pc & MASK32
-                        chain = exits
+                        retired += k + 1
+                        prev_pc, pc = base + 4 * k, next_pc & MASK32
+                        chain = hot[3]
                         continue
 
                 if encrypted:

@@ -95,10 +95,31 @@ class Image:
 
     def text_words(self) -> array:
         """The text's little-endian words, as a new array."""
-        words = array("I", self.text)
-        if sys.byteorder == "big":
-            words.byteswap()
-        return words
+        return self.word_arrays()[0][:]
+
+    def word_arrays(self) -> tuple[array, int, array]:
+        """(text words, address of the first data word, data words), built at
+        the first call and kept; whoever writes them copies them first.
+
+        The data words are the data segment's word-aligned span, the words
+        at aligned addresses `a` with data_base <= a <= data_base + len(data)
+        - 4: the leading bytes of an unaligned base and those of a partial
+        last word are not held, and a segment no longer than its unaligned
+        lead holds no word."""
+        # kept by hand, not by a cached_property, whose lock would cost the
+        # first engine on each freshly loaded image about a microsecond
+        arrays = self.__dict__.get("_word_arrays")
+        if arrays is None:
+            base, data = self.data_base, self.data
+            skip = -base & 3
+            if skip or len(data) & 3:
+                data = data[skip:skip + (len(data) - skip) // 4 * 4]
+            text_words, data_words = array("I", self.text), array("I", data)
+            if sys.byteorder == "big":
+                text_words.byteswap()
+                data_words.byteswap()
+            arrays = self.__dict__["_word_arrays"] = (text_words, base + skip, data_words)
+        return arrays
 
     @cached_property
     def block_index(self) -> dict[int, tuple[int, int]]:
@@ -113,8 +134,8 @@ class Image:
 
     @cached_property
     def decoded_blocks(self) -> dict:
-        """Hot block id -> (key, decoded words, their handlers, exit links) of a
-        plaintext run, host-side (see engine.py)."""
+        """Hot block id -> (key, decoded word count, their generated function,
+        exit links) of a plaintext run, host-side (see engine.py)."""
         return {}
 
     def digest(self) -> str:

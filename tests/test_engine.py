@@ -1,11 +1,16 @@
+import gc
 import hashlib
+import itertools
+import json
+import random
+import weakref
 from array import array
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from scylla import crypto
+from scylla import cli, crypto, isa
 from scylla import engine as eng
 from scylla.asm import parse_assembly
 from scylla.attacks import AttackScenario, hijack_payload, run_attack, run_trials
@@ -25,8 +30,8 @@ from scylla.engine import (
     overhead_report,
     trace,
 )
-from scylla.image import ImageFormatError, LayoutError, layout_image
-from scylla.isa import Instruction, encode
+from scylla.image import Image, ImageFormatError, LayoutError, layout_image
+from scylla.isa import MASK32, Instruction, decode, encode
 
 
 def _image(source):
@@ -651,6 +656,13 @@ def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, monk
             assert engine.run() == expected, (name, hot)
             assert _fetch_state(engine) == _fetch_state(per_word), (name, hot)
         assert _step(Engine(target)) == expected, (name, hot)
+        # calls of 1..7 steps: the step limit cuts decoded blocks at every
+        # offset, and those runs take the per-word path
+        engine, k, chunks = Engine(target), 0, itertools.cycle(range(1, 8))
+        while engine.advance(k := k + next(chunks)):
+            assert engine.state.counters.instructions_retired == k, (name, hot)
+        assert engine.run() == expected, (name, hot)
+        assert _fetch_state(engine) == _fetch_state(per_word), (name, hot)
         decoded += len(_decoded_ids(target))
     if hot <= 1:
         assert decoded
@@ -879,8 +891,10 @@ def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
         report, entered_past, x10 = results[0]
         assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 8
         assert entered_past.outcome == HALT and x10 == 13
-        decoded = target.decoded_blocks[1]
-        assert len(decoded[1]) == 1   # the decoded words stop before word 2
+        _, count, run, _ = target.decoded_blocks[1]
+        assert count == 1   # the decoded words stop before word 2
+        regs = [0] * 32
+        assert run(regs, None, 4) == (8, 0) and regs[10] == 1   # word 1 ran alone
 
 
 def test_block_longer_than_the_offset_range_is_rejected(monkeypatch):
@@ -953,3 +967,139 @@ def test_entries_are_counted_per_run(monkeypatch):
             for _ in range(5):
                 assert Engine(target).run().outcome == HALT
             assert _decoded_ids(target) == decoded
+
+
+# -- generated block functions ---------------------------------------------------
+
+# Eight text words at 0 and four data words at 0x1000. A lw or sw is aimed
+# at a data or text word, at the word just past or below a segment, at an
+# unaligned address or at the top of the address space.
+_DIFF_IMAGE = Image(text_base=0, entry=0, text=bytes(range(32)), data_base=0x1000,
+                    data=bytes(range(100, 116)), blocks=((0, 8),), edges=())
+_DIFF_ADDRS = (0x1000, 0x100C, 0x1010, 0xFFC, 0, 28, 32, 0x1002, 6, 0xFFFFFFFC)
+_DIFF_VALUES = (0, 1, 4, 0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFF, 0xFFFFF800)
+_DIFF_IMMS = {   # by format: the range's ends, -1, 0, the next word (4) and a random one
+    "I": lambda rng: rng.choice((-2048, -1, 0, 1, 4, 2047, rng.randrange(-2048, 2048))),
+    "B": lambda rng: rng.choice((-4096, -4, 0, 4, 4, 8, 4094, 2 * rng.randrange(-2048, 2047))),
+    "J": lambda rng: rng.choice((-(1 << 20), -4, 0, 4, 4, 8, (1 << 20) - 2,
+                                 2 * rng.randrange(-(1 << 19), 1 << 19))),
+    "U": lambda rng: rng.choice((0, 1, 0x7FFFF, 0x80000, 0xFFFFF, rng.randrange(1 << 20))),
+}
+_DIFF_IMMS["S"] = _DIFF_IMMS["I"]
+_FIELDS = {"R": ("rd", "rs1", "rs2"), "I": ("rd", "rs1", "imm"), "S": ("rs1", "rs2", "imm"),
+           "B": ("rs1", "rs2", "imm"), "U": ("rd", "imm"), "J": ("rd", "imm")}
+
+
+def _draw(rng, op):
+    """A legal `op` instruction and registers for it: rd 0 a third of the
+    time, rd == rs1 for jalr a third of the time, and a lw's or sw's rs1
+    aimed at one of `_DIFF_ADDRS` unless it is x0."""
+    fmt = isa.ISA_TABLE[op][0]
+    fields = {"rd": rng.choice((0, rng.randrange(1, 32), rng.randrange(1, 32))),
+              "rs1": rng.randrange(32), "rs2": rng.randrange(32), "imm": _DIFF_IMMS.get(fmt)}
+    fields = {name: fields[name] for name in _FIELDS[fmt]}
+    if "imm" in fields:
+        fields["imm"] = fields["imm"](rng)
+    if op == "jalr" and rng.random() < 1 / 3:
+        fields["rd"] = fields["rs1"]
+    instr = decode(encode(Instruction(op, **fields)))
+    regs = [0] + [rng.choice(_DIFF_VALUES + (rng.getrandbits(32),)) for _ in range(31)]
+    if op in ("lw", "sw") and instr.rs1:
+        regs[instr.rs1] = (rng.choice(_DIFF_ADDRS) - instr.imm) & MASK32
+    return instr, regs
+
+
+def _memory_of(mem):
+    return mem.words, mem.data_words, mem.dirty, mem.text_written
+
+
+@pytest.mark.parametrize("op", [op for op in isa.MNEMONICS if op != "ecall"])
+def test_generated_word_runs_as_its_handler(op):
+    # An ecall ends a block's decoded words, so it has no template.
+    rng = random.Random(f"generated {op}")
+    seen = Counter()
+    for _ in range(300):
+        instr, regs = _draw(rng, op)
+        base = rng.choice((0, 4 * rng.randrange(1, 8), 0x1000, 0xFFFFFFFC))
+        state = eng.MachineState(mem=eng.Memory(_DIFF_IMAGE), pc=base, regs=regs[:])
+        expected = eng._HANDLERS[op](state.regs, instr, base, state)
+        mem, got_regs = eng.Memory(_DIFF_IMAGE), regs[:]
+        assert eng._compiled((instr,))(got_regs, mem, base) == (expected, 0), instr
+        assert got_regs == state.regs, instr
+        assert _memory_of(mem) == _memory_of(state.mem), instr
+        seen["rd0" if instr.rd == 0 else "rd"] += 1
+        seen["fault" if expected is None else "text" if mem.text_written else "ok"] += 1
+        seen["next word" if instr.imm == 4 else "other"] += 1
+        if op == "sw":   # a store into the text ends the run before the next word
+            mem, got_regs = eng.Memory(_DIFF_IMAGE), regs[:]
+            got = eng._compiled((instr, Instruction("addi", 31, 31, None, 1)))(got_regs, mem, base)
+            if expected is None:
+                assert got == (None, 0)
+            elif mem.text_written:
+                assert got == (base + 4, 0) and got_regs == state.regs
+            else:
+                assert got == (base + 8, 1)
+                assert got_regs == state.regs[:31] + [(state.regs[31] + 1) & MASK32]
+    fmt = isa.ISA_TABLE[op][0]
+    assert seen["rd0"] and seen["rd"] or fmt in ("S", "B"), seen
+    assert seen["next word"] or fmt not in ("B", "J"), seen
+    if op in ("lw", "sw"):
+        assert seen["fault"] and seen["ok"] and (op == "lw" or seen["text"]), seen
+
+
+# A self-loop whose words no other test decodes
+_MEMO_LOOP = _SELF_LOOP.replace("addi x10, x10, 3", "addi x10, x10, {}")
+
+
+def test_plaintext_and_encrypted_runs_share_one_generated_function():
+    image = _image(_MEMO_LOOP.format(1701))
+    eimage = encrypt_pipeline(image, 42)
+    before = eng._compiled.cache_info()
+    for target in (image, eimage):
+        assert Engine(target).run().outcome == HALT
+    after = eng._compiled.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert image.decoded_blocks[1][2] is eimage.decoded_blocks[1][2]
+    assert image.decoded_blocks[1][0] is None != eimage.decoded_blocks[1][0]
+
+
+def test_attack_calls_on_one_image_share_its_generated_functions(tmp_path, capsys):
+    # Each call loads a fresh EncryptedImage and decodes the loop again in its
+    # 500-step prefix; only the first generates the loop's function.
+    (tmp_path / "loop.s").write_text(_MEMO_LOOP.format(1702))
+    assert cli.main(["assemble", str(tmp_path / "loop.s")]) == 0
+    assert cli.main(["encrypt", str(tmp_path / "loop.img"), "--seed", "42" * 16]) == 0
+    (tmp_path / "rogue.json").write_text(
+        json.dumps({"kind": "rogue-edge", "trigger_step": 500, "target": 0}))
+    argv = ["attack", str(tmp_path / "loop.eimg"), str(tmp_path / "rogue.json")]
+    calls = []
+    for _ in range(2):
+        before = eng._compiled.cache_info()
+        assert cli.main(argv) == 0
+        after = eng._compiled.cache_info()
+        calls.append((after.misses - before.misses, after.hits > before.hits))
+    assert calls == [(1, False), (0, True)]
+    outputs = capsys.readouterr().out.split("\n}\n")
+    assert outputs[-2] == outputs[-3]   # the two attack reports
+
+
+def test_a_run_leaves_no_cycle_holding_its_target():
+    # Decoded blocks, their exit links and generated functions hold no
+    # reference back to the target, and a function's globals are the shared
+    # dict it was generated under, so reference counting frees the target.
+    image = _image(_SELF_LOOP)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in (lambda: _image(_SELF_LOOP), lambda: encrypt_pipeline(image, 42)):
+            target = make()
+            engine = Engine(target)
+            assert engine.run().outcome == HALT
+            run = target.decoded_blocks[1][2]
+            assert run.__globals__ is eng._BLOCK_GLOBALS == {"__builtins__": {}}
+            ref = weakref.ref(target)
+            del engine, target
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

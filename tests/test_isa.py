@@ -245,3 +245,8 @@ def test_every_row_assembles_round_trips_and_has_a_handler():
         assert instr.op == mnemonic
         assert decode(encode(instr)) == instr, mnemonic
     assert set(engine._HANDLERS) == set(isa.MNEMONICS)
+
+
+def test_every_row_but_ecall_has_a_block_template():
+    # a decoded block's words stop before an ecall, so it is never generated
+    assert set(engine._TEMPLATES) == set(isa.MNEMONICS) - {"ecall"}
