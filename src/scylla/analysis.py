@@ -110,8 +110,7 @@ class SurvivalFit:
         }
 
 
-def fit_survival(samples, p: float,
-                 checkpoints=SURVIVAL_CHECKPOINTS) -> SurvivalFit:
+def fit_survival(samples, p: float) -> SurvivalFit:
     """Empirical survival curve vs p^k, judged at 3 binomial stderr."""
     n = len(samples)
     if n < MIN_SURVIVAL_SAMPLES:
@@ -119,7 +118,7 @@ def fit_survival(samples, p: float,
     points = []
     worst = 0.0
     within = True
-    for k in checkpoints:
+    for k in SURVIVAL_CHECKPOINTS:
         empirical = sum(latency > k for latency in samples) / n
         model = survival_model(p, k)
         stderr = math.sqrt(model * (1 - model) / n)

@@ -125,10 +125,11 @@ def scenario_from_json_dict(doc: dict) -> AttackScenario:
 
 def load_scenario(path) -> AttackScenario:
     with open(path) as fh:
-        try:
-            return scenario_from_json_dict(json.load(fh))
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        try:   # ValueError covers bad JSON, bad UTF-8 and integers past the digit limit
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise HarnessError(f"scenario file is not JSON: {exc}") from None
+    return scenario_from_json_dict(doc)
 
 
 @dataclass(frozen=True)

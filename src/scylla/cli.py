@@ -75,8 +75,7 @@ from .isa import exact_valid_decode_fraction
 SEED_ENV = "SCYLLA_SEED"
 
 DOMAIN_ERRORS = (AsmError, AnalysisError, LayoutError, ImageFormatError,
-                 KeyScheduleError, HarnessError, ReportError, MismatchError,
-                 FileNotFoundError, IsADirectoryError)
+                 KeyScheduleError, HarnessError, ReportError, MismatchError, OSError)
 
 
 def _seed(text: str) -> bytes:

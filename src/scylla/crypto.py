@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -135,11 +135,15 @@ def gen_keys(image: Image, master_seed: int | bytes) -> KeySchedule:
 
 @dataclass(frozen=True)
 class EncryptedImage:
-    """Image whose text words are ciphertext; data is never encrypted."""
+    """Image whose text words are ciphertext; data is never encrypted. The
+    constructor checks the patch table on top of the image's own rules
+    (edge kinds included) and indexes it as it goes."""
 
     image: Image
     patch_table: tuple[tuple[int, int, bytes], ...]  # sorted (source id, target entry, patch)
     entry_key: bytes
+    # (source id, target entry) -> patch, built by the patch-order check
+    patch_map: dict[tuple[int, int], bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # A fetch's offset wraps at MAX_WORD_OFFSET words, the block's stream
@@ -153,19 +157,16 @@ class EncryptedImage:
         # base stays a block entry; the attack harness finds a block's records
         # by bisecting the table, so they ascend by (source id, target).
         block_count, entries = len(self.image.blocks), self.image.block_index
-        last_src = last_target = -1
-        for src, target, _patch in self.patch_table:
+        patches, last_src, last_target = {}, -1, -1
+        for src, target, patch in self.patch_table:
             if not 0 <= src < block_count or target not in entries:
                 raise LayoutError(
                     f"patch {src} -> {target:#x} needs a source block and a target block entry")
             if src < last_src or src == last_src and target <= last_target:
                 raise LayoutError(f"patch {src} -> {target:#x} is out of order or repeated")
+            patches[src, target] = patch
             last_src, last_target = src, target
-
-    @cached_property
-    def patch_map(self) -> dict[tuple[int, int], bytes]:
-        """(source id, target entry) -> patch, built once per image."""
-        return {(src, tgt): patch for src, tgt, patch in self.patch_table}
+        object.__setattr__(self, "patch_map", patches)
 
     @cached_property
     def decoded_blocks(self) -> dict:

@@ -12,6 +12,8 @@ docs/formats.md):
 flags bit 0 marks an encrypted image, which is followed by a KEYT
 section (see crypto.py). The edge records make the container
 self-contained: encrypting an image needs the graph, not the source.
+Only the `Image` constructor checks the container rules, edge kinds
+included, and its block-tiling check builds the image's `block_index`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import hashlib
 import struct
 import sys
 from array import array
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .asm import Program
@@ -35,6 +36,7 @@ FLAG_ENCRYPTED = 0x1
 _HEADER = struct.Struct("<4sIIIIIIIII")
 _BLOCK_REC = struct.Struct("<II")
 _EDGE_REC = struct.Struct("<III")
+_KIND_NAMES = dict(enumerate(EDGE_KINDS))   # kind code -> kind
 
 
 class LayoutError(ValueError):
@@ -48,7 +50,8 @@ class ImageFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Image:
-    """Laid-out program: text/data bytes plus the block and edge tables."""
+    """Laid-out program: text/data bytes plus the block and edge tables,
+    which the constructor checks (edge kinds too) and indexes as it goes."""
 
     text_base: int
     entry: int
@@ -57,13 +60,15 @@ class Image:
     data: bytes
     blocks: tuple[tuple[int, int], ...]        # (entry addr, length in words)
     edges: tuple[tuple[int, int, str], ...]    # (source id, target id, kind)
+    # block entry address -> (block id, length in words), built by the tiling check
+    block_index: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """The container rules of docs/formats.md hold for every image,
         however it is made: LayoutError names the first one broken."""
         text_base, text_size = self.text_base, len(self.text)
         data_base, data_size = self.data_base, len(self.data)
-        blocks, block_count = self.blocks, len(self.blocks)
+        block_count = len(self.blocks)
         if text_base % 4 or text_size % 4:
             raise LayoutError("text base and text length must be multiples of 4")
         # both segments lie in the 32-bit address space, and text and data,
@@ -76,22 +81,25 @@ class Image:
         if data_size and text_size and not (data_end <= text_base or data_base >= text_end):
             raise LayoutError(f"text [{text_base:#x}, {text_end:#x}) overlaps "
                               f"data [{data_base:#x}, {data_end:#x})")
-        at = text_base
-        for block_id, (block_entry, length) in enumerate(blocks):   # blocks tile the text
+        index, at = {}, text_base
+        for block_id, (block_entry, length) in enumerate(self.blocks):   # blocks tile the text
             if block_entry != at:
                 raise LayoutError(f"block {block_id} starts at {block_entry:#x}, not at {at:#x}")
             if length < 1:
                 raise LayoutError(f"block {block_id} is empty")
+            index[at] = (block_id, length)
             at += 4 * length
         if at != text_end:
             raise LayoutError(f"blocks end at {at:#x}, the text at {text_end:#x}")
-        found = bisect_left(blocks, (self.entry,))   # tiled blocks are sorted by entry
-        if found == block_count or blocks[found][0] != self.entry:
+        if self.entry not in index:
             raise LayoutError(f"entry {self.entry:#x} is not a block entry")
-        for src, tgt, _kind in self.edges:
+        for src, tgt, kind in self.edges:
             if src >= block_count or tgt >= block_count:
                 raise LayoutError(
                     f"edge {src} -> {tgt} names a block past the last id {block_count - 1}")
+            if kind not in EDGE_KIND_CODES:
+                raise LayoutError(f"edge {src} -> {tgt} has unknown kind {kind!r}")
+        object.__setattr__(self, "block_index", index)
 
     def text_words(self) -> array:
         """The text's little-endian words, as a new array."""
@@ -120,12 +128,6 @@ class Image:
                 data_words.byteswap()
             arrays = self.__dict__["_word_arrays"] = (text_words, base + skip, data_words)
         return arrays
-
-    @cached_property
-    def block_index(self) -> dict[int, tuple[int, int]]:
-        """Block entry address -> (block id, length in words), built once."""
-        return {entry: (block_id, length)
-                for block_id, (entry, length) in enumerate(self.blocks)}
 
     @cached_property
     def fetch_cache(self) -> dict:
@@ -200,17 +202,14 @@ def parse_container(blob: bytes) -> tuple[Image, int, int]:
     if data_at + data_len > len(blob):
         raise ImageFormatError("container truncated")
 
-    edges = []
-    for src, tgt, code in _EDGE_REC.iter_unpack(blob[blocks_end:text_at]):
-        if code >= len(EDGE_KINDS):
-            raise ImageFormatError(f"bad edge kind code {code}")
-        edges.append((src, tgt, EDGE_KINDS[code]))
-
+    # an unknown kind code stays a code, for the Image constructor to refuse
+    edges = tuple([(src, tgt, _KIND_NAMES.get(code, code))
+                   for src, tgt, code in _EDGE_REC.iter_unpack(blob[blocks_end:text_at])])
     try:
         image = Image(text_base=text_base, entry=entry, text=blob[text_at:data_at],
                       data_base=data_base, data=blob[data_at:data_at + data_len],
                       blocks=tuple(_BLOCK_REC.iter_unpack(blob[_HEADER.size:blocks_end])),
-                      edges=tuple(edges))
+                      edges=edges)
     except LayoutError as err:
         raise ImageFormatError(str(err)) from None
     return image, flags, data_at + data_len

@@ -150,9 +150,11 @@ _INJECT = (Path(__file__).resolve().parent.parent / "corpus" / "scenarios"
     _INJECT.replace('"sentinel_addr": 65584', '"sentinel_addr": -4'),
     _INJECT.replace('"sentinel_value": 3237998146', '"sentinel_value": -1'),
     _INJECT.replace('"sentinel_value": 3237998146', '"sentinel_value": 8589934592'),
+    _INJECT.replace('"target": 65552', '"target": ' + "1" * 5000),
 ], ids=["string-trigger", "string-target", "not-an-object", "non-hex-payload",
         "float-target", "not-json", "nested-too-deep", "misaligned-sentinel",
-        "negative-sentinel", "negative-sentinel-value", "sentinel-value-past-32-bits"])
+        "negative-sentinel", "negative-sentinel-value", "sentinel-value-past-32-bits",
+        "integer-past-digit-limit"])
 def test_attack_rejects_malformed_scenario_file(workdir, capsys, text):
     run_cli(capsys, "assemble", workdir / "fib.s")
     run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
@@ -506,6 +508,28 @@ def test_unread_flags_and_combinations_are_usage_errors(built, capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert sorted(built.iterdir()) == before
+
+
+# Each path runs through the regular file fib.eimg.
+THROUGH_A_FILE = [
+    ["assemble", "fib.s", "--out", "fib.eimg/x.img"],
+    ["run", "fib.eimg/x.img"],
+    ["attack", "fib.eimg", "fib.eimg/s.json"],
+    ["attack", "fib.eimg", "--kind", "rogue-edge", "--trials", "100",
+     "--curve", "fib.eimg/c.csv"],
+    ["run", "fib.eimg", "--out", "fib.eimg/o.json"],
+]
+
+
+@pytest.mark.parametrize("argv", THROUGH_A_FILE, ids=" ".join)
+def test_path_through_a_file_is_a_domain_error(built, capsys, argv):
+    before = {path.name: path.read_bytes() for path in built.iterdir()}
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("scylla: error:")
+    assert {path.name: path.read_bytes() for path in built.iterdir()} == before
 
 
 def test_seed_variable_is_read_only_by_seeded_commands(built, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from scylla import crypto
 from scylla.asm import parse_assembly
 from scylla.crypto import (
     KeyScheduleError,
+    decrypt_image,
     derive_block_key,
     derive_next_key,
     dump_encrypted_image,
@@ -283,6 +284,26 @@ def test_encrypted_container_round_trip(corpus_sources):
     for source in corpus_sources.values():
         eimage = encrypt_pipeline(_image(source), SEED)
         assert load_encrypted_image_bytes(dump_encrypted_image(eimage)) == eimage
+
+
+def test_constructors_index_every_image(corpus_sources):
+    # block_index and patch_map come from the constructors' checks; they equal
+    # the tables they index however the image is made
+    for source in corpus_sources.values():
+        image = _image(source)
+        schedule = gen_keys(image, SEED)
+        eimage = encrypt_image(image, schedule)
+        loaded = load_encrypted_image_bytes(dump_encrypted_image(eimage))
+        for plain in (image, eimage.image, loaded.image, decrypt_image(loaded, schedule),
+                      load_image_bytes(dump_image(image))):
+            assert plain.block_index == {entry: (block_id, length) for block_id, (entry, length)
+                                         in enumerate(plain.blocks)}
+        for encrypted in (eimage, loaded):
+            assert encrypted.patch_map == {(src, tgt): patch
+                                           for src, tgt, patch in encrypted.patch_table}
+        moved = replace(image, text=bytes(len(image.text)))
+        assert moved.block_index == image.block_index
+        assert moved.block_index is not image.block_index
 
 
 def test_encrypted_container_rejects_plain(corpus_sources):

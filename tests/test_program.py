@@ -317,6 +317,7 @@ BROKEN_TABLES = [
     (76, 1, "blocks end at 0x40, the text at 0x44"),
     (80, 5, "edge 5 -> 2 names a block past the last id 4"),
     (84, 7, "edge 0 -> 7 names a block past the last id 4"),
+    (88, 6, "edge 0 -> 2 has unknown kind 6"),
     (12, 2, "text base and text length must be multiples of 4"),
     (24, 0, "text [0x0, 0x44) overlaps data [0x0, 0x40)"),
 ]
