@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -41,7 +42,7 @@ from .engine import (
     RunReport,
 )
 from .image import Image
-from .isa import ADDRESS_SPACE, Instruction, encode
+from .isa import ADDRESS_SPACE, Instruction, encode, le_bytes, le_words
 
 CODE_INJECTION = "code-injection"
 ROGUE_EDGE = "rogue-edge"
@@ -165,7 +166,7 @@ def hijack_payload(sentinel_addr: int, sentinel_value: int) -> bytes:
 
     instrs = (li(5, sentinel_addr) + li(6, sentinel_value)
               + [Instruction("sw", rs1=5, rs2=6, imm=0), Instruction("ecall")])
-    return b"".join(encode(i).to_bytes(4, "little") for i in instrs)
+    return le_bytes(array("I", map(encode, instrs)))
 
 
 # Random targets are drawn as `rng.choice(candidates)` draws them, with one
@@ -227,10 +228,8 @@ def _replay_record(eimage: EncryptedImage, cur: int, source: int | None,
     return table[lo + k]
 
 
-def _apply_scenario(engine: Engine, eimage: EncryptedImage,
-                    scenario: AttackScenario, rng: random.Random) -> None:
-    state = engine.state
-    image = eimage.image
+def _apply_scenario(engine: Engine, scenario: AttackScenario, rng: random.Random) -> None:
+    state, eimage, image = engine.state, engine.target, engine.image
     cur = engine.current_block()
 
     if scenario.kind == CODE_INJECTION:
@@ -238,11 +237,10 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
             raise HarnessError("code-injection needs target and payload")
         if len(scenario.payload) % 4:
             raise HarnessError("payload must be whole words")
-        for i in range(0, len(scenario.payload), 4):
-            word = int.from_bytes(scenario.payload[i:i + 4], "little")
-            if not state.mem.store_word(scenario.target + i, word):
-                raise HarnessError(
-                    f"payload address {scenario.target + i:#x} is not mapped")
+        for i, word in enumerate(le_words(scenario.payload)):
+            addr = scenario.target + 4 * i
+            if not state.mem.store_word(addr, word):
+                raise HarnessError(f"payload address {addr:#x} is not mapped")
         state.pc = scenario.target
 
     elif scenario.kind == ROGUE_EDGE:
@@ -257,12 +255,10 @@ def _apply_scenario(engine: Engine, eimage: EncryptedImage,
         target = scenario.target
         if target is None:
             target = _mid_block_target(image, cur, rng)
-        else:
-            # the last block entered below the target; blocks are sorted by entry
-            below = bisect_left(image.blocks, (target,)) - 1
-            inside = below >= 0 and target < image.blocks[below][0] + 4 * image.blocks[below][1]
-            if not inside or target in image.block_index:
-                raise HarnessError(f"{target:#x} is not a mid-block address")
+        # blocks tile the text, so a text address that is no block entry is mid-block
+        elif (not image.text_base <= target < image.text_base + len(image.text)
+              or target in image.block_index):
+            raise HarnessError(f"{target:#x} is not a mid-block address")
         state.pc = target
 
     elif scenario.kind == PATCH_REPLAY:
@@ -296,7 +292,7 @@ def run_attack(eimage: EncryptedImage, scenario: AttackScenario, seed: int = 0,
     fired = (scenario.trigger_step <= step_limit
              and engine.advance(scenario.trigger_step))
     if fired:
-        _apply_scenario(engine, eimage, scenario, random.Random(seed))
+        _apply_scenario(engine, scenario, random.Random(seed))
     report = engine.run(step_limit)
 
     detected = report.outcome in (INTEGRITY_FAULT, MEMORY_FAULT)
@@ -327,9 +323,10 @@ def run_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
         raise HarnessError("code-injection needs a scenario file: "
                            "its target and payload are not drawn at random")
     baseline = Engine(eimage).run(step_limit)
-    if baseline.outcome != HALT:
-        raise HarnessError("program does not halt unattacked; cannot place triggers")
     horizon = baseline.counters.instructions_retired
+    if baseline.outcome != HALT:   # triggers are drawn from the steps of a halting run
+        raise HarnessError(f"unattacked run ended in {baseline.outcome} after {horizon} "
+                           "steps; cannot place triggers")
     rng = random.Random(seed)
     trials = [(AttackScenario(kind=kind, trigger_step=rng.randrange(horizon)),
                rng.getrandbits(63)) for _ in range(n_trials)]

@@ -27,7 +27,6 @@ per word and stays as the reference the frozen vectors test.
 from __future__ import annotations
 
 import struct
-import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -42,6 +41,7 @@ from .image import (
     dump_image,
     parse_container,
 )
+from .isa import le_words
 
 KEY_BYTES = 16
 MAX_WORD_OFFSET = 1 << 20
@@ -102,10 +102,7 @@ def keystream_word(key: bytes, word_offset: int) -> int:
 
 def block_keystream(key: bytes, n_words: int) -> array:
     """Keystream words 0..n_words-1 under `key`, from one AES call."""
-    stream = array("I", _stream_bytes(key, n_words))
-    if sys.byteorder == "big":   # keystream words are read little-endian
-        stream.byteswap()
-    return stream
+    return le_words(_stream_bytes(key, n_words))
 
 
 def derive_next_key(current: bytes, patch: bytes) -> bytes:

@@ -27,8 +27,8 @@ cache is cleared. Every counter still counts every modelled fetch.
 The fetch loop keeps its state (pc, previous pc, counters, key register,
 block base, the key's stream) in locals and writes it back on every
 exit, so between two `advance` calls the engine's fields are exact.
-`Memory` holds the text and the data segment as word arrays, copies of
-those each image builds once (`Image.word_arrays`). An aligned fetch
+Each engine's `Memory` converts the image's text and data bytes into
+its own word arrays (a fork copies its parent's). An aligned fetch
 inside the text reads the text array, which every store writes; other
 fetches, every `lw` and the digest go through `Memory.load_word`, and
 every `sw` through `Memory.store_word`.
@@ -99,7 +99,6 @@ outcomes, digests and outputs are those of the per-word path.
 from __future__ import annotations
 
 import hashlib
-import sys
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -113,7 +112,7 @@ from .crypto import (
     keystream_word,
 )
 from .image import Image
-from .isa import MASK32, Instruction, decode
+from .isa import MASK32, Instruction, decode, le_bytes, le_words
 
 HALT = "halt"
 INTEGRITY_FAULT = "integrity-fault"
@@ -189,17 +188,21 @@ class Memory:
     """Text and data as word arrays; word loads/stores, dirty tracking.
 
     A word access is legal at an aligned address whose 4 bytes lie inside
-    the text or inside the data segment. Both arrays are copies of the
-    image's (`Image.word_arrays`); the data array holds the data segment's
-    word-aligned span, which is all the words an access can reach.
+    the text or inside the data segment, so the data array holds only the
+    segment's word-aligned span: the words at aligned addresses `a` with
+    data_base <= a <= data_base + len(data) - 4. The leading bytes of an
+    unaligned base and those of a partial last word are not held, and a
+    segment no longer than its unaligned lead holds no word.
 
     `text_written` records that a store went into the text, so the engine
     no longer runs blocks decoded from the image's text (see above)."""
 
     def __init__(self, image: Image):
         self.text_base = image.text_base
-        text_words, self.data_start, data_words = image.word_arrays()
-        self.words, self.data_words = text_words[:], data_words[:]
+        self.words = image.text_words()
+        data, skip = image.data, -image.data_base & 3
+        self.data_start = image.data_base + skip
+        self.data_words = le_words(data[skip:skip + (len(data) - skip) // 4 * 4])
         self.dirty: set[int] = set()
         self.text_written = False
 
@@ -259,14 +262,13 @@ class MachineState:
     def digest(self) -> str:
         """sha256 of the registers, then (address, word) for each dirty
         address in address order, as little-endian 32-bit words."""
-        load_word = self.mem.load_word
-        words = array("I", self.regs)
-        for addr in sorted(self.mem.dirty):
-            words.append(addr)
-            words.append(load_word(addr) or 0)
-        if sys.byteorder == "big":
-            words.byteswap()
-        return hashlib.sha256(words).hexdigest()
+        words, mem = array("I", self.regs), self.mem
+        if mem.dirty:
+            load_word = mem.load_word
+            for addr in sorted(mem.dirty):
+                words.append(addr)
+                words.append(load_word(addr) or 0)
+        return hashlib.sha256(le_bytes(words)).hexdigest()
 
 
 # Op handlers of the per-word path, and the reference the generated block

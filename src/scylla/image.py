@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .asm import Program
 from .cfg import EDGE_KINDS, EDGE_KIND_CODES, build_cfg
-from .isa import ADDRESS_SPACE, encode
+from .isa import ADDRESS_SPACE, encode, le_bytes, le_words
 
 MAGIC = b"SCY1"
 VERSION = 1
@@ -103,31 +102,7 @@ class Image:
 
     def text_words(self) -> array:
         """The text's little-endian words, as a new array."""
-        return self.word_arrays()[0][:]
-
-    def word_arrays(self) -> tuple[array, int, array]:
-        """(text words, address of the first data word, data words), built at
-        the first call and kept; whoever writes them copies them first.
-
-        The data words are the data segment's word-aligned span, the words
-        at aligned addresses `a` with data_base <= a <= data_base + len(data)
-        - 4: the leading bytes of an unaligned base and those of a partial
-        last word are not held, and a segment no longer than its unaligned
-        lead holds no word."""
-        # kept by hand, not by a cached_property, whose lock would cost the
-        # first engine on each freshly loaded image about a microsecond
-        arrays = self.__dict__.get("_word_arrays")
-        if arrays is None:
-            base, data = self.data_base, self.data
-            skip = -base & 3
-            if skip or len(data) & 3:
-                data = data[skip:skip + (len(data) - skip) // 4 * 4]
-            text_words, data_words = array("I", self.text), array("I", data)
-            if sys.byteorder == "big":
-                text_words.byteswap()
-                data_words.byteswap()
-            arrays = self.__dict__["_word_arrays"] = (text_words, base + skip, data_words)
-        return arrays
+        return le_words(self.text)
 
     @cached_property
     def fetch_cache(self) -> dict:
@@ -150,10 +125,7 @@ def layout_image(program: Program, text_base: int = 0) -> Image:
     words = dict.fromkeys(program.instructions)    # each distinct Instruction -> its word
     for instr in words:
         words[instr] = encode(instr)
-    text_words = array("I", map(words.__getitem__, program.instructions))
-    if sys.byteorder == "big":   # container words are little-endian
-        text_words.byteswap()
-    text = text_words.tobytes()
+    text = le_bytes(array("I", map(words.__getitem__, program.instructions)))
     return Image(
         text_base=text_base,
         entry=text_base,

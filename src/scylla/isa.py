@@ -51,6 +51,8 @@ p = 117,637,121 / 2^32 ~= 0.0273895.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cache
 
@@ -58,6 +60,7 @@ MASK32 = 0xFFFFFFFF
 ADDRESS_SPACE = 1 << 32          # bytes of the 32-bit address space
 WORD_ALL_ZERO = 0x00000000
 WORD_ALL_ONES = 0xFFFFFFFF
+HOST_BYTE_ORDER = sys.byteorder  # read only by the codec below; tests substitute it
 
 # DecodeError reasons.
 UNKNOWN_OPCODE = "unknown-opcode"
@@ -101,6 +104,27 @@ ISA_TABLE: dict[str, tuple[str, int, int | None, int | None]] = {
 }
 
 MNEMONICS = tuple(ISA_TABLE)
+
+
+# Words are little-endian wherever they are bytes: in containers, keystreams,
+# payloads and digests. These two functions are the one place that rule and
+# the host's byte order meet.
+
+def le_words(data: bytes) -> array:
+    """The little-endian 32-bit words of `data`, as a new array; a length
+    that is not a multiple of 4 raises ValueError."""
+    words = array("I", data)
+    if HOST_BYTE_ORDER == "big":
+        words.byteswap()
+    return words
+
+
+def le_bytes(words: array) -> bytes:
+    """An array of 32-bit words as little-endian bytes."""
+    if HOST_BYTE_ORDER == "big":
+        words = words[:]
+        words.byteswap()
+    return words.tobytes()
 
 
 def _fixed_bits(fmt: str, f3: int | None, f7: int | None) -> int:

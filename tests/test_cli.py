@@ -372,6 +372,28 @@ def test_attack_code_injection_campaign_needs_scenario_file(workdir, capsys, mon
     assert runs == []
 
 
+@pytest.mark.parametrize("source, extra, ending", [
+    ("fib.s", ["--step-limit", "10"], "unattacked run ended in step-limit after 10 steps"),
+    ("lw_fault.s", [], "unattacked run ended in memory-fault after 8 steps"),
+])
+def test_attack_campaign_refuses_a_program_that_does_not_halt(workdir, capsys, source,
+                                                              extra, ending):
+    # triggers are drawn from the steps of a halting run; the refusal names how
+    # the unattacked run ended instead, and when
+    (workdir / "lw_fault.s").write_text(
+        "addi x1, x0, 3\nloop:\naddi x1, x1, -1\nbne x1, x0, loop\n"
+        "lui x5, 32\nlw x6, 0(x5)\necall\n")
+    image = workdir / source.replace(".s", ".img")
+    run_cli(capsys, "assemble", workdir / source)
+    run_cli(capsys, "encrypt", image, "--seed", SEED)
+    code = main(["attack", str(image.with_suffix(".eimg")), "--kind", "rogue-edge", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert ending in captured.err
+
+
 SEED_B = "0x" + "F0E1D2C3B4A5968778695A4B3C2D1E0F"
 
 # Every retained flag and value of every subcommand, run in order in a

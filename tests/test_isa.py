@@ -250,3 +250,60 @@ def test_every_row_assembles_round_trips_and_has_a_handler():
 def test_every_row_but_ecall_has_a_block_template():
     # a decoded block's words stop before an ecall, so it is never generated
     assert set(engine._TEMPLATES) == set(isa.MNEMONICS) - {"ecall"}
+
+
+def _codec_inputs():
+    rng = random.Random(19)
+    edges = (0).to_bytes(4, "little") + isa.MASK32.to_bytes(4, "little")
+    yield b""
+    yield (0x00500093).to_bytes(4, "little")
+    yield edges
+    for _ in range(4):
+        yield rng.randbytes(4096) + edges
+
+
+def test_word_codec_round_trips_and_reads_little_endian():
+    for data in _codec_inputs():
+        words = isa.le_words(data)
+        assert list(words) == [int.from_bytes(data[i:i + 4], "little")
+                               for i in range(0, len(data), 4)]
+        assert isa.le_bytes(words) == data
+        assert isa.le_words(isa.le_bytes(words)) == words
+
+
+def test_word_codec_returns_new_objects():
+    data = bytes(range(16))
+    words = isa.le_words(data)
+    assert isa.le_words(data) is not words
+    encoded = isa.le_bytes(words)
+    words[0] = 0
+    assert encoded == data
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 4099])
+def test_word_codec_refuses_a_partial_word(size):
+    with pytest.raises(ValueError):
+        isa.le_words(bytes(size))
+
+
+def test_word_codec_swaps_on_a_big_endian_host(monkeypatch):
+    # the codec reads the host's byte order from one constant; claiming the
+    # other order makes it swap where it should not, so the words it reads
+    # are the big-endian ones on either host
+    other = "big" if isa.HOST_BYTE_ORDER == "little" else "little"
+    monkeypatch.setattr(isa, "HOST_BYTE_ORDER", other)
+    for data in _codec_inputs():
+        words = isa.le_words(data)
+        assert list(words) == [int.from_bytes(data[i:i + 4], "big")
+                               for i in range(0, len(data), 4)]
+        assert isa.le_bytes(words) == data
+        source = words[:]
+        isa.le_bytes(words)
+        assert words == source   # the swap is made on a copy
+
+
+def test_only_the_isa_module_reads_the_byte_order():
+    package = Path(isa.__file__).parent
+    readers = sorted(path.name for path in package.rglob("*.py")
+                     if "byteorder" in path.read_text())
+    assert readers == ["isa.py"]
