@@ -30,8 +30,9 @@ exit, so between two `advance` calls the engine's fields are exact.
 Each engine's `Memory` converts the image's text and data bytes into
 its own word arrays (a fork copies its parent's). An aligned fetch
 inside the text reads the text array, which every store writes; other
-fetches, every `lw` and the digest go through `Memory.load_word`, and
-every `sw` through `Memory.store_word`.
+fetches and the digest go through `Memory.load_word`. On the per-word
+path every `lw` goes through `Memory.load_word` and every `sw` through
+`Memory.store_word`; a decoded block reaches data words directly (below).
 
 The loop relies on three invariants, each held where the data is made:
 - the key register's base is a block entry: it starts at the image
@@ -52,7 +53,12 @@ key, are decoded once up to the first illegal word or ecall and run as
 one generated function (`_compiled`, from the per-op `_TEMPLATES`): every
 operand is a constant, a write to x0 is dropped, a branch or jal to the
 next word falls through, and it returns at the first transfer, at a
-memory fault and after a store into the text. The engine's target holds
+memory fault and after a store into the text. Its `lw` and `sw` at an
+aligned address inside the data segment read and write `Memory.data_words`
+as `load_word` and `store_word` would, masking the value and marking the
+address dirty; every other address (text, unmapped, unaligned) goes
+through those methods. Text and data never overlap, which `Image`
+guarantees, so a data word is never text. The engine's target holds
 the decoded block (`EncryptedImage.decoded_blocks`, or a plaintext
 `Image.decoded_blocks`), keyed by block id and tagged with the key, for
 every later call and every engine on that target. An entry on the
@@ -64,6 +70,22 @@ decoded words or outside the key's block; those past the key's stream
 (rogue, mid-block and stale fetches) decrypt with `keystream_word`. A
 call that retires one instruction enters a block at most once, so
 `trace`, which steps one instruction per call, is the per-word reference.
+
+Rounds in place. When a block's last decoded word is a branch or jal to
+its first word, its function is a loop: a taken back edge starts the body
+again inside the function, at most `rounds` times, and then returns
+`base`. The engine allows rounds only when the block's link for exit pc
+`base` (see Chained exits) keeps the key, since then the fetch loop would
+take that link and enter the same body under the same key; an honest
+self edge has the zero patch, and a self patch that changes the key gets
+no round in place. It allows as many as fit whole under the step limit,
+`(limit - retired) // size - 1` beside the round the entry runs, so the
+step limit never falls inside a round. Each round counts what the trip
+through the fetch loop counts: `size` retired instructions, one control
+transfer and, in an encrypted run, `size` keystream invocations, one
+patch lookup, and one key switch if the self edge has a patch. A round returns
+early where a body does: at the first transfer out, at a memory fault
+and after a store into the text.
 
 The generated code is memoised by the tuple of decoded instructions
 alone, in a bounded `lru_cache`: a function depends on neither the key,
@@ -86,14 +108,20 @@ Chained exits. A decoded block also holds one link per exit pc: the
 successor (the patch lookup, the key derivation, the block table entry
 and the key's stream) that the first transfer out of it there resolved.
 A successor is a function of the block, the exit pc, the key and the
-patch table. A link is taken only at the first transfer after a decoded
-run, and key and block change only at transfers, so it is taken under
+patch table. A link is made only at the first transfer after a decoded
+run, and key and block change only at transfers, so it is made under
 the key the block was decoded with; the patch table is the target's. A
 link therefore never goes stale, in any call or engine on the target,
-and a linked transfer counts what a resolved one does. `Image.fetch_cache`
-is per image because its words and streams depend on neither the key
-state nor the patch table. All of this is host-side: the counters,
-outcomes, digests and outputs are those of the per-word path.
+and a linked transfer counts what a resolved one does. The link for
+exit pc `base` is the self edge's: its base is the block's own, whether
+or not the edge has a patch, so whether rounds run in place rests on its
+key alone. An engine that goes on per word after a store into the text
+can still make a link on a block it leaves in place, so a later engine
+may find a self link that changes the key; it runs no round in place.
+`Image.fetch_cache` is per image because its words and streams depend
+on neither the key state nor the patch table. All of this is host-side:
+the counters, outcomes, digests and outputs are those of the per-word
+path.
 """
 
 from __future__ import annotations
@@ -426,16 +454,27 @@ def _key_stream(cache: dict, key: bytes, length: int) -> array:
 
 
 # Block templates: the lines each op compiles to in a decoded block's
-# generated function `(regs, mem, base) -> (next pc before masking or None
-# on a memory fault, index of the last word run)`, where `base` is the
-# address of word 0. Every placeholder is an int: the operand fields, `k`
-# (the word's index), `next` (4k + 4) and `target` (4k + imm), both from
-# base, `uimm` (imm as a 32-bit word), `upper` (lui's value), `mask` and
-# `sign`. A line that writes regs[{rd}] is dropped when rd is 0, and a line
-# that goes to {target} when the target is the next word, so such a branch
-# or jal falls through. The function returns at the first transfer, at a
-# memory fault and after a store into the text; an ecall ends the decoded
-# words, so it has no template.
+# generated function `(regs, mem, base, rounds) -> (next pc before masking or
+# None on a memory fault, index of the last word run, rounds taken in place)`,
+# where `base` is the address of word 0. Every placeholder is an int: the
+# operand fields, `k` (the word's index), `next` (4k + 4) and `target`
+# (4k + imm), both from base, `uimm` (imm as a 32-bit word), `upper` (lui's
+# value), `mask` and `sign`. A line that writes regs[{rd}] is dropped when rd
+# is 0, and a line that goes to {target} when the target is the next word, so
+# such a branch or jal falls through. The function returns at the first
+# transfer, at a memory fault and after a store into the text; an ecall ends
+# the decoded words, so it has no template. A lw or sw at an aligned address
+# inside the data segment reads or writes the data words (`_DATA` binds them)
+# as `Memory.load_word` and `store_word` would; any other address goes
+# through those methods. When the last word is a branch or jal to word 0, the
+# body is a loop (`_BACK_EDGES`): at most `rounds` times the back edge starts
+# the body again in place instead of returning `base`.
+_BRANCHES = {
+    "beq": "regs[{rs1}] == regs[{rs2}]",
+    "bne": "regs[{rs1}] != regs[{rs2}]",
+    "blt": "regs[{rs1}] ^ {sign} < regs[{rs2}] ^ {sign}",
+    "bge": "regs[{rs1}] ^ {sign} >= regs[{rs2}] ^ {sign}",
+}
 _TEMPLATES = {
     "add": ("regs[{rd}] = (regs[{rs1}] + regs[{rs2}]) & {mask}",),
     "sub": ("regs[{rd}] = (regs[{rs1}] - regs[{rs2}]) & {mask}",),
@@ -449,21 +488,35 @@ _TEMPLATES = {
     "xori": ("regs[{rd}] = regs[{rs1}] ^ {uimm}",),
     "slti": ("regs[{rd}] = 1 if (regs[{rs1}] ^ {sign}) - {sign} < {imm} else 0",),
     "lui": ("regs[{rd}] = {upper}",),
-    "lw": ("value = mem.load_word((regs[{rs1}] + {imm}) & {mask})",
-           "if value is None: return None, {k}",
+    "lw": ("addr = (regs[{rs1}] + {imm}) & {mask}",
+           "value = (data[(addr - start) >> 2] if not addr & 3 and start <= addr < end"
+           " else mem.load_word(addr))",
+           "if value is None: return None, {k}, taken",
            "regs[{rd}] = value"),
-    "sw": ("if not mem.store_word((regs[{rs1}] + {imm}) & {mask}, regs[{rs2}]): return None, {k}",
-           "if mem.text_written: return base + {next}, {k}"),
-    "beq": ("if regs[{rs1}] == regs[{rs2}]: return base + {target}, {k}",),
-    "bne": ("if regs[{rs1}] != regs[{rs2}]: return base + {target}, {k}",),
-    "blt": ("if regs[{rs1}] ^ {sign} < regs[{rs2}] ^ {sign}: return base + {target}, {k}",),
-    "bge": ("if regs[{rs1}] ^ {sign} >= regs[{rs2}] ^ {sign}: return base + {target}, {k}",),
+    "sw": ("addr = (regs[{rs1}] + {imm}) & {mask}",
+           "if not addr & 3 and start <= addr < end:",
+           "    data[(addr - start) >> 2] = regs[{rs2}] & {mask}",
+           "    dirty.add(addr)",
+           "elif not mem.store_word(addr, regs[{rs2}]): return None, {k}, taken",
+           "elif mem.text_written: return base + {next}, {k}, taken"),
+    **{op: (f"if {cond}: return base + {{target}}, {{k}}, taken",)
+       for op, cond in _BRANCHES.items()},
     "jal": ("regs[{rd}] = (base + {next}) & {mask}",
-            "return base + {target}, {k}"),
+            "return base + {target}, {k}, taken"),
     "jalr": ("target = (regs[{rs1}] + {imm}) & -2",
              "regs[{rd}] = (base + {next}) & {mask}",
-             "return target, {k}"),
+             "return target, {k}, taken"),
 }
+# the last word's lines when it goes back to word 0
+_ROUND = ("if taken == rounds: return base, {k}, taken", "taken += 1")
+_BACK_EDGES = {
+    **{op: (f"if not ({cond}): return base + {{next}}, {{k}}, taken",) + _ROUND
+       for op, cond in _BRANCHES.items()},
+    "jal": _TEMPLATES["jal"][:1] + _ROUND,
+}
+# a body with a lw or sw binds the data segment's words once per call
+_DATA = ("data, start, dirty = mem.data_words, mem.data_start, mem.dirty",
+         "end = start + (data.__len__() << 2)")
 # the generated functions' globals: they read no global and call no builtin
 _BLOCK_GLOBALS = {"__builtins__": {}}
 
@@ -474,10 +527,11 @@ def _compiled(instrs: tuple[Instruction, ...]):
     distinct word sequence: it depends on neither the key, nor the block's
     address, nor the image, so every target and run that decodes the same
     words shares it."""
-    lines = []
+    lines, last = [], len(instrs) - 1
     for k, instr in enumerate(instrs):
         imm = instr.imm or 0
-        for line in _TEMPLATES[instr.op]:
+        loops = k == last and 4 * k + imm == 0 and instr.op in _BACK_EDGES
+        for line in (_BACK_EDGES if loops else _TEMPLATES)[instr.op]:
             if instr.rd == 0 and line.startswith("regs[{rd}]") or (
                     imm == 4 and "{target}" in line):
                 continue
@@ -488,9 +542,15 @@ def _compiled(instrs: tuple[Instruction, ...]):
         if lines and lines[-1].startswith("return"):   # the words after it never run
             break
     else:
-        lines.append(f"return base + {4 * len(instrs)}, {len(instrs) - 1}")
+        if loops:
+            lines = ["while True:"] + ["    " + line for line in lines]
+        else:
+            lines.append(f"return base + {4 * len(instrs)}, {last}, taken")
+    if any(instr.op in ("lw", "sw") for instr in instrs):
+        lines[:0] = _DATA
     namespace = {}
-    exec("def run(regs, mem, base):\n    " + "\n    ".join(lines), _BLOCK_GLOBALS, namespace)
+    exec("def run(regs, mem, base, rounds):\n    taken = 0\n    " + "\n    ".join(lines),
+         _BLOCK_GLOBALS, namespace)
     return namespace["run"]
 
 
@@ -555,7 +615,7 @@ class Engine:
 
     def advance(self, steps: int) -> bool:
         """Run until `steps` instructions have retired; False if the run ended first."""
-        if self._end is None:
+        if self._end is None and self.state.counters.instructions_retired < steps:
             self._end = self._fetch_loop(steps)
         return self._end is None
 
@@ -651,11 +711,27 @@ class Engine:
                             hot = target.decoded_blocks[block_id] = (
                                 key, *_decoded_block(cache, words[first:first + length], stream),
                                 {})
-                    if hot is not None and pc == base and 0 < hot[1] <= limit - retired:
+                    if hot is not None and pc == base and 0 < (size := hot[1]) <= limit - retired:
                         # The whole decoded body fits under the step limit: each
                         # fetch is the next word at the next stream offset, and
-                        # words 0..k run in sequence.
-                        next_pc, k = hot[2](regs, mem, base)
+                        # words 0..k run in sequence. A self edge whose link keeps
+                        # the key (a link at exit pc base keeps the base) enters
+                        # this body again, so as many rounds as fit run in place,
+                        # each counted as the body and the linked transfer.
+                        link = hot[3].get(base)
+                        rounds = 0
+                        if link is not None and link[0] == key:
+                            rounds = (limit - retired) // size - 1
+                        next_pc, k, taken = hot[2](regs, mem, base, rounds)
+                        if taken:
+                            retired += taken * size
+                            counters.control_transfers += taken
+                            if encrypted:
+                                invocations += taken * size
+                                counters.patch_lookups += taken
+                            if link[6]:
+                                counters.key_switches += taken
+                            prev_pc = base + 4 * size - 4
                         if encrypted:
                             invocations += k + 1
                         if next_pc is None:   # word k faulted

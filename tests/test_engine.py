@@ -309,6 +309,23 @@ def test_advance_then_run_equals_single_run(corpus_images, corpus_encrypted):
                 assert engine.run() == whole, (name, k)
 
 
+def test_advance_to_a_step_already_retired_leaves_the_engine_as_it_is(corpus_encrypted):
+    # An attack trial advances a fork that already stands at its trigger;
+    # such a call does not enter the fetch loop.
+    def no_fetch_loop(limit):
+        raise AssertionError(f"fetch loop entered for {limit} steps")
+
+    for steps, alive in ((10, True), (eng.DEFAULT_STEP_LIMIT, False)):
+        engine = Engine(corpus_encrypted["fib"])
+        assert engine.advance(steps) == alive
+        before = _fetch_state(engine), engine.state.mem.dirty.copy(), engine._end
+        engine._fetch_loop = no_fetch_loop
+        for k in (0, 1, 9, 10):
+            assert engine.advance(k) == alive
+            assert (_fetch_state(engine), engine.state.mem.dirty, engine._end) == before
+    assert before[2] == (HALT, None, None)   # the sticky end of the finished run
+
+
 def test_fork_continues_like_a_fresh_engine(corpus_images, corpus_encrypted):
     for name in corpus_images:
         for target in (corpus_images[name], corpus_encrypted[name]):
@@ -894,7 +911,7 @@ def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
         _, count, run, _ = target.decoded_blocks[1]
         assert count == 1   # the decoded words stop before word 2
         regs = [0] * 32
-        assert run(regs, None, 4) == (8, 0) and regs[10] == 1   # word 1 ran alone
+        assert run(regs, None, 4, 0) == (8, 0, 0) and regs[10] == 1   # word 1 ran alone
 
 
 def test_block_longer_than_the_offset_range_is_rejected(monkeypatch):
@@ -969,6 +986,243 @@ def test_entries_are_counted_per_run(monkeypatch):
             assert _decoded_ids(target) == decoded
 
 
+# -- rounds run in place ----------------------------------------------------------
+#
+# A decoded block whose last word goes back to its first runs further rounds
+# inside its generated function. HOT_BLOCK_VISITS 255 is the reference: no
+# loop below is entered that often, so no block is decoded.
+
+_ROUND_PROGRAMS = {
+    "branch": _SELF_LOOP,
+    # loads and stores of data words on every round
+    "data": """
+    lui x5, 16
+    addi x9, x0, 200
+loop:
+    lw x6, 0(x5)
+    add x10, x10, x6
+    sw x10, 4(x5)
+    addi x9, x9, -1
+    bne x9, x0, loop
+    ecall
+.data
+    .word 7, 0
+""",
+    # a jal back edge; the lw, word 0, faults in the eleventh round
+    "lw fault at word 0": """
+    lui x5, 16
+loop:
+    lw x6, 0(x5)
+    add x10, x10, x6
+    addi x5, x5, 4
+    jal x0, loop
+.data
+    .word 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
+""",
+    "lw fault at word 1": """
+    lui x5, 16
+loop:
+    addi x5, x5, 4
+    lw x6, -4(x5)
+    add x10, x10, x6
+    jal x0, loop
+.data
+    .word 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
+""",
+    # an outer loop enters the inner self-loop by a boundary crossing; the
+    # lw, the inner loop's word 0, faults in its second round of a later entry
+    "lw fault in a later entry": """
+    lui x5, 16
+outer:
+    addi x9, x0, 3
+inner:
+    lw x6, 0(x5)
+    addi x5, x5, 4
+    addi x9, x9, -1
+    bne x9, x0, inner
+    jal x0, outer
+.data
+    .word 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
+""",
+    # the loop stores into its own next word on every round
+    "store into its own block": _SELF_MODIFYING,
+    # each round stores to the address the next table entry holds: four data
+    # words, then the first word of the text, which never runs again, then data
+    "store into the text": """
+    lui x8, 16
+    addi x9, x0, 6
+loop:
+    lw x5, 0(x8)
+    addi x8, x8, 4
+    sw x9, 0(x5)
+    addi x9, x9, -1
+    bne x9, x0, loop
+    ecall
+.data
+    .word 0x10018, 0x1001C, 0x10020, 0x10024, 0, 0x10028
+    .space 20
+""",
+}
+
+
+def _recording_rounds(monkeypatch) -> list:
+    """(rounds allowed, rounds taken) of every generated-function call from
+    here on, for blocks decoded from here on."""
+    calls, compiled = [], eng._compiled
+
+    def recording(instrs):
+        run = compiled(instrs)
+
+        def recorded(regs, mem, base, rounds):
+            result = run(regs, mem, base, rounds)
+            calls.append((rounds, result[2]))
+            return result
+        return recorded
+
+    monkeypatch.setattr(eng, "_compiled", recording)
+    return calls
+
+
+def _per_word_cuts(target, cuts):
+    """The per-word run of `target`: (cut, report at the cut, fetch state) for
+    each cut, then its final report and fetch state."""
+    engine, states = Engine(target), []
+    for cut in cuts:
+        states.append((cut, _step(engine, cut), _fetch_state(engine)))
+    return states, _step(engine), _fetch_state(engine)
+
+
+@pytest.mark.parametrize("name", list(_ROUND_PROGRAMS))
+def test_rounds_in_place_equal_the_per_word_path(monkeypatch, name):
+    image = _image(_ROUND_PROGRAMS[name])
+    targets = (image, encrypt_pipeline(image, 42))
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
+    references = []
+    for target in targets:
+        retired = Engine(target).run().counters.instructions_retired
+        # step limits and advance boundaries at every offset of some round
+        cuts = sorted({1, 2, 3} | set(range(5, retired + 2, 7)))
+        references.append((_per_word_cuts(target, cuts), trace(target)))
+        assert not _decoded_ids(target)
+    calls = _recording_rounds(monkeypatch)
+    for hot in (0, 1, 2, 32):
+        monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+        for target, ((states, expected, final), pcs) in zip(targets, references):
+            assert len(pcs) == expected.counters.instructions_retired
+            engine = Engine(target)
+            assert engine.run() == expected, hot
+            assert _fetch_state(engine) == final, hot
+            advanced = Engine(target)
+            for cut, report, state in states:
+                limited = Engine(target)
+                assert limited.run(cut) == report, (hot, cut)
+                assert _fetch_state(limited) == state, (hot, cut)
+                advanced.advance(cut)
+                assert _fetch_state(advanced) == state, (hot, cut)
+            assert advanced.run() == expected, hot
+            assert _fetch_state(advanced) == final, hot
+    # rounds ran in place, except where every round stores into the text
+    assert any(taken for _, taken in calls) == (name != "store into its own block")
+    if name == "store into the text":
+        # the first call runs the first round and links the self edge; the
+        # second runs rounds two to four in place and returns in the fifth,
+        # whose store goes into the text
+        assert expected.outcome == HALT
+        assert [taken for _, taken in calls[:2]] == [0, 3]
+    elif name.startswith("lw fault"):   # at the eleventh load
+        assert expected.outcome == MEMORY_FAULT
+        assert expected.counters.instructions_retired == {
+            "lw fault at word 0": 1 + 40, "lw fault at word 1": 1 + 40 + 1,
+            "lw fault in a later entry": 1 + 3 * 14 + 1 + 4}[name]
+
+
+_FLIPPING_DELTA = bytes(range(1, 17))
+
+
+@pytest.mark.parametrize("case", ["non-zero self patch", "no self patch", "zero keystream"])
+def test_self_edges_that_change_the_key_run_no_round_in_place(monkeypatch, case):
+    # Rounds run in place only when the self edge's link keeps the key and the
+    # block: a patch that changes the key sends each round through the fetch
+    # loop, while a missing self patch keeps the key and counts no switch.
+    eimage = encrypt_pipeline(_image(_SELF_LOOP), 42)
+    if case == "no self patch":
+        table = tuple(record for record in eimage.patch_table if record[:2] != (1, 4))
+    else:
+        table = tuple((src, target, _FLIPPING_DELTA if (src, target) == (1, 4) else patch)
+                      for src, target, patch in eimage.patch_table)
+    eimage = replace(eimage, patch_table=table)
+    if case == "zero keystream":   # every key decrypts the loop, which runs to its end
+        eimage = replace(eimage, image=_image(_SELF_LOOP))
+        monkeypatch.setattr(eng, "block_keystream", lambda key, n: array("I", bytes(4 * n)))
+        monkeypatch.setattr(eng, "keystream_word", lambda key, offset: 0)
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
+    expected, per_word = _stepped(eimage)
+    calls = _recording_rounds(monkeypatch)
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    engine = Engine(eimage)
+    assert engine.run() == expected
+    assert _fetch_state(engine) == _fetch_state(per_word)
+    assert calls
+    if case == "non-zero self patch":   # the second round decrypts under the wrong key
+        assert expected.outcome == INTEGRITY_FAULT
+    else:
+        assert expected.outcome == HALT and engine.state.regs[10] == 600
+    if case == "no self patch":
+        assert expected.counters.key_switches == 2   # into the loop and out of it
+        assert any(taken for _, taken in calls)
+    else:
+        assert all(rounds == 0 for rounds, _ in calls)
+
+
+def test_a_key_changing_self_link_left_on_a_decoded_block_runs_no_round(monkeypatch):
+    # An engine whose loop stores into the text in its first round goes on
+    # per word, so it links the loop's self edge, whose patch here changes
+    # the key, on the block it decoded and leaves that block in place. A
+    # later engine entering the loop under the block's key must still take
+    # that edge through the fetch loop, into the wrong key.
+    source = _ROUND_PROGRAMS["store into the text"]
+    eimage = encrypt_pipeline(_image(source), 42)
+    eimage = replace(eimage, patch_table=tuple(
+        (src, target, _FLIPPING_DELTA if (src, target) == (1, 8) else patch)
+        for src, target, patch in eimage.patch_table))
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
+    expected, per_word = _stepped(eimage)
+    assert expected.outcome == INTEGRITY_FAULT
+    calls = _recording_rounds(monkeypatch)
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
+    storing = Engine(eimage)
+    assert storing.advance(2)
+    storing.state.regs[8] = 0x10010   # the table entry that points into the text
+    assert storing.run().outcome == INTEGRITY_FAULT
+    key, _, _, exits = eimage.decoded_blocks[1]
+    assert exits[8][:2] == (crypto.derive_next_key(key, _FLIPPING_DELTA), 8)
+    engine = Engine(eimage)
+    assert engine.run() == expected
+    assert _fetch_state(engine) == _fetch_state(per_word)
+    assert calls == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("kind", ["rogue-edge", "mid-block-entry", "patch-replay"])
+def test_campaign_forking_inside_a_hot_loop(monkeypatch, kind):
+    # 800 of the program's 803 steps are in its loop, so nearly every trial
+    # forks from a checkpoint in the middle of it; the block after the loop
+    # is one a mid-block entry can target.
+    source = _SELF_LOOP.replace("ecall", "addi x12, x0, 1\necall")
+
+    def campaign():
+        eimage = encrypt_pipeline(_image(source), 42)
+        outcomes = run_trials(eimage, kind, 40, seed=5, step_limit=4096)
+        return [(o.to_json_dict(), o.report) for o in outcomes]
+
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
+    reference = campaign()
+    calls = _recording_rounds(monkeypatch)
+    for hot in (0, 32):
+        monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+        assert campaign() == reference, hot
+    assert any(taken for _, taken in calls)
+
+
 # -- generated block functions ---------------------------------------------------
 
 # Eight text words at 0 and four data words at 0x1000. A lw or sw is aimed
@@ -1024,7 +1278,7 @@ def test_generated_word_runs_as_its_handler(op):
         state = eng.MachineState(mem=eng.Memory(_DIFF_IMAGE), pc=base, regs=regs[:])
         expected = eng._HANDLERS[op](state.regs, instr, base, state)
         mem, got_regs = eng.Memory(_DIFF_IMAGE), regs[:]
-        assert eng._compiled((instr,))(got_regs, mem, base) == (expected, 0), instr
+        assert eng._compiled((instr,))(got_regs, mem, base, 0) == (expected, 0, 0), instr
         assert got_regs == state.regs, instr
         assert _memory_of(mem) == _memory_of(state.mem), instr
         seen["rd0" if instr.rd == 0 else "rd"] += 1
@@ -1032,19 +1286,67 @@ def test_generated_word_runs_as_its_handler(op):
         seen["next word" if instr.imm == 4 else "other"] += 1
         if op == "sw":   # a store into the text ends the run before the next word
             mem, got_regs = eng.Memory(_DIFF_IMAGE), regs[:]
-            got = eng._compiled((instr, Instruction("addi", 31, 31, None, 1)))(got_regs, mem, base)
+            got = eng._compiled((instr, Instruction("addi", 31, 31, None, 1)))(
+                got_regs, mem, base, 0)
             if expected is None:
-                assert got == (None, 0)
+                assert got == (None, 0, 0)
             elif mem.text_written:
-                assert got == (base + 4, 0) and got_regs == state.regs
+                assert got == (base + 4, 0, 0) and got_regs == state.regs
             else:
-                assert got == (base + 8, 1)
+                assert got == (base + 8, 1, 0)
                 assert got_regs == state.regs[:31] + [(state.regs[31] + 1) & MASK32]
     fmt = isa.ISA_TABLE[op][0]
     assert seen["rd0"] and seen["rd"] or fmt in ("S", "B"), seen
     assert seen["next word"] or fmt not in ("B", "J"), seen
     if op in ("lw", "sw"):
         assert seen["fault"] and seen["ok"] and (op == "lw" or seen["text"]), seen
+
+
+# Every address class a lw or sw can meet, by image: its data words, reached
+# without a `Memory` call, and text words, unmapped and unaligned addresses,
+# which go through `Memory.load_word` and `store_word`. The second image is
+# `_UNALIGNED_DATA`'s, whose one reachable data word is at 0x1004.
+_UNALIGNED_IMAGE = _image(_UNALIGNED_DATA.format("addi x0, x0, 0"))
+_ADDRESS_CLASSES = [
+    (_DIFF_IMAGE, 0x1000, "data"), (_DIFF_IMAGE, 0x100C, "data"),
+    (_DIFF_IMAGE, 0, "text"), (_DIFF_IMAGE, 28, "text"),
+    (_DIFF_IMAGE, 0x1010, "unmapped"), (_DIFF_IMAGE, 0xFFC, "unmapped"),
+    (_DIFF_IMAGE, 32, "unmapped"), (_DIFF_IMAGE, 0xFFFFFFFC, "unmapped"),
+    (_DIFF_IMAGE, 0x1002, "unaligned"), (_DIFF_IMAGE, 6, "unaligned"),
+    (_UNALIGNED_IMAGE, 0x1004, "data"),        # the last legal word
+    (_UNALIGNED_IMAGE, 0x1008, "unmapped"),    # one word past it
+    (_UNALIGNED_IMAGE, 0x1000, "unmapped"),    # below the base
+    (_UNALIGNED_IMAGE, 0x1002, "unaligned"),   # the base itself
+]
+
+
+@pytest.mark.parametrize("op", ["lw", "sw"])
+@pytest.mark.parametrize("image, addr, kind", _ADDRESS_CLASSES)
+def test_generated_word_access_runs_as_its_handler(op, image, addr, kind):
+    calls = []
+
+    def counted(mem):
+        for name in ("load_word", "store_word"):
+            method = getattr(mem, name)
+            setattr(mem, name, lambda *args, method=method: calls.append(args) or method(*args))
+        return mem
+
+    for rd, imm in ((5, 0), (0, -4), (31, 2047)):
+        instr = decode(encode(Instruction(op, rd=rd if op == "lw" else None, rs1=7,
+                                          rs2=None if op == "lw" else 6, imm=imm)))
+        regs = [0] * 32
+        regs[5], regs[6], regs[7], regs[31] = 0x1234, 0xDEADBEEF, (addr - imm) & MASK32, 1
+        state = eng.MachineState(mem=eng.Memory(image), pc=8, regs=regs[:])
+        expected = eng._HANDLERS[op](state.regs, instr, 8, state)
+        mem, got_regs = counted(eng.Memory(image)), regs[:]
+        del calls[:]
+        assert eng._compiled((instr,))(got_regs, mem, 8, 0) == (expected, 0, 0)
+        assert got_regs == state.regs
+        assert _memory_of(mem) == _memory_of(state.mem)
+        assert len(calls) == (kind != "data")
+        assert (expected is not None) == (kind in ("data", "text"))
+        assert mem.text_written == (op == "sw" and kind == "text")
+        assert mem.dirty == ({addr} if op == "sw" and expected else set())
 
 
 # A self-loop whose words no other test decodes
