@@ -6,9 +6,12 @@ current-key register, decodes, and executes. On a control transfer
 block's end, the engine consults the patch table under
 (current block, new pc): a hit XORs the patch into the key register
 and rebases the keystream offset; a miss leaves both alone, because
-hardware has no basis to update them. Every fetch goes through the
-decryptor, including fetches outside the text segment; a word that
-fails to decode raises an integrity fault immediately.
+hardware has no basis to update them. A plaintext run has no key
+register; its block base moves to each block entry a transfer or a
+crossing reaches. Every fetch goes through the decryptor, including
+fetches outside the text segment, at word offset (pc - base) / 4 mod
+MAX_WORD_OFFSET; a word that fails to decode raises an integrity fault
+immediately.
 
 One constructor builds every engine: `Engine(target)` runs an `Image`
 in plaintext, or an `EncryptedImage` from its entry key under its own
@@ -30,9 +33,11 @@ exit, so between two `advance` calls the engine's fields are exact.
 Each engine's `Memory` converts the image's text and data bytes into
 its own word arrays (a fork copies its parent's). An aligned fetch
 inside the text reads the text array, which every store writes; other
-fetches and the digest go through `Memory.load_word`. On the per-word
-path every `lw` goes through `Memory.load_word` and every `sw` through
-`Memory.store_word`; a decoded block reaches data words directly (below).
+fetches and the digest go through `Memory.load_word`. Each op's
+semantics (docs/isa.md) are written once, as its `_TEMPLATES` lines: the
+per-word path runs a handler formatted from them with the instruction's
+fields, a hot block a generated function with constant operands, and
+either reaches data words directly (see `Memory`).
 
 The loop relies on three invariants, each held where the data is made:
 - the key register's base is a block entry: it starts at the image
@@ -50,15 +55,10 @@ word at the next stream offset. Each call of the fetch loop counts its
 entries into each block; a block entered HOT_BLOCK_VISITS times in one
 call is hot, and at its next entry its words, decrypted with the current
 key, are decoded once up to the first illegal word or ecall and run as
-one generated function (`_compiled`, from the per-op `_TEMPLATES`): every
+one generated function (`_compiled`, from the same `_TEMPLATES`): every
 operand is a constant, a write to x0 is dropped, a branch or jal to the
 next word falls through, and it returns at the first transfer, at a
-memory fault and after a store into the text. Its `lw` and `sw` at an
-aligned address inside the data segment read and write `Memory.data_words`
-as `load_word` and `store_word` would, masking the value and marking the
-address dirty; every other address (text, unmapped, unaligned) goes
-through those methods. Text and data never overlap, which `Image`
-guarantees, so a data word is never text. The engine's target holds
+memory fault and after a store into the text. The engine's target holds
 the decoded block (`EncryptedImage.decoded_blocks`, or a plaintext
 `Image.decoded_blocks`), keyed by block id and tagged with the key, for
 every later call and every engine on that target. An entry on the
@@ -69,7 +69,9 @@ short, the rest of a block when a call starts, and fetches past the
 decoded words or outside the key's block; those past the key's stream
 (rogue, mid-block and stale fetches) decrypt with `keystream_word`. A
 call that retires one instruction enters a block at most once, so
-`trace`, which steps one instruction per call, is the per-word reference.
+`trace` and single `advance` steps take the per-word path. Every
+mechanism here is checked against `tests/reference.py`, a
+reference interpreter that shares no code with this module.
 
 Rounds in place. When a block's last decoded word is a branch or jal to
 its first word, its function is a loop: a taken back edge starts the body
@@ -222,6 +224,13 @@ class Memory:
     unaligned base and those of a partial last word are not held, and a
     segment no longer than its unaligned lead holds no word.
 
+    A `lw` or `sw` at a data word reads or writes `data_words` itself, as
+    `load_word` and `store_word` would (masking the value, marking the
+    address dirty); text and data never overlap (`Image` checks), so a data
+    word is never text. The methods serve the rest: `lw`/`sw` at text,
+    unmapped and unaligned addresses, fetches outside the text, the digest
+    and attacks.
+
     `text_written` records that a store went into the text, so the engine
     no longer runs blocks decoded from the image's text (see above)."""
 
@@ -299,144 +308,6 @@ class MachineState:
         return hashlib.sha256(le_bytes(words)).hexdigest()
 
 
-# Op handlers of the per-word path, and the reference the generated block
-# functions are tested against: (regs, instruction, pc, state) -> next pc
-# before masking, None on a memory fault. Registers hold 32-bit values; a
-# write to x0 is dropped. Flipping bit 31 orders two's-complement words as
-# unsigned ints.
-
-_SIGN = 0x80000000
-
-
-def _add(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = (regs[i.rs1] + regs[i.rs2]) & MASK32
-    return pc + 4
-
-
-def _sub(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = (regs[i.rs1] - regs[i.rs2]) & MASK32
-    return pc + 4
-
-
-def _and(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = regs[i.rs1] & regs[i.rs2]
-    return pc + 4
-
-
-def _or(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = regs[i.rs1] | regs[i.rs2]
-    return pc + 4
-
-
-def _xor(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = regs[i.rs1] ^ regs[i.rs2]
-    return pc + 4
-
-
-def _slt(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = 1 if regs[i.rs1] ^ _SIGN < regs[i.rs2] ^ _SIGN else 0
-    return pc + 4
-
-
-def _addi(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = (regs[i.rs1] + i.imm) & MASK32
-    return pc + 4
-
-
-def _andi(regs, i, pc, state):
-    if i.rd:   # the mask makes a negative imm 32-bit
-        regs[i.rd] = regs[i.rs1] & i.imm & MASK32
-    return pc + 4
-
-
-def _ori(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = (regs[i.rs1] | i.imm) & MASK32
-    return pc + 4
-
-
-def _xori(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = (regs[i.rs1] ^ i.imm) & MASK32
-    return pc + 4
-
-
-def _slti(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = 1 if (regs[i.rs1] ^ _SIGN) - _SIGN < i.imm else 0
-    return pc + 4
-
-
-def _lui(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = (i.imm << 12) & MASK32
-    return pc + 4
-
-
-def _beq(regs, i, pc, state):
-    return pc + i.imm if regs[i.rs1] == regs[i.rs2] else pc + 4
-
-
-def _bne(regs, i, pc, state):
-    return pc + i.imm if regs[i.rs1] != regs[i.rs2] else pc + 4
-
-
-def _blt(regs, i, pc, state):
-    return pc + i.imm if regs[i.rs1] ^ _SIGN < regs[i.rs2] ^ _SIGN else pc + 4
-
-
-def _bge(regs, i, pc, state):
-    return pc + i.imm if regs[i.rs1] ^ _SIGN >= regs[i.rs2] ^ _SIGN else pc + 4
-
-
-def _lw(regs, i, pc, state):
-    value = state.mem.load_word((regs[i.rs1] + i.imm) & MASK32)
-    if value is None:
-        return None
-    if i.rd:
-        regs[i.rd] = value
-    return pc + 4
-
-
-def _sw(regs, i, pc, state):
-    stored = state.mem.store_word((regs[i.rs1] + i.imm) & MASK32, regs[i.rs2])
-    return pc + 4 if stored else None
-
-
-def _jal(regs, i, pc, state):
-    if i.rd:
-        regs[i.rd] = (pc + 4) & MASK32
-    return pc + i.imm
-
-
-def _jalr(regs, i, pc, state):
-    target = (regs[i.rs1] + i.imm) & ~1
-    if i.rd:
-        regs[i.rd] = (pc + 4) & MASK32
-    return target
-
-
-def _ecall(regs, i, pc, state):
-    state.halted = True
-    return pc + 4
-
-
-_HANDLERS = {
-    "add": _add, "sub": _sub, "and": _and, "or": _or, "xor": _xor, "slt": _slt,
-    "addi": _addi, "andi": _andi, "ori": _ori, "xori": _xori, "slti": _slti,
-    "lui": _lui, "lw": _lw, "sw": _sw,
-    "beq": _beq, "bne": _bne, "blt": _blt, "bge": _bge,
-    "jal": _jal, "jalr": _jalr, "ecall": _ecall,
-}
-
-
 def _remember(cache: dict, key, value):
     if len(cache) >= FETCH_CACHE_SIZE:
         cache.clear()
@@ -453,22 +324,22 @@ def _key_stream(cache: dict, key: bytes, length: int) -> array:
     return stream
 
 
-# Block templates: the lines each op compiles to in a decoded block's
-# generated function `(regs, mem, base, rounds) -> (next pc before masking or
-# None on a memory fault, index of the last word run, rounds taken in place)`,
-# where `base` is the address of word 0. Every placeholder is an int: the
-# operand fields, `k` (the word's index), `next` (4k + 4) and `target`
-# (4k + imm), both from base, `uimm` (imm as a 32-bit word), `upper` (lui's
-# value), `mask` and `sign`. A line that writes regs[{rd}] is dropped when rd
-# is 0, and a line that goes to {target} when the target is the next word, so
-# such a branch or jal falls through. The function returns at the first
+# Op semantics, written once. Each op's template lines run in a decoded
+# block's generated function `(regs, mem, base, rounds) -> (next pc before
+# masking or None on a memory fault, index of the last word run, rounds taken
+# in place)`, where `base` is the address of word 0, and in the op's per-word
+# handler (below). Placeholders: the operand fields, `k` (the word's index),
+# `next` (4k + 4) and `target` (4k + imm), both from base, `mask` and `sign`
+# (flipping bit 31 orders two's-complement words as unsigned ints). In a block
+# every placeholder is an int; a line that writes regs[{rd}] is dropped when
+# rd is 0, and a line that goes to {target} when the target is the next word,
+# so such a branch or jal falls through. The function returns at the first
 # transfer, at a memory fault and after a store into the text; an ecall ends
-# the decoded words, so it has no template. A lw or sw at an aligned address
-# inside the data segment reads or writes the data words (`_DATA` binds them)
-# as `Memory.load_word` and `store_word` would; any other address goes
-# through those methods. When the last word is a branch or jal to word 0, the
-# body is a loop (`_BACK_EDGES`): at most `rounds` times the back edge starts
-# the body again in place instead of returning `base`.
+# the decoded words, so it has no template. A lw or sw reaches data words
+# directly (`_DATA` binds them; see `Memory`). When the last word is a branch
+# or jal to word 0, the body is a loop (`_BACK_EDGES`): at most `rounds` times
+# the back edge starts the body again in place instead of returning `base`.
+_SIGN = 0x80000000
 _BRANCHES = {
     "beq": "regs[{rs1}] == regs[{rs2}]",
     "bne": "regs[{rs1}] != regs[{rs2}]",
@@ -483,11 +354,11 @@ _TEMPLATES = {
     "xor": ("regs[{rd}] = regs[{rs1}] ^ regs[{rs2}]",),
     "slt": ("regs[{rd}] = 1 if regs[{rs1}] ^ {sign} < regs[{rs2}] ^ {sign} else 0",),
     "addi": ("regs[{rd}] = (regs[{rs1}] + {imm}) & {mask}",),
-    "andi": ("regs[{rd}] = regs[{rs1}] & {uimm}",),
-    "ori": ("regs[{rd}] = regs[{rs1}] | {uimm}",),
-    "xori": ("regs[{rd}] = regs[{rs1}] ^ {uimm}",),
+    "andi": ("regs[{rd}] = regs[{rs1}] & ({imm} & {mask})",),
+    "ori": ("regs[{rd}] = regs[{rs1}] | ({imm} & {mask})",),
+    "xori": ("regs[{rd}] = regs[{rs1}] ^ ({imm} & {mask})",),
     "slti": ("regs[{rd}] = 1 if (regs[{rs1}] ^ {sign}) - {sign} < {imm} else 0",),
-    "lui": ("regs[{rd}] = {upper}",),
+    "lui": ("regs[{rd}] = {imm} << 12",),
     "lw": ("addr = (regs[{rs1}] + {imm}) & {mask}",
            "value = (data[(addr - start) >> 2] if not addr & 3 and start <= addr < end"
            " else mem.load_word(addr))",
@@ -517,8 +388,38 @@ _BACK_EDGES = {
 # a body with a lw or sw binds the data segment's words once per call
 _DATA = ("data, start, dirty = mem.data_words, mem.data_start, mem.dirty",
          "end = start + (data.__len__() << 2)")
-# the generated functions' globals: they read no global and call no builtin
+# the generated code's globals: it reads no global and calls no builtin
 _BLOCK_GLOBALS = {"__builtins__": {}}
+
+
+def _word_handler(op: str, lines: tuple[str, ...]) -> Callable:
+    """`op`'s per-word handler `(regs, i, pc, state) -> next pc before masking,
+    or None on a memory fault`, formatted from its template lines with the
+    fields of the instruction `i` where a block has constants: a write to x0
+    is skipped when it runs, `base` is the word's own pc, and a return gives
+    the next pc alone."""
+    body = ["mem = state.mem", *_DATA] if op in ("lw", "sw") else []
+    for line in lines:
+        if line.startswith("regs[{rd}]"):
+            line = "if i.rd: " + line
+        body.append(line.replace(", {k}, taken", "").format(
+            rd="i.rd", rs1="i.rs1", rs2="i.rs2", imm="i.imm", next=4, target="i.imm",
+            mask=MASK32, sign=_SIGN))
+    namespace = {}
+    exec(f"def _{op}(regs, i, base, state):\n    " + "\n    ".join(body + ["return base + 4"]),
+         _BLOCK_GLOBALS, namespace)
+    return namespace[f"_{op}"]
+
+
+def _ecall(regs, i, pc, state):
+    state.halted = True
+    return pc + 4
+
+
+# The per-word path's op handlers: (regs, instruction, pc, state) -> next pc
+# before masking, None on a memory fault.
+_HANDLERS = {**{op: _word_handler(op, lines) for op, lines in _TEMPLATES.items()},
+             "ecall": _ecall}
 
 
 @lru_cache(maxsize=16)   # the hot blocks of a few programs
@@ -536,9 +437,8 @@ def _compiled(instrs: tuple[Instruction, ...]):
                     imm == 4 and "{target}" in line):
                 continue
             lines.append(line.format(
-                rd=instr.rd, rs1=instr.rs1, rs2=instr.rs2, imm=imm, uimm=imm & MASK32,
-                upper=(imm << 12) & MASK32, k=k, next=4 * k + 4, target=4 * k + imm,
-                mask=MASK32, sign=_SIGN))
+                rd=instr.rd, rs1=instr.rs1, rs2=instr.rs2, imm=imm, k=k, next=4 * k + 4,
+                target=4 * k + imm, mask=MASK32, sign=_SIGN))
         if lines and lines[-1].startswith("return"):   # the words after it never run
             break
     else:

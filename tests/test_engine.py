@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from reference import Reference
 
 from scylla import cli, crypto, isa
 from scylla import engine as eng
@@ -1264,37 +1265,64 @@ def _draw(rng, op):
 
 
 def _memory_of(mem):
-    return mem.words, mem.data_words, mem.dirty, mem.text_written
+    return list(mem.words), list(mem.data_words), mem.dirty, mem.text_written
+
+
+def _reference_memory(ref, image):
+    """The reference's memory as `_memory_of` gives an engine's: the text
+    words, the data segment's aligned words, the dirty set and whether a
+    store went into the text."""
+    text_end, data_end = image.text_base + len(image.text), image.data_base + len(image.data)
+    return ([ref.load_word(a) for a in range(image.text_base, text_end, 4)],
+            [ref.load_word(a) for a in range(-(-image.data_base // 4) * 4, data_end - 3, 4)],
+            ref.dirty, any(image.text_base <= a < text_end for a in ref.dirty))
+
+
+def _reference_step(image, regs, instr, pc):
+    """One step of the reference interpreter: it and the next pc, None on a memory fault."""
+    ref = Reference(image)
+    ref.regs = regs[:]
+    return ref, ref.execute(instr, pc)
+
+
+def _masked(pc):
+    return None if pc is None else pc & MASK32
 
 
 @pytest.mark.parametrize("op", [op for op in isa.MNEMONICS if op != "ecall"])
 def test_generated_word_runs_as_its_handler(op):
-    # An ecall ends a block's decoded words, so it has no template.
+    # The op's per-word handler and its generated function against one step
+    # of the reference interpreter. An ecall ends a block's decoded words,
+    # so it has no template.
     rng = random.Random(f"generated {op}")
     seen = Counter()
     for _ in range(300):
         instr, regs = _draw(rng, op)
         base = rng.choice((0, 4 * rng.randrange(1, 8), 0x1000, 0xFFFFFFFC))
+        ref, expected = _reference_step(_DIFF_IMAGE, regs, instr, base)
         state = eng.MachineState(mem=eng.Memory(_DIFF_IMAGE), pc=base, regs=regs[:])
-        expected = eng._HANDLERS[op](state.regs, instr, base, state)
+        assert _masked(eng._HANDLERS[op](state.regs, instr, base, state)) == expected, instr
         mem, got_regs = eng.Memory(_DIFF_IMAGE), regs[:]
-        assert eng._compiled((instr,))(got_regs, mem, base, 0) == (expected, 0, 0), instr
-        assert got_regs == state.regs, instr
-        assert _memory_of(mem) == _memory_of(state.mem), instr
+        got = eng._compiled((instr,))(got_regs, mem, base, 0)
+        assert (_masked(got[0]), got[1:]) == (expected, (0, 0)), instr
+        assert got_regs == state.regs == ref.regs, instr
+        assert _memory_of(mem) == _memory_of(state.mem) == _reference_memory(ref, _DIFF_IMAGE), \
+            instr
         seen["rd0" if instr.rd == 0 else "rd"] += 1
         seen["fault" if expected is None else "text" if mem.text_written else "ok"] += 1
         seen["next word" if instr.imm == 4 else "other"] += 1
         if op == "sw":   # a store into the text ends the run before the next word
             mem, got_regs = eng.Memory(_DIFF_IMAGE), regs[:]
-            got = eng._compiled((instr, Instruction("addi", 31, 31, None, 1)))(
-                got_regs, mem, base, 0)
+            addi = Instruction("addi", 31, 31, None, 1)
+            got = eng._compiled((instr, addi))(got_regs, mem, base, 0)
             if expected is None:
                 assert got == (None, 0, 0)
             elif mem.text_written:
-                assert got == (base + 4, 0, 0) and got_regs == state.regs
+                assert got == (base + 4, 0, 0) and got_regs == ref.regs
             else:
                 assert got == (base + 8, 1, 0)
-                assert got_regs == state.regs[:31] + [(state.regs[31] + 1) & MASK32]
+                assert ref.execute(addi, base + 4) == (base + 8) & MASK32
+                assert got_regs == ref.regs
     fmt = isa.ISA_TABLE[op][0]
     assert seen["rd0"] and seen["rd"] or fmt in ("S", "B"), seen
     assert seen["next word"] or fmt not in ("B", "J"), seen
@@ -1323,6 +1351,8 @@ _ADDRESS_CLASSES = [
 @pytest.mark.parametrize("op", ["lw", "sw"])
 @pytest.mark.parametrize("image, addr, kind", _ADDRESS_CLASSES)
 def test_generated_word_access_runs_as_its_handler(op, image, addr, kind):
+    # The per-word handler and the generated function against one step of
+    # the reference; both reach data words without a `Memory` call.
     calls = []
 
     def counted(mem):
@@ -1336,14 +1366,17 @@ def test_generated_word_access_runs_as_its_handler(op, image, addr, kind):
                                           rs2=None if op == "lw" else 6, imm=imm)))
         regs = [0] * 32
         regs[5], regs[6], regs[7], regs[31] = 0x1234, 0xDEADBEEF, (addr - imm) & MASK32, 1
-        state = eng.MachineState(mem=eng.Memory(image), pc=8, regs=regs[:])
-        expected = eng._HANDLERS[op](state.regs, instr, 8, state)
+        ref, expected = _reference_step(image, regs, instr, 8)
+        state = eng.MachineState(mem=counted(eng.Memory(image)), pc=8, regs=regs[:])
+        del calls[:]
+        assert eng._HANDLERS[op](state.regs, instr, 8, state) == expected
+        assert len(calls) == (kind != "data")
         mem, got_regs = counted(eng.Memory(image)), regs[:]
         del calls[:]
         assert eng._compiled((instr,))(got_regs, mem, 8, 0) == (expected, 0, 0)
-        assert got_regs == state.regs
-        assert _memory_of(mem) == _memory_of(state.mem)
         assert len(calls) == (kind != "data")
+        assert got_regs == state.regs == ref.regs
+        assert _memory_of(mem) == _memory_of(state.mem) == _reference_memory(ref, image)
         assert (expected is not None) == (kind in ("data", "text"))
         assert mem.text_written == (op == "sw" and kind == "text")
         assert mem.dirty == ({addr} if op == "sw" and expected else set())
