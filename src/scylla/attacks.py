@@ -313,9 +313,10 @@ def run_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
 
     One checkpoint engine runs the unattacked program forward through the
     distinct triggers in ascending order and is forked at each, so a
-    campaign holds one fork per distinct trigger. The trials then run in
-    trial order, each from the fork at its trigger, and a campaign stops at
-    its first inapplicable trial, as it did when every trial ran from reset.
+    campaign holds one fork and one scenario per distinct trigger. The
+    trials then run in trial order, each from the fork at its trigger, and
+    a campaign stops at its first inapplicable trial, as it did when every
+    trial ran from reset.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -328,16 +329,18 @@ def run_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
         raise HarnessError(f"unattacked run ended in {baseline.outcome} after {horizon} "
                            "steps; cannot place triggers")
     rng = random.Random(seed)
-    trials = [(AttackScenario(kind=kind, trigger_step=rng.randrange(horizon)),
-               rng.getrandbits(63)) for _ in range(n_trials)]
+    trials = [(rng.randrange(horizon), rng.getrandbits(63)) for _ in range(n_trials)]
     checkpoint = Engine(eimage)
-    starts = {}
-    for trigger in sorted({scenario.trigger_step for scenario, _ in trials}):
+    starts = {}   # trigger -> (its scenario, the fork at it)
+    for trigger in sorted({trigger for trigger, _ in trials}):
         checkpoint.advance(trigger)
-        starts[trigger] = checkpoint.fork()
-    return [run_attack(eimage, scenario, seed=trial_seed, step_limit=step_limit,
-                       start=starts[scenario.trigger_step])
-            for scenario, trial_seed in trials]
+        starts[trigger] = AttackScenario(kind=kind, trigger_step=trigger), checkpoint.fork()
+    outcomes = []
+    for trigger, trial_seed in trials:
+        scenario, start = starts[trigger]
+        outcomes.append(run_attack(eimage, scenario, seed=trial_seed,
+                                   step_limit=step_limit, start=start))
+    return outcomes
 
 
 def survival_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,

@@ -29,6 +29,13 @@ SEED = 42
 STEP_LIMIT = 10 ** 6
 
 
+def _trace_budget(manifest, name: str) -> int:
+    """Step limit for `trace`, which takes one `advance` per instruction:
+    twice the program's known length, so a run that does not end fails the
+    criterion at once instead of stepping to STEP_LIMIT."""
+    return 2 * manifest[name]["retired"]
+
+
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
     state = "PASS" if ok else "FAIL"
     suffix = f"  [{detail}]" if detail else ""
@@ -36,7 +43,7 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-def test_criterion_1_functional_transparency(corpus_images, corpus_encrypted):
+def test_criterion_1_functional_transparency(corpus_images, corpus_encrypted, manifest):
     start = time.perf_counter()
     ok = len(corpus_images) >= 8
     detail = f"{len(corpus_images)} programs"
@@ -47,8 +54,9 @@ def test_criterion_1_functional_transparency(corpus_images, corpus_encrypted):
                 and plain.final_state_digest == enc.final_state_digest):
             ok, detail = False, f"{name}: digest or outcome diverged"
             break
-        plain_pcs = trace(corpus_images[name], STEP_LIMIT)
-        enc_pcs = trace(corpus_encrypted[name], STEP_LIMIT)
+        budget = _trace_budget(manifest, name)
+        plain_pcs = trace(corpus_images[name], budget)
+        enc_pcs = trace(corpus_encrypted[name], budget)
         if plain_pcs != enc_pcs:
             ok, detail = False, f"{name}: pc traces diverged"
             break
@@ -190,12 +198,12 @@ def test_criterion_6_diversification(corpus_images, corpus_encrypted):
     _verdict(6, "diversification", ok, detail or f"{big} program(s) >= 1 KiB")
 
 
-def test_criterion_7_counter_exactness(corpus_images, corpus_encrypted):
+def test_criterion_7_counter_exactness(corpus_images, corpus_encrypted, manifest):
     ok, detail = True, ""
     for name in corpus_images:
         image = corpus_images[name]
         entries = {entry for entry, _ in image.blocks}
-        pcs = trace(image, STEP_LIMIT)
+        pcs = trace(image, _trace_budget(manifest, name))
         independent = sum(1 for pc in pcs[1:] if pc in entries)
         enc = Engine(corpus_encrypted[name]).run(STEP_LIMIT)
         if enc.counters.key_switches != independent:

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import struct
 from collections import Counter
+from http import HTTPStatus
 from pathlib import Path
 
 import pytest
@@ -688,3 +689,85 @@ def test_parser_is_built_once_per_seed_value(built, capsys, monkeypatch):
             monkeypatch.setenv("SCYLLA_SEED", value)
         assert call_cli(capsys, argv)[0] == 0
         assert len(builds) == total, value
+
+
+# -- the JSON writer against json.dumps ---------------------------------------
+
+_JSON_TEXTS = ["", "a", "fib", 'say "hi"', "back\\slash", "tab\tnew\nline\r",
+               "\x00\x1f\x7f", "café", "  ", "\U0001f600 emoji",
+               "\ud800 lone surrogate", "/"]
+_JSON_NUMBERS = [0, 1, -1, 7, -(2 ** 31), 2 ** 32 - 1, 2 ** 64, 2 ** 64 + 1, -(2 ** 70),
+                 10 ** 40, 0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, float("nan"),
+                 float("inf"), float("-inf")]
+
+
+def _random_container(rng: random.Random, depth: int):
+    """A list, tuple or dict of 0-4 random values, nested down to `depth`."""
+    items = [_random_json(rng, depth - 1) for _ in range(rng.choice((0, 0, 1, 2, 4)))]
+    shape = rng.randrange(4)
+    if shape == 0:
+        return items
+    if shape == 1:
+        return tuple(items)
+    if shape == 2:
+        return {rng.choice(_JSON_TEXTS) + str(rng.randrange(50)): item for item in items}
+    return {rng.randrange(-5, 50): item for item in items}   # keys json converts
+
+
+def _random_json(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth > 0 and roll < 0.45:
+        return _random_container(rng, depth)
+    if roll < 0.6:
+        return rng.choice(_JSON_TEXTS)
+    if roll < 0.8:
+        return rng.choice(_JSON_NUMBERS)
+    return rng.choice((True, False, None, rng.getrandbits(80) - 2 ** 79))
+
+
+def test_json_writer_equals_json_dumps_on_random_documents():
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(600):
+        doc = _random_container(rng, 1 + rng.randrange(6))
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert cli._json_text(doc) == text, repr(doc)
+        seen.update(word for word in ("[]", "{}", "NaN", "Infinity", "-0.0", "\\u", "\\\\",
+                                      '\\"', "true", "null", "-")
+                    if word in text)
+    assert len(seen) == 11 and min(seen.values()) >= 10, seen   # each shows up often
+
+
+@pytest.mark.parametrize("doc", [
+    "x", 1, 1.5, True, None, {}, [], (), {"a": {}}, [[], {}, ()], {"x": [{"y": []}]},
+    {"b": 1, "a": 2, "é": 3, "A": 4, "": 5},   # sorted as json sorts str keys
+    {3: "int", 1: "keys"}, {"a": {True: 1, 2: 2}}, {"a": {1.5: 0, -1: None}},
+    [float("nan"), -0.0, 2 ** 100, -(2 ** 100)],
+    {"status": HTTPStatus.OK, "reason": ("OK",)},   # an int subclass
+])
+def test_json_writer_equals_json_dumps_on_edge_cases(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{"a": 1, 2: "b"}, [{"a": {1: 0, "b": 1}}],
+                                 {"a": {True: 1, None: 2}}, {"a": object()}])
+def test_json_writer_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "fib.eimg"],
+    ["run", "fib.img", "--step-limit", "20"],
+    ["attack", "fib.eimg", "scenario.json"],
+    ["attack", "fib.eimg", "--kind", "mid-block-entry", "--trials", "30"],
+    ["attack", "fib.eimg", "--kind", "patch-replay", "--trials", "10", "--step-limit", "300",
+     "--harness-seed", "3"],
+    ["analyze", "fib.img", "fib.eimg"],
+], ids=" ".join)
+def test_cli_documents_are_json_dumps_output(built, capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -144,7 +144,7 @@ def test_entry_key_is_the_key_of_the_entry_block():
     struct.pack_into("<I", blob, 16, 4)   # header entry address
     image = load_image_bytes(bytes(blob))
     eimage = encrypt_pipeline(image, SEED)
-    assert trace(eimage) == trace(image) == [4, 8]
+    assert trace(eimage, 4) == trace(image, 4) == [4, 8]
     assert eimage.entry_key == gen_keys(image, SEED).block_keys[1]
     plain, enc = Engine(image).run(), Engine(eimage).run()
     assert plain.outcome == enc.outcome == HALT

@@ -39,6 +39,15 @@ def _image(source):
     return layout_image(parse_assembly(source))
 
 
+def _budget(steps: int) -> int:
+    """The step limit for a single-stepped run known to retire `steps`
+    instructions. One `advance` per instruction takes microseconds, so an
+    engine defect that keeps a program running would step on to
+    DEFAULT_STEP_LIMIT for seconds per call; twice the known length stops it
+    at once, and the cut-off run then differs from the one it is held to."""
+    return 2 * steps
+
+
 def dynamic_edge_traversals(image, pcs):
     """Independent oracle: count block entries visited after the first fetch."""
     entries = {entry for entry, _ in image.blocks}
@@ -147,7 +156,7 @@ def test_word_access_on_an_unaligned_data_segment(body, outcome, x6):
 
     eimage = encrypt_pipeline(image, 42)
     encrypted = Engine(eimage).run()
-    assert encrypted == _stepped(eimage)[0]
+    assert encrypted == _stepped(eimage, _budget(6))[0]   # lui, up to 3 words, ecall
     if "jalr" not in body:   # data is never encrypted
         assert encrypted.final_state_digest == report.final_state_digest
         assert encrypted.outcome == outcome
@@ -179,9 +188,9 @@ def test_encrypted_corpus_transparency(corpus_images, corpus_encrypted, manifest
         assert enc.counters.key_switches == manifest[name]["key_switches"], name
 
 
-def test_key_switches_equal_independent_edge_count(corpus_images, corpus_encrypted):
+def test_key_switches_equal_independent_edge_count(corpus_images, corpus_encrypted, manifest):
     for name in corpus_images:
-        pcs = trace(corpus_images[name])
+        pcs = trace(corpus_images[name], _budget(manifest[name]["retired"]))
         expected = dynamic_edge_traversals(corpus_images[name], pcs)
         enc = Engine(corpus_encrypted[name]).run()
         assert enc.counters.key_switches == expected, name
@@ -196,21 +205,23 @@ def test_counter_ordering_invariant(corpus_images, corpus_encrypted):
 
 
 def test_trace_straightline_length():
-    assert len(trace(_image("addi x1, x0, 1\necall"))) == 2
+    assert len(trace(_image("addi x1, x0, 1\necall"), _budget(2))) == 2
 
 
 def test_trace_diamond_skips_fallthrough_block(corpus_images):
-    pcs = trace(corpus_images["diamond"])
+    pcs = trace(corpus_images["diamond"], _budget(3))
     assert pcs == [0, 8, 12]  # branch taken; block at 4 never runs
 
 
-def test_traces_identical_plain_vs_encrypted(corpus_images, corpus_encrypted):
+def test_traces_identical_plain_vs_encrypted(corpus_images, corpus_encrypted, manifest):
     # step both runs side by side: every step leaves the same architectural state
     for name in corpus_images:
+        budget = _budget(manifest[name]["retired"])
         plain, enc = Engine(corpus_images[name]), Engine(corpus_encrypted[name])
         k, alive = 0, True
         while alive:
             k += 1
+            assert k <= budget, name
             alive = plain.advance(k)
             assert enc.advance(k) == alive, (name, k)
             assert ((plain.state.pc, plain.prev_pc, plain.state.regs,
@@ -218,16 +229,17 @@ def test_traces_identical_plain_vs_encrypted(corpus_images, corpus_encrypted):
                     == (enc.state.pc, enc.prev_pc, enc.state.regs,
                         enc.state.counters.instructions_retired)), (name, k)
         assert plain.run().outcome == enc.run().outcome == HALT, name
-        assert len(trace(corpus_images[name])) == k, name
+        assert len(trace(corpus_images[name], budget)) == k, name
 
 
-def test_trace_only_walks_cfg_edges(corpus_images):
+def test_trace_only_walks_cfg_edges(corpus_images, manifest):
     # every concrete transition is an edge of the static graph
     for name, image in corpus_images.items():
         spans = block_of_pc(image)
         entries = {entry for entry, _ in image.blocks}
         pairs = {(s, t) for s, t, _ in image.edges}
-        pcs = trace(image)
+        pcs = trace(image, _budget(manifest[name]["retired"]))
+        assert len(pcs) == manifest[name]["retired"], name
         for prev, here in zip(pcs, pcs[1:]):
             if here in entries:
                 assert (spans[prev], spans[here]) in pairs, (name, hex(prev), hex(here))
@@ -327,11 +339,12 @@ def test_advance_to_a_step_already_retired_leaves_the_engine_as_it_is(corpus_enc
     assert before[2] == (HALT, None, None)   # the sticky end of the finished run
 
 
-def test_fork_continues_like_a_fresh_engine(corpus_images, corpus_encrypted):
+def test_fork_continues_like_a_fresh_engine(corpus_images, corpus_encrypted, manifest):
     for name in corpus_images:
         for target in (corpus_images[name], corpus_encrypted[name]):
             whole = Engine(target).run()
             retired = whole.counters.instructions_retired
+            assert retired == manifest[name]["retired"], name   # one fork per step
             checkpoint = Engine(target)
             for k in range(retired + 1):
                 checkpoint.advance(k)
@@ -567,38 +580,44 @@ def _fetch_state(engine):
 # a loop, then a load from an unmapped address
 _LW_FAULT = _image("addi x1, x0, 3\nloop:\naddi x1, x1, -1\nbne x1, x0, loop\n"
                    "lui x5, 32\nlw x6, 0(x5)\necall")
+_LW_FAULT_STEPS = 1 + 3 * 2 + 2
 
 
-def _single_step_cases(corpus_images, corpus_encrypted):
-    """(name, engine factory, expected end) for every corpus program, plain
-    and encrypted, a run ending in an integrity fault and one ending in a
-    memory fault inside `lw`."""
+def _single_step_cases(corpus_images, corpus_encrypted, manifest):
+    """(name, engine factory, expected end, step budget) for every corpus
+    program, plain and encrypted, a run ending in an integrity fault and one
+    ending in a memory fault inside `lw`."""
     cases = []
     for name in corpus_images:
-        cases.append((name, lambda image=corpus_images[name]: Engine(image), HALT))
+        budget = _budget(manifest[name]["retired"])
+        cases.append((name, lambda image=corpus_images[name]: Engine(image), HALT, budget))
         cases.append((name + " encrypted",
-                      lambda eimage=corpus_encrypted[name]: Engine(eimage), HALT))
+                      lambda eimage=corpus_encrypted[name]: Engine(eimage), HALT, budget))
     fib = corpus_encrypted["fib"]
     # without the return edge's patch the key register goes stale back in main
     stale = replace(fib, patch_table=tuple(
         record for record in fib.patch_table if record[:2] != (4, 12)))
     assert len(stale.patch_map) == len(fib.patch_map) - 1
-    cases.append(("fib stale key", lambda: Engine(stale), INTEGRITY_FAULT))
-    cases.append(("lw fault", lambda: Engine(_LW_FAULT), MEMORY_FAULT))
+    cases.append(("fib stale key", lambda: Engine(stale), INTEGRITY_FAULT,
+                  _budget(manifest["fib"]["retired"])))
+    cases.append(("lw fault", lambda: Engine(_LW_FAULT), MEMORY_FAULT, _budget(_LW_FAULT_STEPS)))
     lw_fault_enc = encrypt_pipeline(_LW_FAULT, 42)
-    cases.append(("lw fault encrypted", lambda: Engine(lw_fault_enc), MEMORY_FAULT))
+    cases.append(("lw fault encrypted", lambda: Engine(lw_fault_enc), MEMORY_FAULT,
+                  _budget(_LW_FAULT_STEPS)))
     return cases
 
 
-def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encrypted):
+def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encrypted,
+                                                      manifest):
     # The fetch loop keeps its state in locals; stepping one instruction per
     # call only works if every exit writes all of it back.
-    for name, make, end in _single_step_cases(corpus_images, corpus_encrypted):
+    for name, make, end, budget in _single_step_cases(corpus_images, corpus_encrypted, manifest):
         stepped = make()
         encrypted = stepped.encrypted
         k, alive = 0, True
         while alive:
             k += 1
+            assert k <= budget, name
             alive = stepped.advance(k)
             once = make()
             assert once.advance(k) == alive, (name, k)
@@ -626,15 +645,16 @@ def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encr
 # every block run from its decoded words from its first entry by a
 # transfer or a boundary crossing on.
 
-def _step(engine, limit=eng.DEFAULT_STEP_LIMIT):
-    """Step `engine` one instruction per call to its end or `limit`; its report."""
+def _step(engine, limit):
+    """Step `engine` one instruction per call to its end or `limit` (see
+    `_budget`); its report."""
     k = engine.state.counters.instructions_retired
     while k < limit and engine.advance(k + 1):
         k += 1
     return engine.run(limit)
 
 
-def _stepped(target, limit=eng.DEFAULT_STEP_LIMIT):
+def _stepped(target, limit):
     """The per-word reference run of `target`: its report and its engine."""
     engine = Engine(target)
     return _step(engine, limit), engine
@@ -656,15 +676,19 @@ loop:
     bne x9, x0, loop
     ecall
 """
+_SELF_LOOP_STEPS = 2 + 4 * 200
 
 
 @pytest.mark.parametrize("hot", [0, 1, eng.HOT_BLOCK_VISITS])
-def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, monkeypatch, hot):
+def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, manifest,
+                                                           monkeypatch, hot):
     targets = []
+    budgets = {name: _budget(manifest[name]["retired"]) for name in corpus_sources}
+    budgets["self-loop"] = _budget(_SELF_LOOP_STEPS)
     for name, source in {**corpus_sources, "self-loop": _SELF_LOOP}.items():
         image = _image(source)
         targets += [(name, image), (name, encrypt_pipeline(image, 42))]
-    references = [_stepped(target) for _, target in targets]
+    references = [_stepped(target, budgets[name]) for name, target in targets]
     assert not any(_decoded_ids(target) for _, target in targets)   # stepping decodes none
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
     decoded = 0
@@ -673,7 +697,7 @@ def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, monk
             engine = Engine(target)
             assert engine.run() == expected, (name, hot)
             assert _fetch_state(engine) == _fetch_state(per_word), (name, hot)
-        assert _step(Engine(target)) == expected, (name, hot)
+        assert _step(Engine(target), budgets[name]) == expected, (name, hot)
         # calls of 1..7 steps: the step limit cuts decoded blocks at every
         # offset, and those runs take the per-word path
         engine, k, chunks = Engine(target), 0, itertools.cycle(range(1, 8))
@@ -698,7 +722,8 @@ def _counting_derivations(monkeypatch) -> list:
 def test_chained_self_loop_resolves_its_exit_once(monkeypatch, hot):
     image = _image(_SELF_LOOP)
     targets = (image, encrypt_pipeline(image, 42))
-    references = [(_stepped(target), trace(target)) for target in targets]
+    budget = _budget(_SELF_LOOP_STEPS)
+    references = [(_stepped(target, budget), trace(target, budget)) for target in targets]
     derived = _counting_derivations(monkeypatch)
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
     for target, ((expected, per_word), pcs) in zip(targets, references):
@@ -706,7 +731,7 @@ def test_chained_self_loop_resolves_its_exit_once(monkeypatch, hot):
         assert engine.run() == expected
         assert _fetch_state(engine) == _fetch_state(per_word)
         assert expected.outcome == HALT and engine.state.regs[10] == 600
-        assert len(pcs) == expected.counters.instructions_retired == 2 + 4 * 200
+        assert len(pcs) == expected.counters.instructions_retired == _SELF_LOOP_STEPS
     # 201 key switches: into the loop, 199 back edges, out of it. The first
     # hot + 1 entries into the loop block each derive their key, the last of
     # them starting its decoded run; from then on each exit of the decoded
@@ -730,7 +755,7 @@ def test_targets_sharing_an_image_hold_their_own_links(monkeypatch):
     cut = replace(full, patch_table=tuple(
         record for record in full.patch_table if record[:2] != (1, 20)))
     assert cut.image is full.image and len(cut.patch_map) == len(full.patch_map) - 1
-    references = [_stepped(target)[0] for target in (full, cut)]
+    references = [_stepped(target, _budget(_SELF_LOOP_STEPS))[0] for target in (full, cut)]
     assert [report.outcome for report in references] == [HALT, INTEGRITY_FAULT]
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
     for _ in range(2):
@@ -765,7 +790,7 @@ def test_chained_exits_compare_the_key_they_were_made_under(monkeypatch, case):
         if case == "replayed fork":
             engine = engine.fork()
             engine.replay_patch(delta, 4)
-        advance(engine, eng.DEFAULT_STEP_LIMIT)
+        advance(engine, _budget(_SELF_LOOP_STEPS))
         return engine
 
     monkeypatch.setattr(eng, "block_keystream", lambda key, n: array("I", bytes(4 * n)))
@@ -854,13 +879,14 @@ loop:
     bne x9, x0, loop
     ecall
 """
+_SELF_MODIFYING_STEPS = 3 + 40 * 5 + 1
 
 
 @pytest.mark.parametrize("hot", [0, eng.HOT_BLOCK_VISITS])
 def test_program_storing_into_its_own_block(monkeypatch, hot):
     image = _image(_SELF_MODIFYING)
     targets = (image, encrypt_pipeline(image, 42))
-    references = [_stepped(target)[0] for target in targets]
+    references = [_stepped(target, _budget(_SELF_MODIFYING_STEPS))[0] for target in targets]
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
     for target, per_word in zip(targets, references):
         engine = Engine(target)
@@ -873,10 +899,11 @@ def test_program_storing_into_its_own_block(monkeypatch, hot):
         assert _decoded_ids(target) == ({1} if hot == 0 else set())
 
 
-def test_forks_share_decoded_blocks_but_not_text(corpus_sources, monkeypatch):
+def test_forks_share_decoded_blocks_but_not_text(corpus_sources, manifest, monkeypatch):
     image = _image(corpus_sources["loop_sum"])
     targets = (image, encrypt_pipeline(image, 42))
-    references = [(_stepped(target)[0], _step(_attacked_loop_sum(target), 4096))
+    budget = _budget(manifest["loop_sum"]["retired"])
+    references = [(_stepped(target, budget)[0], _step(_attacked_loop_sum(target), 4096))
                   for target in targets]
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
     for target, (whole, injected) in zip(targets, references):
@@ -932,7 +959,7 @@ def test_block_longer_than_the_offset_range_is_rejected(monkeypatch):
 
 def test_memory_fault_inside_a_decoded_block(monkeypatch):
     targets = (_LW_FAULT, encrypt_pipeline(_LW_FAULT, 42))
-    references = [_stepped(target) for target in targets]
+    references = [_stepped(target, _budget(_LW_FAULT_STEPS)) for target in targets]
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
     for target, (expected, per_word) in zip(targets, references):
         engine = Engine(target)
@@ -950,7 +977,8 @@ def test_stale_key_whose_stream_is_shorter_than_its_block(monkeypatch):
     # (7 words) with that key: the stream is replaced by one that covers the
     # block, the block is decoded, and no word is decrypted on its own.
     source = "addi x10, x0, 1\njal x0, long\nlong:\n" + "addi x10, x10, 1\n" * 6 + "ecall"
-    expected = _stepped(encrypt_pipeline(_image(source), 42))[0]   # an image of its own
+    # 9 steps, on an image of its own
+    expected = _stepped(encrypt_pipeline(_image(source), 42), _budget(9))[0]
     eimage = encrypt_pipeline(_image(source), 42)
     assert [length for _, length in eimage.image.blocks] == [2, 7]
     replayed = Engine(eimage)
@@ -1064,6 +1092,16 @@ loop:
     .space 20
 """,
 }
+# instructions each program retires in its plaintext run
+_ROUND_STEPS = {
+    "branch": _SELF_LOOP_STEPS,
+    "data": 2 + 200 * 5 + 1,
+    "lw fault at word 0": 1 + 40,
+    "lw fault at word 1": 1 + 40 + 1,
+    "lw fault in a later entry": 1 + 3 * 14 + 1 + 4,
+    "store into its own block": _SELF_MODIFYING_STEPS,
+    "store into the text": 2 + 6 * 5 + 1,
+}
 
 
 def _recording_rounds(monkeypatch) -> list:
@@ -1084,13 +1122,13 @@ def _recording_rounds(monkeypatch) -> list:
     return calls
 
 
-def _per_word_cuts(target, cuts):
-    """The per-word run of `target`: (cut, report at the cut, fetch state) for
-    each cut, then its final report and fetch state."""
+def _per_word_cuts(target, cuts, limit):
+    """The per-word run of `target` up to `limit`: (cut, report at the cut,
+    fetch state) for each cut, then its final report and fetch state."""
     engine, states = Engine(target), []
     for cut in cuts:
         states.append((cut, _step(engine, cut), _fetch_state(engine)))
-    return states, _step(engine), _fetch_state(engine)
+    return states, _step(engine, limit), _fetch_state(engine)
 
 
 @pytest.mark.parametrize("name", list(_ROUND_PROGRAMS))
@@ -1098,13 +1136,12 @@ def test_rounds_in_place_equal_the_per_word_path(monkeypatch, name):
     image = _image(_ROUND_PROGRAMS[name])
     targets = (image, encrypt_pipeline(image, 42))
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
-    references = []
-    for target in targets:
-        retired = Engine(target).run().counters.instructions_retired
-        # step limits and advance boundaries at every offset of some round
-        cuts = sorted({1, 2, 3} | set(range(5, retired + 2, 7)))
-        references.append((_per_word_cuts(target, cuts), trace(target)))
-        assert not _decoded_ids(target)
+    steps = _ROUND_STEPS[name]   # an encrypted run that faults sooner stays at its end
+    # step limits and advance boundaries at every offset of some round
+    cuts = sorted({1, 2, 3} | set(range(5, steps + 2, 7)))
+    references = [(_per_word_cuts(target, cuts, _budget(steps)), trace(target, _budget(steps)))
+                  for target in targets]
+    assert not any(_decoded_ids(target) for target in targets)
     calls = _recording_rounds(monkeypatch)
     for hot in (0, 1, 2, 32):
         monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
@@ -1132,9 +1169,7 @@ def test_rounds_in_place_equal_the_per_word_path(monkeypatch, name):
         assert [taken for _, taken in calls[:2]] == [0, 3]
     elif name.startswith("lw fault"):   # at the eleventh load
         assert expected.outcome == MEMORY_FAULT
-        assert expected.counters.instructions_retired == {
-            "lw fault at word 0": 1 + 40, "lw fault at word 1": 1 + 40 + 1,
-            "lw fault in a later entry": 1 + 3 * 14 + 1 + 4}[name]
+        assert expected.counters.instructions_retired == _ROUND_STEPS[name]
 
 
 _FLIPPING_DELTA = bytes(range(1, 17))
@@ -1157,7 +1192,7 @@ def test_self_edges_that_change_the_key_run_no_round_in_place(monkeypatch, case)
         monkeypatch.setattr(eng, "block_keystream", lambda key, n: array("I", bytes(4 * n)))
         monkeypatch.setattr(eng, "keystream_word", lambda key, offset: 0)
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
-    expected, per_word = _stepped(eimage)
+    expected, per_word = _stepped(eimage, _budget(_SELF_LOOP_STEPS))
     calls = _recording_rounds(monkeypatch)
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
     engine = Engine(eimage)
@@ -1187,7 +1222,7 @@ def test_a_key_changing_self_link_left_on_a_decoded_block_runs_no_round(monkeypa
         (src, target, _FLIPPING_DELTA if (src, target) == (1, 8) else patch)
         for src, target, patch in eimage.patch_table))
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
-    expected, per_word = _stepped(eimage)
+    expected, per_word = _stepped(eimage, _budget(_ROUND_STEPS["store into the text"]))
     assert expected.outcome == INTEGRITY_FAULT
     calls = _recording_rounds(monkeypatch)
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
