@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -164,12 +164,6 @@ class EncryptedImage:
             patches[src, target] = patch
             last_src, last_target = src, target
         object.__setattr__(self, "patch_map", patches)
-
-    @cached_property
-    def decoded_blocks(self) -> dict:
-        """Hot block id -> (key, decoded word count, their generated function,
-        exit links), host-side, under this patch table (see engine.py)."""
-        return {}
 
 
 def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:

@@ -13,117 +13,67 @@ fetches outside the text segment, at word offset (pc - base) / 4 mod
 MAX_WORD_OFFSET; a word that fails to decode raises an integrity fault
 immediately.
 
-One constructor builds every engine: `Engine(target)` runs an `Image`
-in plaintext, or an `EncryptedImage` from its entry key under its own
-patch table, so the key state always belongs to the image it runs.
+`Engine(target)` runs an `Image` in plaintext, or an `EncryptedImage`
+from its entry key under its own patch table. The cycle model is two
+scalars: cycles = instructions + decrypt_cost * keystream invocations
++ switch_cost * key switches.
 
-The cycle model is deliberately two scalars: cycles = instructions
-+ decrypt_cost * keystream invocations + switch_cost * key switches.
-
-The host serves fetches from one dict per image (`Image.fetch_cache`),
-shared by every engine and attack trial on it. A key maps to its
-keystream array, from one AES call; a word maps to its decode result,
-plaintext or decrypted, and equal words share one Instruction. Neither
-depends on memory, so stores into the text invalidate nothing; a full
-cache is cleared. Every counter still counts every modelled fetch.
+The rest is host-side: counters, outcomes, digests and outputs are those
+of the per-word path, as `tests/reference.py`, a reference interpreter
+that shares no code with this module, checks. Two dicts per image serve
+every engine and attack trial on it, and depend on neither memory, nor
+the key state, nor the patch table: `Image.fetch_cache` maps a key to its
+keystream array, from one AES call, and a word, plaintext or decrypted,
+to its decode result (a full cache is cleared); `Image.decoded_blocks`
+holds the hot blocks (below).
 
 The fetch loop keeps its state (pc, previous pc, counters, key register,
 block base, the key's stream) in locals and writes it back on every
 exit, so between two `advance` calls the engine's fields are exact.
-Each engine's `Memory` converts the image's text and data bytes into
-its own word arrays (a fork copies its parent's). An aligned fetch
-inside the text reads the text array, which every store writes; other
-fetches and the digest go through `Memory.load_word`. Each op's
-semantics (docs/isa.md) are written once, as its `_TEMPLATES` lines: the
-per-word path runs a handler formatted from them with the instruction's
-fields, a hot block a generated function with constant operands, and
-either reaches data words directly (see `Memory`).
+Each engine's `Memory` holds its own text and data word arrays (a fork
+copies its parent's), and an aligned text fetch reads the text array.
+Each op's semantics (docs/isa.md) are written once, as its `_TEMPLATES`
+lines, for the per-word handlers and the generated functions alike.
 
 The loop relies on three invariants, each held where the data is made:
-- the key register's base is a block entry: it starts at the image
-  entry and moves only to patch targets or, in plaintext, to block
-  entries; `Image` and `EncryptedImage` check at construction that the
-  entry and every patch target are block entries, however the image
-  was made;
+- the key register's base is a block entry: it starts at the image entry
+  and moves only to patch targets or, in plaintext, to block entries;
+  `Image` and `EncryptedImage` check the first two at construction;
 - a key's stream covers the block it is held in: `_key_stream` replaces
   a cached stream shorter than the block being entered;
 - blocks fit the offset range: `EncryptedImage` rejects a block longer
   than MAX_WORD_OFFSET words, so in-block offsets never wrap.
 
-Hot blocks. Inside the block its key belongs to, each fetch is the next
-word at the next stream offset. Each call of the fetch loop counts its
-entries into each block; a block entered HOT_BLOCK_VISITS times in one
-call is hot, and at its next entry its words, decrypted with the current
-key, are decoded once up to the first illegal word or ecall and run as
-one generated function (`_compiled`, from the same `_TEMPLATES`): every
-operand is a constant, a write to x0 is dropped, a branch or jal to the
-next word falls through, and it returns at the first transfer, at a
-memory fault and after a store into the text. The engine's target holds
-the decoded block (`EncryptedImage.decoded_blocks`, or a plaintext
-`Image.decoded_blocks`), keyed by block id and tagged with the key, for
-every later call and every engine on that target. An entry on the
-block's first word whose whole decoded body fits under the step limit
-calls the function. The per-word path serves every other fetch: cold
-blocks, entries past a block's first word, runs the step limit cuts
-short, the rest of a block when a call starts, and fetches past the
-decoded words or outside the key's block; those past the key's stream
-(rogue, mid-block and stale fetches) decrypt with `keystream_word`. A
-call that retires one instruction enters a block at most once, so
-`trace` and single `advance` steps take the per-word path. Every
-mechanism here is checked against `tests/reference.py`, a
-reference interpreter that shares no code with this module.
+Hot blocks. Each call of the fetch loop counts its entries into each
+block in a bytearray, which the collector does not track; a block entered
+HOT_BLOCK_VISITS times in one call is hot. At its next entry its words,
+decrypted with the current key, are decoded up to the first illegal word
+or ecall into one generated function (`_compiled`), kept with the key in
+`Image.decoded_blocks` (made at the first hot block, so a run with none
+moves no collection) and rebuilt when another key enters the block.
+Inside the block each fetch is the next word at the next stream offset,
+so an entry on its first word whose whole decoded body fits under the
+step limit calls the function. Every other fetch takes the per-word path;
+a call that retires one instruction enters a block at most once, so
+`trace` and single `advance` steps do too. An engine whose memory took a
+store into the text (`Memory.text_written`) uses no decoded block again.
 
 Rounds in place. When a block's last decoded word is a branch or jal to
-its first word, its function is a loop: a taken back edge starts the body
-again inside the function, at most `rounds` times, and then returns
-`base`. The engine allows rounds only when the block's link for exit pc
-`base` (see Chained exits) keeps the key, since then the fetch loop would
-take that link and enter the same body under the same key; an honest
-self edge has the zero patch, and a self patch that changes the key gets
-no round in place. It allows as many as fit whole under the step limit,
-`(limit - retired) // size - 1` beside the round the entry runs, so the
-step limit never falls inside a round. Each round counts what the trip
-through the fetch loop counts: `size` retired instructions, one control
-transfer and, in an encrypted run, `size` keystream invocations, one
-patch lookup, and one key switch if the self edge has a patch. A round returns
-early where a body does: at the first transfer out, at a memory fault
-and after a store into the text.
+its first word, the function loops: a taken back edge starts the body
+again, at most `rounds` times, then returns `base`. An entry allows
+rounds only when the self edge has no patch or the zero patch, since
+either keeps the key and the block, and as many as fit whole under the
+step limit. Each round counts what a trip through the fetch loop would:
+`size` retired instructions and one control transfer; encrypted, `size`
+keystream invocations, one patch lookup and, under the zero patch, one
+key switch.
 
-The generated code is memoised by the tuple of decoded instructions
-alone, in a bounded `lru_cache`: a function depends on neither the key,
-nor the block's address (its `base` argument), nor the image, so a
-program's plaintext and encrypted runs, and every `scylla attack` call on
-it, each of which loads a fresh image, share one compile. The functions
-share one globals dict with no builtins and none of them is kept in the
-namespace it was made in, so they hold no reference cycle, and a target
-whose last reference is dropped is freed at once.
-
-A decoded block is rebuilt when another key enters the block; an engine
-whose memory has taken a store into the text (`Memory.text_written`,
-copied by a fork, never cleared) stops reading decoded blocks at once
-and builds none. Entry counts live in a bytearray per call, untracked
-by the garbage collector, and `decoded_blocks` is made at the first hot
-block, so a run with no hot block, such as each short run of an attack
-campaign, moves no collection.
-
-Chained exits. A decoded block also holds one link per exit pc: the
-successor (the patch lookup, the key derivation, the block table entry
-and the key's stream) that the first transfer out of it there resolved.
-A successor is a function of the block, the exit pc, the key and the
-patch table. A link is made only at the first transfer after a decoded
-run, and key and block change only at transfers, so it is made under
-the key the block was decoded with; the patch table is the target's. A
-link therefore never goes stale, in any call or engine on the target,
-and a linked transfer counts what a resolved one does. The link for
-exit pc `base` is the self edge's: its base is the block's own, whether
-or not the edge has a patch, so whether rounds run in place rests on its
-key alone. An engine that goes on per word after a store into the text
-can still make a link on a block it leaves in place, so a later engine
-may find a self link that changes the key; it runs no round in place.
-`Image.fetch_cache` is per image because its words and streams depend
-on neither the key state nor the patch table. All of this is host-side:
-the counters, outcomes, digests and outputs are those of the per-word
-path.
+Generated functions are memoised by their instruction tuple alone in a
+bounded `lru_cache`: one depends on neither the key, nor the block's
+address (its `base` argument), nor the image, so a program's plaintext
+and encrypted runs, and every `scylla attack` call on it, share one
+compile. They share one globals dict with no builtins and hold no
+reference cycle, so a target whose last reference is dropped is freed.
 """
 
 from __future__ import annotations
@@ -135,6 +85,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .crypto import (
+    KEY_BYTES,
     MAX_WORD_OFFSET,
     EncryptedImage,
     block_keystream,
@@ -157,6 +108,7 @@ FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache 
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
 HOT_BLOCK_VISITS = 32   # entries into a block in one run before it is decoded; at most 255
 _NO_STREAM = array("I")   # a plaintext run's key stream
+_ZERO_PATCH = bytes(KEY_BYTES)   # an honest self edge's patch: it keeps the key
 
 
 class ReportError(ValueError):
@@ -549,8 +501,6 @@ class Engine:
         cache = image.fetch_cache
         block_index = image.block_index
         visits = bytearray(len(image.blocks))   # entries per block in this call
-        target = self.target
-        chain = None   # the exits of the decoded block last run, until the next transfer
         patch_map = self.patch_map
         encrypted = self.encrypted
         handlers = _HANDLERS
@@ -576,51 +526,34 @@ class Engine:
                     counters.control_transfers += 1
                     if encrypted:
                         counters.patch_lookups += 1
-                    # leaving a decoded block: its successor may be linked already
-                    if chain is not None and (link := chain.get(pc)) is not None:
-                        key, base, block_id, length, block_end, stream, switched = link
-                        n_stream = len(stream)
-                        if switched:
-                            counters.key_switches += 1
-                    else:
-                        if encrypted:
-                            patch = patch_map.get((block_id, pc))
-                            if patch is not None:
-                                key = derive_next_key(key, patch)
-                                base = pc
-                                counters.key_switches += 1
-                        elif pc in block_index:
+                        patch = patch_map.get((block_id, pc))
+                        if patch is not None:
+                            key = derive_next_key(key, patch)
                             base = pc
-                        block_id, length = block_index[base]
-                        block_end = base + 4 * length
-                        if encrypted:
-                            stream = _key_stream(cache, key, length)
-                            n_stream = len(stream)
-                        if chain is not None:
-                            chain[pc] = (key, base, block_id, length, block_end, stream,
-                                         encrypted and patch is not None)
-                    chain = None
+                            counters.key_switches += 1
+                    elif pc in block_index:
+                        base = pc
+                    block_id, length = block_index[base]
+                    block_end = base + 4 * length
+                    if encrypted:
+                        stream = _key_stream(cache, key, length)
+                        n_stream = len(stream)
                     # a block entry: once the block is hot, run its decoded words
                     hot = None
                     if visits[block_id] < HOT_BLOCK_VISITS:
                         visits[block_id] += 1
                     elif not mem.text_written:
-                        hot = target.decoded_blocks.get(block_id)
+                        hot = image.decoded_blocks.get(block_id)
                         if hot is None or hot[0] != key:
                             first = (base - text_base) >> 2
-                            hot = target.decoded_blocks[block_id] = (
-                                key, *_decoded_block(cache, words[first:first + length], stream),
-                                {})
+                            hot = image.decoded_blocks[block_id] = (
+                                key, *_decoded_block(cache, words[first:first + length], stream))
                     if hot is not None and pc == base and 0 < (size := hot[1]) <= limit - retired:
-                        # The whole decoded body fits under the step limit: each
-                        # fetch is the next word at the next stream offset, and
-                        # words 0..k run in sequence. A self edge whose link keeps
-                        # the key (a link at exit pc base keeps the base) enters
-                        # this body again, so as many rounds as fit run in place,
-                        # each counted as the body and the linked transfer.
-                        link = hot[3].get(base)
+                        # the whole body fits under the step limit; a self edge
+                        # that keeps the key runs further rounds in place
+                        patch = patch_map.get((block_id, base))
                         rounds = 0
-                        if link is not None and link[0] == key:
+                        if patch is None or patch == _ZERO_PATCH:
                             rounds = (limit - retired) // size - 1
                         next_pc, k, taken = hot[2](regs, mem, base, rounds)
                         if taken:
@@ -629,7 +562,7 @@ class Engine:
                             if encrypted:
                                 invocations += taken * size
                                 counters.patch_lookups += taken
-                            if link[6]:
+                            if patch is not None:
                                 counters.key_switches += taken
                             prev_pc = base + 4 * size - 4
                         if encrypted:
@@ -642,7 +575,6 @@ class Engine:
                             return MEMORY_FAULT, None, None
                         retired += k + 1
                         prev_pc, pc = base + 4 * k, next_pc & MASK32
-                        chain = hot[3]
                         continue
 
                 if encrypted:

@@ -111,8 +111,8 @@ class Image:
 
     @cached_property
     def decoded_blocks(self) -> dict:
-        """Hot block id -> (key, decoded word count, their generated function,
-        exit links) of a plaintext run, host-side (see engine.py)."""
+        """Hot block id -> (key, decoded word count, their generated function),
+        host-side (see engine.py)."""
         return {}
 
     def digest(self) -> str:

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import struct
 from collections import Counter
+from fractions import Fraction
 from http import HTTPStatus
 from pathlib import Path
 
@@ -193,6 +194,23 @@ def test_bench_rows_sorted(workdir, corpus_dir, capsys):
     fields = fib_row.split(",")
     assert fields[1] == "62" and fields[2] == "13"
     assert float(fields[5]) == pytest.approx((62 + 52) / 62)
+
+
+@pytest.mark.parametrize("decrypt_cost, switch_cost", [(1, 4), (3, 7)])
+def test_bench_overhead_has_a_closed_form(corpus_dir, manifest, capsys, decrypt_cost,
+                                          switch_cost):
+    # docs/formats.md: overhead = decrypt_cost + switch_cost * key_switches / retired
+    code, out = run_cli(capsys, "bench", corpus_dir, "--seed", SEED, "--decrypt-cost",
+                        decrypt_cost, "--switch-cost", switch_cost)
+    assert code == 0
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert len(rows) == len(manifest)
+    for name, *counts, overhead in rows:
+        retired, key_switches, plain_cycles, enc_cycles = map(int, counts)
+        closed_form = decrypt_cost + Fraction(switch_cost * key_switches, retired)
+        assert plain_cycles == retired, name
+        assert Fraction(enc_cycles - plain_cycles, plain_cycles) == closed_form, name
+        assert overhead == f"{float(closed_form):.6f}", name
 
 
 def test_run_human_format(workdir, capsys):

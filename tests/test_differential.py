@@ -16,7 +16,7 @@ import re
 import pytest
 
 from reference import Reference
-from test_engine import _recording_rounds
+from test_engine import _reference_view, _view
 from scylla import engine as eng
 from scylla.asm import parse_assembly
 from scylla.attacks import (
@@ -30,7 +30,7 @@ from scylla.attacks import (
 )
 from scylla.crypto import encrypt_pipeline
 from scylla.image import layout_image
-from scylla.isa import Instruction, encode
+from scylla.isa import MASK32, Instruction, encode
 
 _SCRATCH = (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
 # x1 holds return addresses, x20 the data base and x21 a loop counter
@@ -158,23 +158,39 @@ class _Text:
         return re.sub(r"@(\w+)", lambda m: str(4 * labels[m.group(1)]), source)
 
 
-def _view(engine, limit):
-    """What the reference fixes of an engine that has run to `limit`."""
+def _in_a_decoded_block(engine):
+    """Whether `engine` stands inside a block decoded under its key."""
     state = engine.state
-    return engine.run(limit).to_json_dict(), state.cur_key, state.pc, engine.prev_pc
-
-
-def _reference_view(ref, limit):
-    return ref.run(limit), ref.key, ref.pc, ref.prev_pc
-
-
-def _in_a_decoded_loop(engine):
-    """Whether `engine` stands inside a decoded block whose self edge it has linked."""
-    base = engine.state.cur_block_base
+    base = state.cur_block_base
     block_id, length = engine.image.block_index[base]
-    hot = engine.target.decoded_blocks.get(block_id)
-    return (hot is not None and base in hot[3]
-            and base <= engine.state.pc < base + 4 * length)
+    hot = engine.image.decoded_blocks.get(block_id)
+    return hot is not None and hot[0] == state.cur_key and base <= state.pc < base + 4 * length
+
+
+def _recording_calls(monkeypatch) -> list:
+    """(registers, base, result) of every generated-function call from here
+    on, for blocks decoded from here on."""
+    calls, compiled = [], eng._compiled
+
+    def recording(instrs):
+        run = compiled(instrs)
+
+        def recorded(regs, mem, base, rounds):
+            result = run(regs, mem, base, rounds)
+            calls.append((regs, base, result))
+            return result
+        return recorded
+
+    monkeypatch.setattr(eng, "_compiled", recording)
+    return calls
+
+
+def _block_to_block(calls) -> bool:
+    """Whether some engine's generated function returned the entry of another
+    block whose generated function it called next."""
+    return any(regs is next_regs and result[0] is not None and next_base != base
+               and result[0] & MASK32 == next_base
+               for (regs, base, result), (next_regs, next_base, _) in zip(calls, calls[1:]))
 
 
 def _reference_trials(eimage, kind, n_trials, seed, limit, horizon):
@@ -201,11 +217,11 @@ def _campaign(run):
 
 @pytest.mark.parametrize("hot", [eng.HOT_BLOCK_VISITS, 0])
 def test_engine_equals_the_reference_on_random_programs(monkeypatch, hot):
-    calls = _recording_rounds(monkeypatch)
+    calls = _recording_calls(monkeypatch)
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
     rng = random.Random(f"differential {hot}")
     seen = dict.fromkeys((
-        "chained exit", "mid-loop fork", "per word after a text store",
+        "mid-block fork", "per word after a text store", "decoded block into another",
         *("trials " + kind for kind in _DRAWN_KINDS),
         *("outcome " + outcome for outcome in (eng.HALT, eng.INTEGRITY_FAULT,
                                                eng.MEMORY_FAULT, eng.STEP_LIMIT))), 0)
@@ -234,13 +250,10 @@ def test_engine_equals_the_reference_on_random_programs(monkeypatch, hot):
             # a fork at a chunk bound, and the engine it was forked from
             engine = eng.Engine(target)
             engine.advance(rng.choice(bounds))
-            seen["mid-loop fork"] += _in_a_decoded_loop(engine)
+            seen["mid-block fork"] += _in_a_decoded_block(engine)
             fork = engine.fork()
             assert _view(fork, limit) == expected, case
             assert _view(engine, limit) == expected, case
-            seen["chained exit"] += any(
-                pc != image.blocks[block_id][0]
-                for block_id, hot in target.decoded_blocks.items() for pc in hot[3])
             if not engine.encrypted:
                 continue
             kind, seed = rng.choice(_DRAWN_KINDS), rng.getrandbits(32)
@@ -253,5 +266,6 @@ def test_engine_equals_the_reference_on_random_programs(monkeypatch, hot):
             assert got == _campaign(
                 lambda: _reference_trials(target, kind, 6, seed, limit, retired)), case
             seen["trials " + kind] += isinstance(got, list)
-    assert any(taken for _, taken in calls), "no round ran in place"
+    assert any(result[2] for _, _, result in calls), "no round ran in place"
+    seen["decoded block into another"] = _block_to_block(calls)
     assert all(seen.values()), seen

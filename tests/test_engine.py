@@ -196,10 +196,12 @@ def test_key_switches_equal_independent_edge_count(corpus_images, corpus_encrypt
         assert enc.counters.key_switches == expected, name
 
 
-def test_counter_ordering_invariant(corpus_images, corpus_encrypted):
+def test_counter_ordering_invariant(corpus_images, corpus_encrypted, manifest):
     for name in corpus_images:
-        for report in (Engine(corpus_images[name]).run(),
-                       Engine(corpus_encrypted[name]).run()):
+        budget = _budget(manifest[name]["retired"])
+        for report in (Engine(corpus_images[name]).run(budget),
+                       Engine(corpus_encrypted[name]).run(budget)):
+            assert report.outcome == HALT, name
             c = report.counters
             assert c.key_switches <= c.control_transfers <= c.instructions_retired, name
 
@@ -421,10 +423,11 @@ def _per_word_digest(state):
     return h.hexdigest()
 
 
-def test_digest_matches_per_word_formula(corpus_images, corpus_encrypted):
+def test_digest_matches_per_word_formula(corpus_images, corpus_encrypted, manifest):
     for name in corpus_images:
         for engine in (Engine(corpus_images[name]), Engine(corpus_encrypted[name])):
-            report = engine.run()
+            report = engine.run(_budget(manifest[name]["retired"]))
+            assert report.outcome == HALT, name
             assert report.final_state_digest == _per_word_digest(engine.state), name
 
     # a payload written over loop_sum's loop body dirties text; the
@@ -478,22 +481,23 @@ def test_fetch_cache_follows_stores_into_text(corpus_sources):
         "966a7d1d63a6b3b0fc38ba518fb95d9f966f0b4d19cc48f5ec61f4f1ced8a118")
 
 
-def _corpus_fetch_results(sources):
+def _corpus_fetch_results(sources, manifest):
     """Every corpus run report, plain and encrypted, plus a fib rogue-edge campaign."""
     reports = []
-    for source in sources.values():
-        image = _image(source)
-        reports += [Engine(image).run(), Engine(encrypt_pipeline(image, 42)).run()]
+    for name, source in sources.items():
+        image, budget = _image(source), _budget(manifest[name]["retired"])
+        reports += [Engine(image).run(budget), Engine(encrypt_pipeline(image, 42)).run(budget)]
     fib = encrypt_pipeline(_image(sources["fib"]), 42)
     trials = [{**o.to_json_dict(), "digest": o.report.final_state_digest}
               for o in run_trials(fib, "rogue-edge", 40, seed=5, step_limit=4096)]
     return reports, trials, fib.image.fetch_cache
 
 
-def test_fetch_cache_bound_changes_no_result(corpus_sources, monkeypatch):
-    reports, trials, _ = _corpus_fetch_results(corpus_sources)
+def test_fetch_cache_bound_changes_no_result(corpus_sources, manifest, monkeypatch):
+    reports, trials, _ = _corpus_fetch_results(corpus_sources, manifest)
+    assert all(report.outcome == HALT for report in reports)
     monkeypatch.setattr(eng, "FETCH_CACHE_SIZE", 2)
-    small_reports, small_trials, cache = _corpus_fetch_results(corpus_sources)
+    small_reports, small_trials, cache = _corpus_fetch_results(corpus_sources, manifest)
     assert small_reports == reports
     assert small_trials == trials
     assert len(cache) <= 2
@@ -660,9 +664,14 @@ def _stepped(target, limit):
     return _step(engine, limit), engine
 
 
+def _decoded_blocks(target):
+    """The decoded blocks of a target's image."""
+    return (target.image if isinstance(target, crypto.EncryptedImage) else target).decoded_blocks
+
+
 def _decoded_ids(target):
-    """Ids of the blocks decoded for a target."""
-    return set(target.decoded_blocks)
+    """Ids of the blocks decoded for a target's image."""
+    return set(_decoded_blocks(target))
 
 
 # One block that branches back to its own entry: the back edge's patch is
@@ -689,68 +698,32 @@ def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, mani
         image = _image(source)
         targets += [(name, image), (name, encrypt_pipeline(image, 42))]
     references = [_stepped(target, budgets[name]) for name, target in targets]
+    assert all(report.outcome == HALT for report, _ in references)
     assert not any(_decoded_ids(target) for _, target in targets)   # stepping decodes none
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
     decoded = 0
     for (name, target), (expected, per_word) in zip(targets, references):
         for _ in range(3):   # later runs reuse the blocks the first one decoded
             engine = Engine(target)
-            assert engine.run() == expected, (name, hot)
+            assert engine.run(budgets[name]) == expected, (name, hot)
             assert _fetch_state(engine) == _fetch_state(per_word), (name, hot)
         assert _step(Engine(target), budgets[name]) == expected, (name, hot)
         # calls of 1..7 steps: the step limit cuts decoded blocks at every
         # offset, and those runs take the per-word path
         engine, k, chunks = Engine(target), 0, itertools.cycle(range(1, 8))
-        while engine.advance(k := k + next(chunks)):
+        while k < budgets[name] and engine.advance(k := min(budgets[name], k + next(chunks))):
             assert engine.state.counters.instructions_retired == k, (name, hot)
-        assert engine.run() == expected, (name, hot)
+        assert engine.run(budgets[name]) == expected, (name, hot)
         assert _fetch_state(engine) == _fetch_state(per_word), (name, hot)
         decoded += len(_decoded_ids(target))
     if hot <= 1:
         assert decoded
 
 
-def _counting_derivations(monkeypatch) -> list:
-    """The patches the engine absorbs by calling `derive_next_key`, in order."""
-    derived = []
-    monkeypatch.setattr(eng, "derive_next_key", lambda key, patch: (
-        derived.append(patch) or crypto.derive_next_key(key, patch)))
-    return derived
-
-
-@pytest.mark.parametrize("hot", [0, eng.HOT_BLOCK_VISITS])
-def test_chained_self_loop_resolves_its_exit_once(monkeypatch, hot):
-    image = _image(_SELF_LOOP)
-    targets = (image, encrypt_pipeline(image, 42))
-    budget = _budget(_SELF_LOOP_STEPS)
-    references = [(_stepped(target, budget), trace(target, budget)) for target in targets]
-    derived = _counting_derivations(monkeypatch)
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
-    for target, ((expected, per_word), pcs) in zip(targets, references):
-        engine = Engine(target)
-        assert engine.run() == expected
-        assert _fetch_state(engine) == _fetch_state(per_word)
-        assert expected.outcome == HALT and engine.state.regs[10] == 600
-        assert len(pcs) == expected.counters.instructions_retired == _SELF_LOOP_STEPS
-    # 201 key switches: into the loop, 199 back edges, out of it. The first
-    # hot + 1 entries into the loop block each derive their key, the last of
-    # them starting its decoded run; from then on each exit of the decoded
-    # block, the back edge and the way out, is resolved once.
-    assert expected.counters.key_switches == 201
-    assert len(derived) == 1 + hot + 2
-    # The links outlive the call: a second run derives the key into the loop,
-    # from the entry block, which is never decoded, and those of the loop's
-    # entries counted before it is hot, and no other.
-    eimage = targets[1]
-    del derived[:]
-    assert Engine(eimage).run() == expected
-    assert derived == [eimage.patch_map[(0, 4)]] + [eimage.patch_map[(1, 4)]] * hot
-
-
-def test_targets_sharing_an_image_hold_their_own_links(monkeypatch):
+def test_targets_sharing_an_image_run_under_their_own_tables(monkeypatch):
     # Two patch tables over one image: the second lacks the loop's way out,
-    # so its run leaves the loop under the loop's key and faults. A link that
-    # the first table's run made must not serve the second's.
+    # so its run leaves the loop under the loop's key and faults. The blocks
+    # decoded for the image serve both, alternating.
     full = encrypt_pipeline(_image(_SELF_LOOP), 42)
     cut = replace(full, patch_table=tuple(
         record for record in full.patch_table if record[:2] != (1, 20)))
@@ -760,54 +733,8 @@ def test_targets_sharing_an_image_hold_their_own_links(monkeypatch):
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
     for _ in range(2):
         for target, expected in zip((full, cut), references):
-            assert Engine(target).run() == expected
-    # each target links the loop's way out, at 20, under its own table: to
-    # the next block's key under the full one, keeping the loop's key under the cut one
-    loop_key = full.decoded_blocks[1][0]
-    assert cut.decoded_blocks[1][0] == loop_key
-    assert full.decoded_blocks[1][3][20][0] != loop_key == cut.decoded_blocks[1][3][20][0]
-
-
-@pytest.mark.parametrize("case", ["replayed fork", "alternating patch"])
-def test_chained_exits_compare_the_key_they_were_made_under(monkeypatch, case):
-    # Under the zero keystream every key decrypts every block, and the key
-    # register only records the patches it has absorbed. A wrong key then
-    # still runs the loop, so its block is left under two keys: after a patch
-    # replayed into a fork of a legal run, or, in one call, when the back
-    # edge's patch flips the key on every iteration. An exit resolved under
-    # one key must not serve the other.
-    delta = bytes(range(1, 17))
-    eimage = encrypt_pipeline(_image(_SELF_LOOP), 42)
-    eimage = replace(eimage, image=_image(_SELF_LOOP))   # its words decrypt to themselves
-    if case == "alternating patch":
-        eimage = replace(eimage, patch_table=tuple(
-            (src, target, delta if (src, target) == (1, 4) else patch)
-            for src, target, patch in eimage.patch_table))
-
-    def scenario(advance):
-        engine = Engine(eimage)
-        advance(engine, 40)   # a first call, into the loop's tenth iteration
-        if case == "replayed fork":
-            engine = engine.fork()
-            engine.replay_patch(delta, 4)
-        advance(engine, _budget(_SELF_LOOP_STEPS))
-        return engine
-
-    monkeypatch.setattr(eng, "block_keystream", lambda key, n: array("I", bytes(4 * n)))
-    monkeypatch.setattr(eng, "keystream_word", lambda key, offset: 0)
-    reference = scenario(_step)
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    derived = _counting_derivations(monkeypatch)
-    chained = scenario(Engine.advance)
-    report = chained.run()
-    assert report == reference.run()
-    assert report.outcome == HALT and chained.state.regs[10] == 600
-    assert _fetch_state(chained) == _fetch_state(reference)
-    # the loop block was last decoded under the key its legal run never holds
-    legal = crypto.derive_next_key(eimage.entry_key, eimage.patch_map[(0, 4)])
-    assert eimage.decoded_blocks[1][0] == crypto.derive_next_key(legal, delta)
-    if case == "alternating patch":   # every exit is resolved again
-        assert len(derived) == report.counters.key_switches == 201
+            assert Engine(target).run(_budget(_SELF_LOOP_STEPS)) == expected
+    assert 1 in _decoded_ids(cut)
 
 
 @pytest.mark.parametrize("name", ["fib", "loop_sum"])
@@ -936,7 +863,7 @@ def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
         report, entered_past, x10 = results[0]
         assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 8
         assert entered_past.outcome == HALT and x10 == 13
-        _, count, run, _ = target.decoded_blocks[1]
+        _, count, run = _decoded_blocks(target)[1]
         assert count == 1   # the decoded words stop before word 2
         regs = [0] * 32
         assert run(regs, None, 4, 0) == (8, 0, 0) and regs[10] == 1   # word 1 ran alone
@@ -1162,11 +1089,10 @@ def test_rounds_in_place_equal_the_per_word_path(monkeypatch, name):
     # rounds ran in place, except where every round stores into the text
     assert any(taken for _, taken in calls) == (name != "store into its own block")
     if name == "store into the text":
-        # the first call runs the first round and links the self edge; the
-        # second runs rounds two to four in place and returns in the fifth,
-        # whose store goes into the text
+        # the first call runs the first round, then four more in place, and
+        # returns in the fifth, whose store goes into the text
         assert expected.outcome == HALT
-        assert [taken for _, taken in calls[:2]] == [0, 3]
+        assert calls[0][1] == 4
     elif name.startswith("lw fault"):   # at the eleventh load
         assert expected.outcome == MEMORY_FAULT
         assert expected.counters.instructions_retired == _ROUND_STEPS[name]
@@ -1175,67 +1101,68 @@ def test_rounds_in_place_equal_the_per_word_path(monkeypatch, name):
 _FLIPPING_DELTA = bytes(range(1, 17))
 
 
-@pytest.mark.parametrize("case", ["non-zero self patch", "no self patch", "zero keystream"])
-def test_self_edges_that_change_the_key_run_no_round_in_place(monkeypatch, case):
-    # Rounds run in place only when the self edge's link keeps the key and the
-    # block: a patch that changes the key sends each round through the fetch
-    # loop, while a missing self patch keeps the key and counts no switch.
+def test_a_self_edge_that_changes_the_key_runs_no_round_in_place(monkeypatch):
+    # The second round goes through the fetch loop, under the wrong key.
     eimage = encrypt_pipeline(_image(_SELF_LOOP), 42)
-    if case == "no self patch":
-        table = tuple(record for record in eimage.patch_table if record[:2] != (1, 4))
-    else:
-        table = tuple((src, target, _FLIPPING_DELTA if (src, target) == (1, 4) else patch)
-                      for src, target, patch in eimage.patch_table)
-    eimage = replace(eimage, patch_table=table)
-    if case == "zero keystream":   # every key decrypts the loop, which runs to its end
-        eimage = replace(eimage, image=_image(_SELF_LOOP))
-        monkeypatch.setattr(eng, "block_keystream", lambda key, n: array("I", bytes(4 * n)))
-        monkeypatch.setattr(eng, "keystream_word", lambda key, offset: 0)
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
-    expected, per_word = _stepped(eimage, _budget(_SELF_LOOP_STEPS))
-    calls = _recording_rounds(monkeypatch)
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    engine = Engine(eimage)
-    assert engine.run() == expected
-    assert _fetch_state(engine) == _fetch_state(per_word)
-    assert calls
-    if case == "non-zero self patch":   # the second round decrypts under the wrong key
-        assert expected.outcome == INTEGRITY_FAULT
-    else:
-        assert expected.outcome == HALT and engine.state.regs[10] == 600
-    if case == "no self patch":
-        assert expected.counters.key_switches == 2   # into the loop and out of it
-        assert any(taken for _, taken in calls)
-    else:
-        assert all(rounds == 0 for rounds, _ in calls)
-
-
-def test_a_key_changing_self_link_left_on_a_decoded_block_runs_no_round(monkeypatch):
-    # An engine whose loop stores into the text in its first round goes on
-    # per word, so it links the loop's self edge, whose patch here changes
-    # the key, on the block it decoded and leaves that block in place. A
-    # later engine entering the loop under the block's key must still take
-    # that edge through the fetch loop, into the wrong key.
-    source = _ROUND_PROGRAMS["store into the text"]
-    eimage = encrypt_pipeline(_image(source), 42)
     eimage = replace(eimage, patch_table=tuple(
-        (src, target, _FLIPPING_DELTA if (src, target) == (1, 8) else patch)
+        (src, target, _FLIPPING_DELTA if (src, target) == (1, 4) else patch)
         for src, target, patch in eimage.patch_table))
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
-    expected, per_word = _stepped(eimage, _budget(_ROUND_STEPS["store into the text"]))
+    expected, per_word = _stepped(eimage, _budget(_SELF_LOOP_STEPS))
     assert expected.outcome == INTEGRITY_FAULT
     calls = _recording_rounds(monkeypatch)
     monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    storing = Engine(eimage)
-    assert storing.advance(2)
-    storing.state.regs[8] = 0x10010   # the table entry that points into the text
-    assert storing.run().outcome == INTEGRITY_FAULT
-    key, _, _, exits = eimage.decoded_blocks[1]
-    assert exits[8][:2] == (crypto.derive_next_key(key, _FLIPPING_DELTA), 8)
     engine = Engine(eimage)
-    assert engine.run() == expected
+    assert engine.run(_budget(_SELF_LOOP_STEPS)) == expected
     assert _fetch_state(engine) == _fetch_state(per_word)
-    assert calls == [(0, 0), (0, 0)]
+    assert calls and all(rounds == 0 for rounds, _ in calls)
+
+
+def _view(engine, limit):
+    """What the reference fixes of an engine that has run to `limit`."""
+    state = engine.state
+    return engine.run(limit).to_json_dict(), state.cur_key, state.pc, engine.prev_pc
+
+
+def _reference_view(ref, limit):
+    return ref.run(limit), ref.key, ref.pc, ref.prev_pc
+
+
+@pytest.mark.parametrize("hot", [0, eng.HOT_BLOCK_VISITS])
+@pytest.mark.parametrize("edge", ["zero patch", "patch miss", "non-zero patch"])
+def test_self_edges_equal_the_reference(monkeypatch, edge, hot):
+    # The loop's self edge keeps the key under the honest zero patch, which
+    # counts a key switch per round, and under a patch miss, which counts
+    # none: rounds run in place. A non-zero patch changes the key on every
+    # round, so each round goes through the fetch loop; under the zero
+    # keystream every key decrypts the loop, which runs to its end.
+    eimage = encrypt_pipeline(_image(_SELF_LOOP), 42)
+    assert eimage.patch_map[(1, 4)] == bytes(crypto.KEY_BYTES)
+    if edge == "patch miss":
+        eimage = replace(eimage, patch_table=tuple(
+            record for record in eimage.patch_table if record[:2] != (1, 4)))
+    elif edge == "non-zero patch":
+        eimage = replace(eimage, image=_image(_SELF_LOOP), patch_table=tuple(
+            (src, target, _FLIPPING_DELTA if (src, target) == (1, 4) else patch)
+            for src, target, patch in eimage.patch_table))
+        monkeypatch.setattr(eng, "block_keystream", lambda key, n: array("I", bytes(4 * n)))
+        monkeypatch.setattr(eng, "keystream_word", lambda key, offset: 0)
+        monkeypatch.setattr("reference.keystream_word", lambda key, offset: 0)
+    limit, forked_at = _budget(_SELF_LOOP_STEPS), 2 + 4 * 60 + 1   # inside the 61st round
+    expected = _reference_view(Reference(eimage), limit)
+    assert expected[0]["outcome"] == HALT
+    assert expected[0]["counters"]["key_switches"] == (2 if edge == "patch miss" else 201)
+    calls = _recording_rounds(monkeypatch)
+    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
+    assert _view(Engine(eimage), limit) == expected
+    ref, engine = Reference(eimage), Engine(eimage)
+    assert engine.advance(forked_at)
+    assert _view(engine, forked_at) == _reference_view(ref, forked_at)
+    fork = engine.fork()
+    assert _view(fork, limit) == expected
+    assert _view(engine, limit) == expected
+    assert calls
+    assert any(taken for _, taken in calls) == (edge != "non-zero patch")
 
 
 @pytest.mark.parametrize("kind", ["rogue-edge", "mid-block-entry", "patch-replay"])
@@ -1429,8 +1356,8 @@ def test_plaintext_and_encrypted_runs_share_one_generated_function():
         assert Engine(target).run().outcome == HALT
     after = eng._compiled.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    assert image.decoded_blocks[1][2] is eimage.decoded_blocks[1][2]
-    assert image.decoded_blocks[1][0] is None != eimage.decoded_blocks[1][0]
+    assert image.decoded_blocks[1][2] is eimage.image.decoded_blocks[1][2]
+    assert image.decoded_blocks[1][0] is None != eimage.image.decoded_blocks[1][0]
 
 
 def test_attack_calls_on_one_image_share_its_generated_functions(tmp_path, capsys):
@@ -1454,9 +1381,9 @@ def test_attack_calls_on_one_image_share_its_generated_functions(tmp_path, capsy
 
 
 def test_a_run_leaves_no_cycle_holding_its_target():
-    # Decoded blocks, their exit links and generated functions hold no
-    # reference back to the target, and a function's globals are the shared
-    # dict it was generated under, so reference counting frees the target.
+    # Decoded blocks and their generated functions hold no reference back to
+    # the target, and a function's globals are the shared dict it was
+    # generated under, so reference counting frees the target.
     image = _image(_SELF_LOOP)
     enabled = gc.isenabled()
     gc.disable()
@@ -1465,7 +1392,7 @@ def test_a_run_leaves_no_cycle_holding_its_target():
             target = make()
             engine = Engine(target)
             assert engine.run().outcome == HALT
-            run = target.decoded_blocks[1][2]
+            run = _decoded_blocks(target)[1][2]
             assert run.__globals__ is eng._BLOCK_GLOBALS == {"__builtins__": {}}
             ref = weakref.ref(target)
             del engine, target
