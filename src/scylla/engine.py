@@ -53,10 +53,11 @@ or ecall into one generated function (`_compiled`), kept with the key in
 moves no collection) and rebuilt when another key enters the block.
 Inside the block each fetch is the next word at the next stream offset,
 so an entry on its first word whose whole decoded body fits under the
-step limit calls the function. Every other fetch takes the per-word path;
-a call that retires one instruction enters a block at most once, so
-`trace` and single `advance` steps do too. An engine whose memory took a
-store into the text (`Memory.text_written`) uses no decoded block again.
+step limit calls the function. Every other fetch takes the per-word path,
+and so does every fetch of `trace`: its calls retire one instruction
+each, so none enters a block more than once. An engine whose memory took
+a store into the text (`Memory.text_written`) uses no decoded block
+again.
 
 Rounds in place. When a block's last decoded word is a branch or jal to
 its first word, the function loops: a taken back edge starts the body
@@ -241,12 +242,11 @@ class MachineState:
     regs: list[int] = field(default_factory=lambda: [0] * 32)
     cur_key: bytes | None = None
     cur_block_base: int = 0
-    halted: bool = False
     counters: PerfCounters = field(default_factory=PerfCounters)
 
     def fork(self) -> MachineState:
         return MachineState(self.mem.fork(), self.pc, self.regs[:], self.cur_key,
-                            self.cur_block_base, self.halted, self.counters.copy())
+                            self.cur_block_base, self.counters.copy())
 
     def digest(self) -> str:
         """sha256 of the registers, then (address, word) for each dirty
@@ -345,12 +345,12 @@ _BLOCK_GLOBALS = {"__builtins__": {}}
 
 
 def _word_handler(op: str, lines: tuple[str, ...]) -> Callable:
-    """`op`'s per-word handler `(regs, i, pc, state) -> next pc before masking,
+    """`op`'s per-word handler `(regs, i, pc, mem) -> next pc before masking,
     or None on a memory fault`, formatted from its template lines with the
     fields of the instruction `i` where a block has constants: a write to x0
     is skipped when it runs, `base` is the word's own pc, and a return gives
     the next pc alone."""
-    body = ["mem = state.mem", *_DATA] if op in ("lw", "sw") else []
+    body = list(_DATA) if op in ("lw", "sw") else []
     for line in lines:
         if line.startswith("regs[{rd}]"):
             line = "if i.rd: " + line
@@ -358,20 +358,16 @@ def _word_handler(op: str, lines: tuple[str, ...]) -> Callable:
             rd="i.rd", rs1="i.rs1", rs2="i.rs2", imm="i.imm", next=4, target="i.imm",
             mask=MASK32, sign=_SIGN))
     namespace = {}
-    exec(f"def _{op}(regs, i, base, state):\n    " + "\n    ".join(body + ["return base + 4"]),
+    exec(f"def _{op}(regs, i, base, mem):\n    " + "\n    ".join(body + ["return base + 4"]),
          _BLOCK_GLOBALS, namespace)
     return namespace[f"_{op}"]
 
 
-def _ecall(regs, i, pc, state):
-    state.halted = True
-    return pc + 4
-
-
-# The per-word path's op handlers: (regs, instruction, pc, state) -> next pc
-# before masking, None on a memory fault.
+# The per-word path's op handlers: (regs, instruction, pc, mem) -> next pc
+# before masking, or None where the run ends: a memory fault, or an ecall,
+# which the fetch loop retires before it halts.
 _HANDLERS = {**{op: _word_handler(op, lines) for op, lines in _TEMPLATES.items()},
-             "ecall": _ecall}
+             "ecall": lambda regs, i, pc, mem: None}
 
 
 @lru_cache(maxsize=16)   # the hot blocks of a few programs
@@ -590,13 +586,15 @@ class Engine:
                 if instr.__class__ is not Instruction:
                     return INTEGRITY_FAULT, pc, instr.word
 
-                next_pc = handlers[instr.op](regs, instr, pc, state)
+                next_pc = handlers[instr.op](regs, instr, pc, mem)
                 if next_pc is None:
-                    return MEMORY_FAULT, None, None
+                    if instr.op != "ecall":
+                        return MEMORY_FAULT, None, None
+                    retired += 1
+                    prev_pc, pc = pc, (pc + 4) & MASK32
+                    return HALT, None, None
                 retired += 1
                 prev_pc, pc = pc, next_pc & MASK32
-                if state.halted:
-                    return HALT, None, None
             return None
         finally:
             state.pc, self.prev_pc = pc, prev_pc

@@ -67,7 +67,8 @@ _COUNTERS = ("instructions_retired", "control_transfers", "key_switches", "patch
 class Reference:
     """One run of an `Image` in plaintext or an `EncryptedImage` from its
     entry key. It is its own `state` and `mem`, so `attacks._apply_scenario`
-    writes its pc and memory as it writes an engine's."""
+    and a test that tampers with a run write its pc and memory as they
+    write an engine's."""
 
     def __init__(self, target):
         encrypted = isinstance(target, EncryptedImage)
@@ -165,11 +166,16 @@ class Reference:
         if instr.op == "ecall":   # it halts once it has retired
             self.end = ("halt", None, None)
 
+    def advance(self, steps: int) -> bool:
+        """Step until `steps` instructions have retired; False if the run ended first."""
+        while self.end is None and self.retired < steps:
+            self.step()
+        return self.end is None
+
     def run(self, limit: int) -> dict:
         """Step until `limit` instructions have retired or the run ends; the
         run report as `RunReport.to_json_dict` gives it."""
-        while self.end is None and self.retired < limit:
-            self.step()
+        self.advance(limit)
         outcome, fault_pc, fault_word = self.end or ("step-limit", None, None)
         words = self.regs + [word for addr in sorted(self.dirty)
                              for word in (addr, self.load_word(addr))]

@@ -1,6 +1,4 @@
 import gc
-import hashlib
-import itertools
 import json
 import random
 import weakref
@@ -18,7 +16,6 @@ from scylla.attacks import AttackScenario, hijack_payload, run_attack, run_trial
 from scylla.crypto import (
     dump_encrypted_image,
     encrypt_pipeline,
-    keystream_word,
     load_encrypted_image_bytes,
 )
 from scylla.engine import (
@@ -147,7 +144,7 @@ def test_word_access_on_an_unaligned_data_segment(body, outcome, x6):
     engine = Engine(image)
     report = engine.run()
     assert (report.outcome, engine.state.regs[6]) == (outcome, x6)
-    assert report.final_state_digest == _per_word_digest(engine.state)
+    assert report.to_json_dict() == Reference(image).run(eng.DEFAULT_STEP_LIMIT)
     if "sw x6" in body:
         assert engine.state.mem.dirty == {0x1004}
         assert engine.state.mem.load_word(0x1004) == 0x73
@@ -156,7 +153,7 @@ def test_word_access_on_an_unaligned_data_segment(body, outcome, x6):
 
     eimage = encrypt_pipeline(image, 42)
     encrypted = Engine(eimage).run()
-    assert encrypted == _stepped(eimage, _budget(6))[0]   # lui, up to 3 words, ecall
+    assert encrypted.to_json_dict() == Reference(eimage).run(eng.DEFAULT_STEP_LIMIT)
     if "jalr" not in body:   # data is never encrypted
         assert encrypted.final_state_digest == report.final_state_digest
         assert encrypted.outcome == outcome
@@ -215,25 +212,6 @@ def test_trace_diamond_skips_fallthrough_block(corpus_images):
     assert pcs == [0, 8, 12]  # branch taken; block at 4 never runs
 
 
-def test_traces_identical_plain_vs_encrypted(corpus_images, corpus_encrypted, manifest):
-    # step both runs side by side: every step leaves the same architectural state
-    for name in corpus_images:
-        budget = _budget(manifest[name]["retired"])
-        plain, enc = Engine(corpus_images[name]), Engine(corpus_encrypted[name])
-        k, alive = 0, True
-        while alive:
-            k += 1
-            assert k <= budget, name
-            alive = plain.advance(k)
-            assert enc.advance(k) == alive, (name, k)
-            assert ((plain.state.pc, plain.prev_pc, plain.state.regs,
-                     plain.state.counters.instructions_retired)
-                    == (enc.state.pc, enc.prev_pc, enc.state.regs,
-                        enc.state.counters.instructions_retired)), (name, k)
-        assert plain.run().outcome == enc.run().outcome == HALT, name
-        assert len(trace(corpus_images[name], budget)) == k, name
-
-
 def test_trace_only_walks_cfg_edges(corpus_images, manifest):
     # every concrete transition is an edge of the static graph
     for name, image in corpus_images.items():
@@ -263,11 +241,6 @@ def test_report_fault_fields_absent_on_halt(corpus_encrypted):
     assert report.fault_pc is None
     assert report.fault_word is None
     assert report.instructions_until_fault is None
-
-
-def test_run_reports_deterministic(corpus_encrypted):
-    assert Engine(corpus_encrypted["xorshift"]).run() == Engine(
-        corpus_encrypted["xorshift"]).run()
 
 
 def test_overhead_zero_costs(corpus_images, corpus_encrypted):
@@ -313,47 +286,26 @@ def test_cycles_model(corpus_encrypted):
                         + eng.DEFAULT_SWITCH_COST * c.key_switches)
 
 
-def test_advance_then_run_equals_single_run(corpus_images, corpus_encrypted):
-    for name in corpus_images:
-        for target in (corpus_images[name], corpus_encrypted[name]):
-            whole = Engine(target).run()
-            retired = whole.counters.instructions_retired
-            for k in sorted({0, 1, retired // 2, retired - 1, retired, retired + 3}):
-                engine = Engine(target)
-                assert engine.advance(k) == (k < retired), (name, k)
-                assert engine.run() == whole, (name, k)
-
-
 def test_advance_to_a_step_already_retired_leaves_the_engine_as_it_is(corpus_encrypted):
     # An attack trial advances a fork that already stands at its trigger;
     # such a call does not enter the fetch loop.
     def no_fetch_loop(limit):
         raise AssertionError(f"fetch loop entered for {limit} steps")
 
+    def snapshot(engine):
+        state = engine.state
+        return (state.pc, engine.prev_pc, state.counters.copy(), state.cur_key,
+                state.cur_block_base, state.regs[:], state.mem.dirty.copy(), engine._end)
+
     for steps, alive in ((10, True), (eng.DEFAULT_STEP_LIMIT, False)):
         engine = Engine(corpus_encrypted["fib"])
         assert engine.advance(steps) == alive
-        before = _fetch_state(engine), engine.state.mem.dirty.copy(), engine._end
+        before = snapshot(engine)
         engine._fetch_loop = no_fetch_loop
         for k in (0, 1, 9, 10):
             assert engine.advance(k) == alive
-            assert (_fetch_state(engine), engine.state.mem.dirty, engine._end) == before
-    assert before[2] == (HALT, None, None)   # the sticky end of the finished run
-
-
-def test_fork_continues_like_a_fresh_engine(corpus_images, corpus_encrypted, manifest):
-    for name in corpus_images:
-        for target in (corpus_images[name], corpus_encrypted[name]):
-            whole = Engine(target).run()
-            retired = whole.counters.instructions_retired
-            assert retired == manifest[name]["retired"], name   # one fork per step
-            checkpoint = Engine(target)
-            for k in range(retired + 1):
-                checkpoint.advance(k)
-                fresh = Engine(target)
-                fresh.advance(k)
-                assert checkpoint.fork().run() == fresh.run(), (name, k)
-            assert checkpoint.run() == whole, name
+            assert snapshot(engine) == before
+    assert before[-1] == (HALT, None, None)   # the sticky end of the finished run
 
 
 def test_fork_leaves_checkpoint_untouched(corpus_encrypted):
@@ -412,41 +364,6 @@ def test_replay_patch_refuses_a_plaintext_engine(corpus_images):
     assert checkpoint.run() == Engine(fib).run()
 
 
-def _per_word_digest(state):
-    """Reference digest: registers, then (address, word) per dirty address."""
-    h = hashlib.sha256()
-    for value in state.regs:
-        h.update(value.to_bytes(4, "little"))
-    for addr in sorted(state.mem.dirty):
-        h.update(addr.to_bytes(4, "little"))
-        h.update((state.mem.load_word(addr) or 0).to_bytes(4, "little"))
-    return h.hexdigest()
-
-
-def test_digest_matches_per_word_formula(corpus_images, corpus_encrypted, manifest):
-    for name in corpus_images:
-        for engine in (Engine(corpus_images[name]), Engine(corpus_encrypted[name])):
-            report = engine.run(_budget(manifest[name]["retired"]))
-            assert report.outcome == HALT, name
-            assert report.final_state_digest == _per_word_digest(engine.state), name
-
-    # a payload written over loop_sum's loop body dirties text; the
-    # program's own stores have already dirtied its data cell
-    image = corpus_images["loop_sum"]
-    payload = hijack_payload(image.data_base, 0xC0FFEE42)
-    for target in (image, corpus_encrypted["loop_sum"]):
-        engine = Engine(target)
-        engine.advance(25)
-        for i in range(0, len(payload), 4):
-            engine.state.mem.store_word(12 + i, int.from_bytes(payload[i:i + 4], "little"))
-        engine.state.pc = 12
-        report = engine.run(4096)
-        dirty = engine.state.mem.dirty
-        assert any(addr < image.data_base for addr in dirty)
-        assert image.data_base in dirty
-        assert report.final_state_digest == _per_word_digest(engine.state)
-
-
 def test_fetch_cache_follows_stores_into_text(corpus_sources):
     # loop_sum's loop block starts at 12 and its data cell is at 0x10000.
     # After 25 retired instructions the loop has run four times and its
@@ -479,28 +396,6 @@ def test_fetch_cache_follows_stores_into_text(corpus_sources):
     assert outcome.report.instructions_until_fault == 26
     assert outcome.report.final_state_digest == (
         "966a7d1d63a6b3b0fc38ba518fb95d9f966f0b4d19cc48f5ec61f4f1ced8a118")
-
-
-def _corpus_fetch_results(sources, manifest):
-    """Every corpus run report, plain and encrypted, plus a fib rogue-edge campaign."""
-    reports = []
-    for name, source in sources.items():
-        image, budget = _image(source), _budget(manifest[name]["retired"])
-        reports += [Engine(image).run(budget), Engine(encrypt_pipeline(image, 42)).run(budget)]
-    fib = encrypt_pipeline(_image(sources["fib"]), 42)
-    trials = [{**o.to_json_dict(), "digest": o.report.final_state_digest}
-              for o in run_trials(fib, "rogue-edge", 40, seed=5, step_limit=4096)]
-    return reports, trials, fib.image.fetch_cache
-
-
-def test_fetch_cache_bound_changes_no_result(corpus_sources, manifest, monkeypatch):
-    reports, trials, _ = _corpus_fetch_results(corpus_sources, manifest)
-    assert all(report.outcome == HALT for report in reports)
-    monkeypatch.setattr(eng, "FETCH_CACHE_SIZE", 2)
-    small_reports, small_trials, cache = _corpus_fetch_results(corpus_sources, manifest)
-    assert small_reports == reports
-    assert small_trials == trials
-    assert len(cache) <= 2
 
 
 def test_fetch_cache_holds_words_and_streams_only(corpus_sources):
@@ -541,128 +436,10 @@ def test_fetch_misses_decode_and_decrypt_through_module_globals(corpus_sources, 
     assert 1 <= calls["keystream"] < fetches
 
 
-def _stale_key_mid_block_run(source):
-    """A run sent, after 3 steps, to a mid-block word past its key's block stream."""
-    eimage = encrypt_pipeline(_image(source), 42)
-    image = eimage.image
-    engine = Engine(eimage)
-    assert engine.advance(3)
-    state = engine.state
-    base = state.cur_block_base
-    past = base + 4 * image.block_index[base][1]
-    state.pc = next(addr for addr in range(past, image.text_base + len(image.text), 4)
-                    if addr not in image.block_index)
-    fetch = (state.pc, state.cur_key, (state.pc - base) >> 2, state.mem.load_word(state.pc))
-    return engine.run(100), fetch
-
-
-def test_stale_key_past_its_stream_takes_the_per_word_fallback(corpus_sources, monkeypatch):
-    calls = Counter()
-
-    def counting(key, offset):
-        calls[offset] += 1
-        return keystream_word(key, offset)
-
-    monkeypatch.setattr(eng, "keystream_word", counting)
-    report, (pc, key, offset, raw) = _stale_key_mid_block_run(corpus_sources["fib"])
-    assert calls == {offset: 1}
-    assert report.outcome == INTEGRITY_FAULT
-    assert report.fault_pc == pc
-    assert report.fault_word == raw ^ keystream_word(key, offset)
-
-    # with no block streams every fetch miss takes the per-word path
-    monkeypatch.setattr(eng, "block_keystream", lambda key, n_words: array("I"))
-    assert _stale_key_mid_block_run(corpus_sources["fib"]) == (report, (pc, key, offset, raw))
-
-
-def _fetch_state(engine):
-    state = engine.state
-    return (state.pc, engine.prev_pc, state.counters.copy(), state.cur_key,
-            state.cur_block_base, state.regs[:], state.halted)
-
-
-# a loop, then a load from an unmapped address
-_LW_FAULT = _image("addi x1, x0, 3\nloop:\naddi x1, x1, -1\nbne x1, x0, loop\n"
-                   "lui x5, 32\nlw x6, 0(x5)\necall")
-_LW_FAULT_STEPS = 1 + 3 * 2 + 2
-
-
-def _single_step_cases(corpus_images, corpus_encrypted, manifest):
-    """(name, engine factory, expected end, step budget) for every corpus
-    program, plain and encrypted, a run ending in an integrity fault and one
-    ending in a memory fault inside `lw`."""
-    cases = []
-    for name in corpus_images:
-        budget = _budget(manifest[name]["retired"])
-        cases.append((name, lambda image=corpus_images[name]: Engine(image), HALT, budget))
-        cases.append((name + " encrypted",
-                      lambda eimage=corpus_encrypted[name]: Engine(eimage), HALT, budget))
-    fib = corpus_encrypted["fib"]
-    # without the return edge's patch the key register goes stale back in main
-    stale = replace(fib, patch_table=tuple(
-        record for record in fib.patch_table if record[:2] != (4, 12)))
-    assert len(stale.patch_map) == len(fib.patch_map) - 1
-    cases.append(("fib stale key", lambda: Engine(stale), INTEGRITY_FAULT,
-                  _budget(manifest["fib"]["retired"])))
-    cases.append(("lw fault", lambda: Engine(_LW_FAULT), MEMORY_FAULT, _budget(_LW_FAULT_STEPS)))
-    lw_fault_enc = encrypt_pipeline(_LW_FAULT, 42)
-    cases.append(("lw fault encrypted", lambda: Engine(lw_fault_enc), MEMORY_FAULT,
-                  _budget(_LW_FAULT_STEPS)))
-    return cases
-
-
-def test_single_steps_leave_the_engine_as_one_advance(corpus_images, corpus_encrypted,
-                                                      manifest):
-    # The fetch loop keeps its state in locals; stepping one instruction per
-    # call only works if every exit writes all of it back.
-    for name, make, end, budget in _single_step_cases(corpus_images, corpus_encrypted, manifest):
-        stepped = make()
-        encrypted = stepped.encrypted
-        k, alive = 0, True
-        while alive:
-            k += 1
-            assert k <= budget, name
-            alive = stepped.advance(k)
-            once = make()
-            assert once.advance(k) == alive, (name, k)
-            assert _fetch_state(stepped) == _fetch_state(once), (name, k)
-            counters = stepped.state.counters
-            if alive:
-                assert counters.instructions_retired == k, (name, k)
-                assert counters.keystream_invocations == (k if encrypted else 0), (name, k)
-        report = stepped.run()
-        assert report.outcome == end, name
-        assert report == once.run(), name
-        if end != HALT:
-            assert k > 5, name   # the run ended past its first few fetches
-        if end == MEMORY_FAULT:   # inside lw: the fetch at pc decoded and executed
-            assert report.counters.keystream_invocations == k * encrypted, name
-            assert _LW_FAULT.text_words()[stepped.state.pc >> 2] == encode(
-                Instruction("lw", rd=6, rs1=5, imm=0)), name
-
-
-# -- the block path against the per-word path ---------------------------------
+# -- decoded blocks ------------------------------------------------------------
 #
-# A call that retires one instruction never runs a decoded block, so an
-# engine stepped one `advance` at a time is the per-word reference; it is
-# taken before a test lowers HOT_BLOCK_VISITS. HOT_BLOCK_VISITS 0 makes
-# every block run from its decoded words from its first entry by a
-# transfer or a boundary crossing on.
-
-def _step(engine, limit):
-    """Step `engine` one instruction per call to its end or `limit` (see
-    `_budget`); its report."""
-    k = engine.state.counters.instructions_retired
-    while k < limit and engine.advance(k + 1):
-        k += 1
-    return engine.run(limit)
-
-
-def _stepped(target, limit):
-    """The per-word reference run of `target`: its report and its engine."""
-    engine = Engine(target)
-    return _step(engine, limit), engine
-
+# How the engine matches `tests/reference.py` is held in test_differential.py;
+# the tests here check what the reference cannot see.
 
 def _decoded_blocks(target):
     """The decoded blocks of a target's image."""
@@ -675,200 +452,6 @@ def _decoded_ids(target):
 
 
 # One block that branches back to its own entry: the back edge's patch is
-# the zero patch, so every iteration derives a new key equal to the one held.
-_SELF_LOOP = """
-    addi x9, x0, 200
-loop:
-    addi x10, x10, 3
-    xor x11, x11, x10
-    addi x9, x9, -1
-    bne x9, x0, loop
-    ecall
-"""
-_SELF_LOOP_STEPS = 2 + 4 * 200
-
-
-@pytest.mark.parametrize("hot", [0, 1, eng.HOT_BLOCK_VISITS])
-def test_block_path_runs_every_program_as_the_per_word_path(corpus_sources, manifest,
-                                                           monkeypatch, hot):
-    targets = []
-    budgets = {name: _budget(manifest[name]["retired"]) for name in corpus_sources}
-    budgets["self-loop"] = _budget(_SELF_LOOP_STEPS)
-    for name, source in {**corpus_sources, "self-loop": _SELF_LOOP}.items():
-        image = _image(source)
-        targets += [(name, image), (name, encrypt_pipeline(image, 42))]
-    references = [_stepped(target, budgets[name]) for name, target in targets]
-    assert all(report.outcome == HALT for report, _ in references)
-    assert not any(_decoded_ids(target) for _, target in targets)   # stepping decodes none
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
-    decoded = 0
-    for (name, target), (expected, per_word) in zip(targets, references):
-        for _ in range(3):   # later runs reuse the blocks the first one decoded
-            engine = Engine(target)
-            assert engine.run(budgets[name]) == expected, (name, hot)
-            assert _fetch_state(engine) == _fetch_state(per_word), (name, hot)
-        assert _step(Engine(target), budgets[name]) == expected, (name, hot)
-        # calls of 1..7 steps: the step limit cuts decoded blocks at every
-        # offset, and those runs take the per-word path
-        engine, k, chunks = Engine(target), 0, itertools.cycle(range(1, 8))
-        while k < budgets[name] and engine.advance(k := min(budgets[name], k + next(chunks))):
-            assert engine.state.counters.instructions_retired == k, (name, hot)
-        assert engine.run(budgets[name]) == expected, (name, hot)
-        assert _fetch_state(engine) == _fetch_state(per_word), (name, hot)
-        decoded += len(_decoded_ids(target))
-    if hot <= 1:
-        assert decoded
-
-
-def test_targets_sharing_an_image_run_under_their_own_tables(monkeypatch):
-    # Two patch tables over one image: the second lacks the loop's way out,
-    # so its run leaves the loop under the loop's key and faults. The blocks
-    # decoded for the image serve both, alternating.
-    full = encrypt_pipeline(_image(_SELF_LOOP), 42)
-    cut = replace(full, patch_table=tuple(
-        record for record in full.patch_table if record[:2] != (1, 20)))
-    assert cut.image is full.image and len(cut.patch_map) == len(full.patch_map) - 1
-    references = [_stepped(target, _budget(_SELF_LOOP_STEPS))[0] for target in (full, cut)]
-    assert [report.outcome for report in references] == [HALT, INTEGRITY_FAULT]
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    for _ in range(2):
-        for target, expected in zip((full, cut), references):
-            assert Engine(target).run(_budget(_SELF_LOOP_STEPS)) == expected
-    assert 1 in _decoded_ids(cut)
-
-
-@pytest.mark.parametrize("name", ["fib", "loop_sum"])
-@pytest.mark.parametrize("kind", ["rogue-edge", "mid-block-entry", "patch-replay"])
-def test_block_path_campaigns_equal_the_per_word_path(corpus_sources, monkeypatch, name, kind):
-    def campaign():
-        eimage = encrypt_pipeline(_image(corpus_sources[name]), 42)
-        outcomes = run_trials(eimage, kind, 60, seed=3, step_limit=4096)
-        return ([(o.to_json_dict(), o.report.final_state_digest) for o in outcomes],
-                _decoded_ids(eimage))
-
-    # no block of these programs is entered HOT_BLOCK_VISITS times in one
-    # run, so a campaign at the default decodes none
-    per_word, none = campaign()
-    assert not none
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 2)
-    blocks, decoded = campaign()
-    assert decoded
-    assert blocks == per_word
-
-
-def _inject_into_loop_sum(engine):
-    # loop_sum's loop block starts at 12; the payload stores the sentinel and halts
-    payload = hijack_payload(0x10000, 0xC0FFEE42)
-    for i in range(0, len(payload), 4):
-        assert engine.state.mem.store_word(12 + i, int.from_bytes(payload[i:i + 4], "little"))
-    engine.state.pc = 12
-
-
-def _attacked_loop_sum(target):
-    """An engine on loop_sum after 25 steps, with the payload over its loop block."""
-    engine = Engine(target)
-    assert engine.advance(25)
-    _inject_into_loop_sum(engine)
-    return engine
-
-
-@pytest.mark.parametrize("encrypted", [False, True])
-def test_payload_over_a_decoded_block_runs_as_stored(corpus_sources, monkeypatch, encrypted):
-    image = _image(corpus_sources["loop_sum"])
-    target = encrypt_pipeline(image, 42) if encrypted else image
-    reference = _attacked_loop_sum(target)
-    expected = _step(reference, 4096), reference.state.mem.load_word(0x10000)
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    engine = _attacked_loop_sum(target)
-    report = engine.run(4096)
-    assert 1 in _decoded_ids(target)   # the loop block, decoded before the payload
-    assert (report, engine.state.mem.load_word(0x10000)) == expected
-    if not encrypted:   # the payload ran: 25 + 6 retired, sentinel stored
-        assert report.outcome == HALT
-        assert report.counters.instructions_retired == 31
-        assert expected[1] == 0xC0FFEE42
-    else:               # the plaintext payload does not decrypt
-        assert report.outcome == INTEGRITY_FAULT
-
-
-# The loop block stores into its own next word every iteration: the
-# immediate of `addi x10, x10, 1` at 20 grows by one per pass, so x10 ends
-# at 40 + (1 + 2 + ... + 40) = 860.
-_SELF_MODIFYING = """
-    lui x8, 256
-    lw x6, 20(x0)
-    addi x9, x0, 40
-loop:
-    add x6, x6, x8
-    sw x6, 20(x0)
-    addi x10, x10, 1
-    addi x9, x9, -1
-    bne x9, x0, loop
-    ecall
-"""
-_SELF_MODIFYING_STEPS = 3 + 40 * 5 + 1
-
-
-@pytest.mark.parametrize("hot", [0, eng.HOT_BLOCK_VISITS])
-def test_program_storing_into_its_own_block(monkeypatch, hot):
-    image = _image(_SELF_MODIFYING)
-    targets = (image, encrypt_pipeline(image, 42))
-    references = [_stepped(target, _budget(_SELF_MODIFYING_STEPS))[0] for target in targets]
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
-    for target, per_word in zip(targets, references):
-        engine = Engine(target)
-        assert engine.run() == per_word
-        if target is image:
-            assert per_word.outcome == HALT
-            assert engine.state.regs[10] == 860
-        # only the loop block, entered before the first store, was decoded, and
-        # it is never read after it; the entry block is never entered by a transfer
-        assert _decoded_ids(target) == ({1} if hot == 0 else set())
-
-
-def test_forks_share_decoded_blocks_but_not_text(corpus_sources, manifest, monkeypatch):
-    image = _image(corpus_sources["loop_sum"])
-    targets = (image, encrypt_pipeline(image, 42))
-    budget = _budget(manifest["loop_sum"]["retired"])
-    references = [(_stepped(target, budget)[0], _step(_attacked_loop_sum(target), 4096))
-                  for target in targets]
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    for target, (whole, injected) in zip(targets, references):
-        checkpoint = Engine(target)
-        assert checkpoint.advance(25)
-        attacked, clean = checkpoint.fork(), checkpoint.fork()
-        _inject_into_loop_sum(attacked)
-        attacked_again = attacked.fork()           # a fork inherits the text store
-        attacked_report = attacked.run(4096)
-        assert clean.run() == whole                # still the original code
-        assert checkpoint.run() == whole
-        assert attacked_report == attacked_again.run(4096) == injected
-        assert 1 in _decoded_ids(target)
-
-
-def test_decoded_block_ending_at_an_illegal_word_entered_past_it(monkeypatch):
-    image = _image("jal x0, body\nbody:\naddi x10, x0, 1\naddi x10, x10, 2\n"
-                   "addi x10, x10, 4\naddi x10, x10, 8\necall")
-    image = replace(image, text=image.text[:8] + bytes(4) + image.text[12:])   # word 2 illegal
-    for target in (image, encrypt_pipeline(image, 42)):
-        results = []
-        for hot in (0, 255):   # 255: no block is decoded in this test
-            monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
-            report = Engine(target).run()
-            engine = Engine(target)
-            assert engine.advance(2)   # the jal, then block 1's first word
-            engine.state.pc = 12       # past the illegal word, in block 1
-            results.append((report, engine.run(), engine.state.regs[10]))
-        assert results[0] == results[1]
-        report, entered_past, x10 = results[0]
-        assert report.outcome == INTEGRITY_FAULT and report.fault_pc == 8
-        assert entered_past.outcome == HALT and x10 == 13
-        _, count, run = _decoded_blocks(target)[1]
-        assert count == 1   # the decoded words stop before word 2
-        regs = [0] * 32
-        assert run(regs, None, 4, 0) == (8, 0, 0) and regs[10] == 1   # word 1 ran alone
-
-
 def test_block_longer_than_the_offset_range_is_rejected(monkeypatch):
     # A fetch's offset wraps at MAX_WORD_OFFSET words, so no longer block may
     # be encrypted or loaded; shrink the range so a 9-word block is too long.
@@ -884,50 +467,6 @@ def test_block_longer_than_the_offset_range_is_rejected(monkeypatch):
     assert load_encrypted_image_bytes(blob) == encrypt_pipeline(image, 42)
 
 
-def test_memory_fault_inside_a_decoded_block(monkeypatch):
-    targets = (_LW_FAULT, encrypt_pipeline(_LW_FAULT, 42))
-    references = [_stepped(target, _budget(_LW_FAULT_STEPS)) for target in targets]
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    for target, (expected, per_word) in zip(targets, references):
-        engine = Engine(target)
-        report = engine.run()
-        assert report == expected
-        assert report.outcome == MEMORY_FAULT
-        # the lw after lui in block 2: pc at the lw, prev_pc at the lui
-        assert [(e.state.pc, e.prev_pc) for e in (engine, per_word)] == [(16, 12)] * 2
-        assert 2 in _decoded_ids(target)
-
-
-def test_stale_key_whose_stream_is_shorter_than_its_block(monkeypatch):
-    # Block 1's key first enters block 0 (2 words) by a replayed patch, so
-    # its cached stream covers 2 words. The legal run then enters block 1
-    # (7 words) with that key: the stream is replaced by one that covers the
-    # block, the block is decoded, and no word is decrypted on its own.
-    source = "addi x10, x0, 1\njal x0, long\nlong:\n" + "addi x10, x10, 1\n" * 6 + "ecall"
-    # 9 steps, on an image of its own
-    expected = _stepped(encrypt_pipeline(_image(source), 42), _budget(9))[0]
-    eimage = encrypt_pipeline(_image(source), 42)
-    assert [length for _, length in eimage.image.blocks] == [2, 7]
-    replayed = Engine(eimage)
-    replayed.replay_patch(eimage.patch_map[(0, 8)], 0)   # key of block 1, in block 0
-    replayed.run(1)
-    key = replayed.state.cur_key
-    cache = eimage.image.fetch_cache
-    assert len(cache[key]) == 2
-
-    offsets = []
-    monkeypatch.setattr(eng, "keystream_word",
-                        lambda key, offset: offsets.append(offset) or keystream_word(key, offset))
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    engine = Engine(eimage)
-    report = engine.run()
-    assert report == expected
-    assert report.outcome == HALT and engine.state.regs[10] == 7
-    assert len(cache[key]) == 7
-    assert _decoded_ids(eimage) == {1}
-    assert offsets == []
-
-
 def test_entries_are_counted_per_run(monkeypatch):
     # The loop block is entered once per iteration: by the fallthrough into
     # it, then by its back edge. Blocks entered HOT_BLOCK_VISITS times in
@@ -940,250 +479,6 @@ def test_entries_are_counted_per_run(monkeypatch):
             for _ in range(5):
                 assert Engine(target).run().outcome == HALT
             assert _decoded_ids(target) == decoded
-
-
-# -- rounds run in place ----------------------------------------------------------
-#
-# A decoded block whose last word goes back to its first runs further rounds
-# inside its generated function. HOT_BLOCK_VISITS 255 is the reference: no
-# loop below is entered that often, so no block is decoded.
-
-_ROUND_PROGRAMS = {
-    "branch": _SELF_LOOP,
-    # loads and stores of data words on every round
-    "data": """
-    lui x5, 16
-    addi x9, x0, 200
-loop:
-    lw x6, 0(x5)
-    add x10, x10, x6
-    sw x10, 4(x5)
-    addi x9, x9, -1
-    bne x9, x0, loop
-    ecall
-.data
-    .word 7, 0
-""",
-    # a jal back edge; the lw, word 0, faults in the eleventh round
-    "lw fault at word 0": """
-    lui x5, 16
-loop:
-    lw x6, 0(x5)
-    add x10, x10, x6
-    addi x5, x5, 4
-    jal x0, loop
-.data
-    .word 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
-""",
-    "lw fault at word 1": """
-    lui x5, 16
-loop:
-    addi x5, x5, 4
-    lw x6, -4(x5)
-    add x10, x10, x6
-    jal x0, loop
-.data
-    .word 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
-""",
-    # an outer loop enters the inner self-loop by a boundary crossing; the
-    # lw, the inner loop's word 0, faults in its second round of a later entry
-    "lw fault in a later entry": """
-    lui x5, 16
-outer:
-    addi x9, x0, 3
-inner:
-    lw x6, 0(x5)
-    addi x5, x5, 4
-    addi x9, x9, -1
-    bne x9, x0, inner
-    jal x0, outer
-.data
-    .word 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
-""",
-    # the loop stores into its own next word on every round
-    "store into its own block": _SELF_MODIFYING,
-    # each round stores to the address the next table entry holds: four data
-    # words, then the first word of the text, which never runs again, then data
-    "store into the text": """
-    lui x8, 16
-    addi x9, x0, 6
-loop:
-    lw x5, 0(x8)
-    addi x8, x8, 4
-    sw x9, 0(x5)
-    addi x9, x9, -1
-    bne x9, x0, loop
-    ecall
-.data
-    .word 0x10018, 0x1001C, 0x10020, 0x10024, 0, 0x10028
-    .space 20
-""",
-}
-# instructions each program retires in its plaintext run
-_ROUND_STEPS = {
-    "branch": _SELF_LOOP_STEPS,
-    "data": 2 + 200 * 5 + 1,
-    "lw fault at word 0": 1 + 40,
-    "lw fault at word 1": 1 + 40 + 1,
-    "lw fault in a later entry": 1 + 3 * 14 + 1 + 4,
-    "store into its own block": _SELF_MODIFYING_STEPS,
-    "store into the text": 2 + 6 * 5 + 1,
-}
-
-
-def _recording_rounds(monkeypatch) -> list:
-    """(rounds allowed, rounds taken) of every generated-function call from
-    here on, for blocks decoded from here on."""
-    calls, compiled = [], eng._compiled
-
-    def recording(instrs):
-        run = compiled(instrs)
-
-        def recorded(regs, mem, base, rounds):
-            result = run(regs, mem, base, rounds)
-            calls.append((rounds, result[2]))
-            return result
-        return recorded
-
-    monkeypatch.setattr(eng, "_compiled", recording)
-    return calls
-
-
-def _per_word_cuts(target, cuts, limit):
-    """The per-word run of `target` up to `limit`: (cut, report at the cut,
-    fetch state) for each cut, then its final report and fetch state."""
-    engine, states = Engine(target), []
-    for cut in cuts:
-        states.append((cut, _step(engine, cut), _fetch_state(engine)))
-    return states, _step(engine, limit), _fetch_state(engine)
-
-
-@pytest.mark.parametrize("name", list(_ROUND_PROGRAMS))
-def test_rounds_in_place_equal_the_per_word_path(monkeypatch, name):
-    image = _image(_ROUND_PROGRAMS[name])
-    targets = (image, encrypt_pipeline(image, 42))
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
-    steps = _ROUND_STEPS[name]   # an encrypted run that faults sooner stays at its end
-    # step limits and advance boundaries at every offset of some round
-    cuts = sorted({1, 2, 3} | set(range(5, steps + 2, 7)))
-    references = [(_per_word_cuts(target, cuts, _budget(steps)), trace(target, _budget(steps)))
-                  for target in targets]
-    assert not any(_decoded_ids(target) for target in targets)
-    calls = _recording_rounds(monkeypatch)
-    for hot in (0, 1, 2, 32):
-        monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
-        for target, ((states, expected, final), pcs) in zip(targets, references):
-            assert len(pcs) == expected.counters.instructions_retired
-            engine = Engine(target)
-            assert engine.run() == expected, hot
-            assert _fetch_state(engine) == final, hot
-            advanced = Engine(target)
-            for cut, report, state in states:
-                limited = Engine(target)
-                assert limited.run(cut) == report, (hot, cut)
-                assert _fetch_state(limited) == state, (hot, cut)
-                advanced.advance(cut)
-                assert _fetch_state(advanced) == state, (hot, cut)
-            assert advanced.run() == expected, hot
-            assert _fetch_state(advanced) == final, hot
-    # rounds ran in place, except where every round stores into the text
-    assert any(taken for _, taken in calls) == (name != "store into its own block")
-    if name == "store into the text":
-        # the first call runs the first round, then four more in place, and
-        # returns in the fifth, whose store goes into the text
-        assert expected.outcome == HALT
-        assert calls[0][1] == 4
-    elif name.startswith("lw fault"):   # at the eleventh load
-        assert expected.outcome == MEMORY_FAULT
-        assert expected.counters.instructions_retired == _ROUND_STEPS[name]
-
-
-_FLIPPING_DELTA = bytes(range(1, 17))
-
-
-def test_a_self_edge_that_changes_the_key_runs_no_round_in_place(monkeypatch):
-    # The second round goes through the fetch loop, under the wrong key.
-    eimage = encrypt_pipeline(_image(_SELF_LOOP), 42)
-    eimage = replace(eimage, patch_table=tuple(
-        (src, target, _FLIPPING_DELTA if (src, target) == (1, 4) else patch)
-        for src, target, patch in eimage.patch_table))
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
-    expected, per_word = _stepped(eimage, _budget(_SELF_LOOP_STEPS))
-    assert expected.outcome == INTEGRITY_FAULT
-    calls = _recording_rounds(monkeypatch)
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 0)
-    engine = Engine(eimage)
-    assert engine.run(_budget(_SELF_LOOP_STEPS)) == expected
-    assert _fetch_state(engine) == _fetch_state(per_word)
-    assert calls and all(rounds == 0 for rounds, _ in calls)
-
-
-def _view(engine, limit):
-    """What the reference fixes of an engine that has run to `limit`."""
-    state = engine.state
-    return engine.run(limit).to_json_dict(), state.cur_key, state.pc, engine.prev_pc
-
-
-def _reference_view(ref, limit):
-    return ref.run(limit), ref.key, ref.pc, ref.prev_pc
-
-
-@pytest.mark.parametrize("hot", [0, eng.HOT_BLOCK_VISITS])
-@pytest.mark.parametrize("edge", ["zero patch", "patch miss", "non-zero patch"])
-def test_self_edges_equal_the_reference(monkeypatch, edge, hot):
-    # The loop's self edge keeps the key under the honest zero patch, which
-    # counts a key switch per round, and under a patch miss, which counts
-    # none: rounds run in place. A non-zero patch changes the key on every
-    # round, so each round goes through the fetch loop; under the zero
-    # keystream every key decrypts the loop, which runs to its end.
-    eimage = encrypt_pipeline(_image(_SELF_LOOP), 42)
-    assert eimage.patch_map[(1, 4)] == bytes(crypto.KEY_BYTES)
-    if edge == "patch miss":
-        eimage = replace(eimage, patch_table=tuple(
-            record for record in eimage.patch_table if record[:2] != (1, 4)))
-    elif edge == "non-zero patch":
-        eimage = replace(eimage, image=_image(_SELF_LOOP), patch_table=tuple(
-            (src, target, _FLIPPING_DELTA if (src, target) == (1, 4) else patch)
-            for src, target, patch in eimage.patch_table))
-        monkeypatch.setattr(eng, "block_keystream", lambda key, n: array("I", bytes(4 * n)))
-        monkeypatch.setattr(eng, "keystream_word", lambda key, offset: 0)
-        monkeypatch.setattr("reference.keystream_word", lambda key, offset: 0)
-    limit, forked_at = _budget(_SELF_LOOP_STEPS), 2 + 4 * 60 + 1   # inside the 61st round
-    expected = _reference_view(Reference(eimage), limit)
-    assert expected[0]["outcome"] == HALT
-    assert expected[0]["counters"]["key_switches"] == (2 if edge == "patch miss" else 201)
-    calls = _recording_rounds(monkeypatch)
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
-    assert _view(Engine(eimage), limit) == expected
-    ref, engine = Reference(eimage), Engine(eimage)
-    assert engine.advance(forked_at)
-    assert _view(engine, forked_at) == _reference_view(ref, forked_at)
-    fork = engine.fork()
-    assert _view(fork, limit) == expected
-    assert _view(engine, limit) == expected
-    assert calls
-    assert any(taken for _, taken in calls) == (edge != "non-zero patch")
-
-
-@pytest.mark.parametrize("kind", ["rogue-edge", "mid-block-entry", "patch-replay"])
-def test_campaign_forking_inside_a_hot_loop(monkeypatch, kind):
-    # 800 of the program's 803 steps are in its loop, so nearly every trial
-    # forks from a checkpoint in the middle of it; the block after the loop
-    # is one a mid-block entry can target.
-    source = _SELF_LOOP.replace("ecall", "addi x12, x0, 1\necall")
-
-    def campaign():
-        eimage = encrypt_pipeline(_image(source), 42)
-        outcomes = run_trials(eimage, kind, 40, seed=5, step_limit=4096)
-        return [(o.to_json_dict(), o.report) for o in outcomes]
-
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 255)
-    reference = campaign()
-    calls = _recording_rounds(monkeypatch)
-    for hot in (0, 32):
-        monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", hot)
-        assert campaign() == reference, hot
-    assert any(taken for _, taken in calls)
 
 
 # -- generated block functions ---------------------------------------------------
@@ -1240,7 +535,7 @@ def _reference_memory(ref, image):
             ref.dirty, any(image.text_base <= a < text_end for a in ref.dirty))
 
 
-def _reference_step(image, regs, instr, pc):
+def _reference_execute(image, regs, instr, pc):
     """One step of the reference interpreter: it and the next pc, None on a memory fault."""
     ref = Reference(image)
     ref.regs = regs[:]
@@ -1261,9 +556,9 @@ def test_generated_word_runs_as_its_handler(op):
     for _ in range(300):
         instr, regs = _draw(rng, op)
         base = rng.choice((0, 4 * rng.randrange(1, 8), 0x1000, 0xFFFFFFFC))
-        ref, expected = _reference_step(_DIFF_IMAGE, regs, instr, base)
+        ref, expected = _reference_execute(_DIFF_IMAGE, regs, instr, base)
         state = eng.MachineState(mem=eng.Memory(_DIFF_IMAGE), pc=base, regs=regs[:])
-        assert _masked(eng._HANDLERS[op](state.regs, instr, base, state)) == expected, instr
+        assert _masked(eng._HANDLERS[op](state.regs, instr, base, state.mem)) == expected, instr
         mem, got_regs = eng.Memory(_DIFF_IMAGE), regs[:]
         got = eng._compiled((instr,))(got_regs, mem, base, 0)
         assert (_masked(got[0]), got[1:]) == (expected, (0, 0)), instr
@@ -1328,10 +623,10 @@ def test_generated_word_access_runs_as_its_handler(op, image, addr, kind):
                                           rs2=None if op == "lw" else 6, imm=imm)))
         regs = [0] * 32
         regs[5], regs[6], regs[7], regs[31] = 0x1234, 0xDEADBEEF, (addr - imm) & MASK32, 1
-        ref, expected = _reference_step(image, regs, instr, 8)
+        ref, expected = _reference_execute(image, regs, instr, 8)
         state = eng.MachineState(mem=counted(eng.Memory(image)), pc=8, regs=regs[:])
         del calls[:]
-        assert eng._HANDLERS[op](state.regs, instr, 8, state) == expected
+        assert eng._HANDLERS[op](state.regs, instr, 8, state.mem) == expected
         assert len(calls) == (kind != "data")
         mem, got_regs = counted(eng.Memory(image)), regs[:]
         del calls[:]
@@ -1345,7 +640,15 @@ def test_generated_word_access_runs_as_its_handler(op, image, addr, kind):
 
 
 # A self-loop whose words no other test decodes
-_MEMO_LOOP = _SELF_LOOP.replace("addi x10, x10, 3", "addi x10, x10, {}")
+_MEMO_LOOP = """
+    addi x9, x0, 200
+loop:
+    addi x10, x10, {}
+    xor x11, x11, x10
+    addi x9, x9, -1
+    bne x9, x0, loop
+    ecall
+"""
 
 
 def test_plaintext_and_encrypted_runs_share_one_generated_function():
@@ -1384,11 +687,11 @@ def test_a_run_leaves_no_cycle_holding_its_target():
     # Decoded blocks and their generated functions hold no reference back to
     # the target, and a function's globals are the shared dict it was
     # generated under, so reference counting frees the target.
-    image = _image(_SELF_LOOP)
+    image = _image(_MEMO_LOOP.format(3))
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for make in (lambda: _image(_SELF_LOOP), lambda: encrypt_pipeline(image, 42)):
+        for make in (lambda: _image(_MEMO_LOOP.format(3)), lambda: encrypt_pipeline(image, 42)):
             target = make()
             engine = Engine(target)
             assert engine.run().outcome == HALT
