@@ -20,12 +20,12 @@ scalars: cycles = instructions + decrypt_cost * keystream invocations
 
 The rest is host-side: counters, outcomes, digests and outputs are those
 of the per-word path, as `tests/reference.py`, a reference interpreter
-that shares no code with this module, checks. Two dicts per image serve
-every engine and attack trial on it, and depend on neither memory, nor
-the key state, nor the patch table: `Image.fetch_cache` maps a key to its
-keystream array, from one AES call, and a word, plaintext or decrypted,
-to its decode result (a full cache is cleared); `Image.decoded_blocks`
-holds the hot blocks (below).
+that shares no code with this module, checks. Two dicts, made with each
+image, serve every engine and attack trial on it, and depend on neither
+memory, nor the key state, nor the patch table: `Image.fetch_cache` maps
+a key to its keystream array, from one AES call, and a word, plaintext or
+decrypted, to its decode result (a full cache is cleared);
+`Image.decoded_blocks` holds the hot blocks (below).
 
 The fetch loop keeps its state (pc, previous pc, counters, key register,
 block base, the key's stream) in locals and writes it back on every
@@ -45,19 +45,25 @@ The loop relies on three invariants, each held where the data is made:
   than MAX_WORD_OFFSET words, so in-block offsets never wrap.
 
 Hot blocks. Each call of the fetch loop counts its entries into each
-block in a bytearray, which the collector does not track; a block entered
-HOT_BLOCK_VISITS times in one call is hot. At its next entry its words,
-decrypted with the current key, are decoded up to the first illegal word
-or ecall into one generated function (`_compiled`), kept with the key in
-`Image.decoded_blocks` (made at the first hot block, so a run with none
-moves no collection) and rebuilt when another key enters the block.
+block in a bytearray, which the collector does not track. A block is hot
+for the rest of the call once it has been entered HOT_BLOCK_VISITS times,
+or at once when a transfer lands on the entry of the block the key
+register belongs to: a self-loop's back edge, the backward-branch trigger
+of Dynamo (Bala et al., PLDI 2000). That test, `pc == base`, is made
+before the patch lookup moves `base`, so a self-loop runs its generated
+function from its second iteration, and a block that never enters itself
+keeps the count. An entry into a hot block decodes its words, decrypted
+with the current key, up to the first illegal word or ecall into one
+generated function (`_compiled`), kept with the key in
+`Image.decoded_blocks` and rebuilt when another key enters the block.
 Inside the block each fetch is the next word at the next stream offset,
 so an entry on its first word whose whole decoded body fits under the
-step limit calls the function. Every other fetch takes the per-word path,
-and so does every fetch of `trace`: its calls retire one instruction
-each, so none enters a block more than once. An engine whose memory took
-a store into the text (`Memory.text_written`) uses no decoded block
-again.
+step limit calls the function. Every other fetch takes the per-word path.
+`trace` retires one instruction per call, so no count reaches
+HOT_BLOCK_VISITS there, but a back edge still builds a self-loop's
+decoded block; its function is called only when the body is one word,
+and the run still equals the reference's. An engine whose memory took a
+store into the text (`Memory.text_written`) uses no decoded block again.
 
 Rounds in place. When a block's last decoded word is a branch or jal to
 its first word, the function loops: a taken back edge starts the body
@@ -107,7 +113,9 @@ DEFAULT_SWITCH_COST = 4
 FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache is cleared
 
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
-HOT_BLOCK_VISITS = 32   # entries into a block in one run before it is decoded; at most 255
+# entries into a block in one call before it is decoded, unless a back edge to
+# its own entry makes it hot first; at most 255
+HOT_BLOCK_VISITS = 32
 _NO_STREAM = array("I")   # a plaintext run's key stream
 _ZERO_PATCH = bytes(KEY_BYTES)   # an honest self edge's patch: it keeps the key
 
@@ -520,6 +528,8 @@ class Engine:
                 if prev_pc is not None and (pc != prev_pc + 4 or pc == block_end):
                     # patch lookup on a transfer or block-boundary crossing
                     counters.control_transfers += 1
+                    if pc == base:   # a back edge to the key's block: hot from here on
+                        visits[block_id] = HOT_BLOCK_VISITS
                     if encrypted:
                         counters.patch_lookups += 1
                         patch = patch_map.get((block_id, pc))
@@ -622,7 +632,9 @@ plaintext_engine = encrypted_engine = Engine
 
 def trace(target: Image | EncryptedImage, step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
     """Retired pc sequence of the corresponding run, one `advance` per
-    instruction, so every fetch takes the per-word path."""
+    instruction: every fetch takes the per-word path but a one-word
+    self-loop's fetch at its back edge, which calls its generated function
+    (see above)."""
     engine = Engine(target)
     pcs = []
     for k in range(1, step_limit + 1):

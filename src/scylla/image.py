@@ -22,7 +22,6 @@ import hashlib
 import struct
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .asm import Program
 from .cfg import EDGE_KINDS, EDGE_KIND_CODES, build_cfg
@@ -61,6 +60,11 @@ class Image:
     edges: tuple[tuple[int, int, str], ...]    # (source id, target id, kind)
     # block entry address -> (block id, length in words), built by the tiling check
     block_index: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    # host-side, shared by every engine on the image (see engine.py): the
+    # decode table and key streams, and hot block id -> (key, decoded word
+    # count, their generated function)
+    fetch_cache: dict = field(init=False, repr=False, compare=False)
+    decoded_blocks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """The container rules of docs/formats.md hold for every image,
@@ -99,21 +103,12 @@ class Image:
             if kind not in EDGE_KIND_CODES:
                 raise LayoutError(f"edge {src} -> {tgt} has unknown kind {kind!r}")
         object.__setattr__(self, "block_index", index)
+        object.__setattr__(self, "fetch_cache", {})
+        object.__setattr__(self, "decoded_blocks", {})
 
     def text_words(self) -> array:
         """The text's little-endian words, as a new array."""
         return le_words(self.text)
-
-    @cached_property
-    def fetch_cache(self) -> dict:
-        """The engine's decode table and key streams, host-side (see engine.py)."""
-        return {}
-
-    @cached_property
-    def decoded_blocks(self) -> dict:
-        """Hot block id -> (key, decoded word count, their generated function),
-        host-side (see engine.py)."""
-        return {}
 
     def digest(self) -> str:
         return hashlib.sha256(dump_image(self)).hexdigest()

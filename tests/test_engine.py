@@ -467,18 +467,61 @@ def test_block_longer_than_the_offset_range_is_rejected(monkeypatch):
     assert load_encrypted_image_bytes(blob) == encrypt_pipeline(image, 42)
 
 
-def test_entries_are_counted_per_run(monkeypatch):
-    # The loop block is entered once per iteration: by the fallthrough into
-    # it, then by its back edge. Blocks entered HOT_BLOCK_VISITS times in
-    # every run, but no more, are never decoded, however many runs there are.
-    monkeypatch.setattr(eng, "HOT_BLOCK_VISITS", 2)
-    loop = "addi x9, x0, {}\nloop:\naddi x9, x9, -1\nbne x9, x0, loop\necall"
-    for iterations, decoded in ((2, set()), (3, {1})):
+def test_entries_are_counted_per_run():
+    # A loop of two blocks: the loop block is entered by the fallthrough into
+    # it, then by the jal that ends the block after it, never by a transfer
+    # to its own entry, so only its entries count. Entered HOT_BLOCK_VISITS
+    # times in every run, but no more, it is never decoded, however many
+    # runs there are; one entry more decodes it.
+    loop = ("addi x9, x0, {}\nloop:\naddi x9, x9, -1\nbeq x9, x0, done\n"
+            "addi x10, x10, 1\njal x0, loop\ndone:\necall")
+    for iterations, decoded in ((eng.HOT_BLOCK_VISITS, set()), (eng.HOT_BLOCK_VISITS + 1, {1})):
         image = _image(loop.format(iterations))
+        assert len(image.blocks) == 4
         for target in (image, encrypt_pipeline(image, 42)):
-            for _ in range(5):
+            for _ in range(10):
                 assert Engine(target).run().outcome == HALT
             assert _decoded_ids(target) == decoded
+
+
+def test_a_self_loop_is_hot_at_its_first_back_edge():
+    # A block that branches back to its own entry is decoded at that back
+    # edge, whatever its count; a run that never takes the back edge decodes
+    # nothing.
+    loop = "addi x9, x0, {}\nloop:\naddi x9, x9, -1\naddi x10, x10, 3\nbne x9, x0, loop\necall"
+    for iterations, decoded in ((1, set()), (2, {1})):
+        image = _image(loop.format(iterations))
+        for target in (image, encrypt_pipeline(image, 42)):
+            engine = Engine(target)
+            assert engine.run().outcome == HALT
+            assert engine.state.regs[10] == 3 * iterations
+            assert _decoded_ids(target) == decoded
+
+
+def test_trace_calls_a_one_word_self_loop_at_its_back_edges(monkeypatch):
+    # One instruction per call: only a one-word body fits under the step
+    # limit, so the fallthrough into the loop runs per word, and each fetch at
+    # its back edge calls the function. The pcs and the run equal the reference's.
+    calls = []
+
+    def counted(instrs, compiled=eng._compiled):
+        function = compiled(instrs)
+        return lambda *args: calls.append(args[2]) or function(*args)
+
+    monkeypatch.setattr(eng, "_compiled", counted)
+    image = _image("addi x9, x0, 1\nloop:\njal x5, loop\necall")
+    for target in (image, encrypt_pipeline(image, 42)):
+        del calls[:]
+        ref, pcs = Reference(target), []
+        for k in range(1, 11):
+            pcs.append(ref.pc)
+            ref.advance(k)
+        assert trace(target, 10) == pcs == [0] + [4] * 9
+        assert calls == [4] * 8
+        engine = Engine(target)
+        for k in range(1, 11):
+            engine.advance(k)
+        assert engine.run(10).to_json_dict() == ref.run(10)
 
 
 # -- generated block functions ---------------------------------------------------
