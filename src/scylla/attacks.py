@@ -41,15 +41,12 @@ from .engine import (
     Engine,
     RunReport,
 )
-from .image import Image
 from .isa import ADDRESS_SPACE, Instruction, encode, le_bytes, le_words
 
 CODE_INJECTION = "code-injection"
 ROGUE_EDGE = "rogue-edge"
 MID_BLOCK_ENTRY = "mid-block-entry"
 PATCH_REPLAY = "patch-replay"
-
-SCENARIO_KINDS = (CODE_INJECTION, ROGUE_EDGE, MID_BLOCK_ENTRY, PATCH_REPLAY)
 
 DEFAULT_SENTINEL_VALUE = 0xC0FFEE42
 
@@ -169,109 +166,103 @@ def hijack_payload(sentinel_addr: int, sentinel_value: int) -> bytes:
     return le_bytes(array("I", map(encode, instrs)))
 
 
-# Random targets are drawn as `rng.choice(candidates)` draws them, with one
-# `rng._randbelow(len(candidates))`, but the k-th candidate is computed, not
-# listed: a 3000-block image has some 20,000 mid-block addresses.
+# A kind is one function (engine, scenario, rng) that applies a scenario at
+# its trigger. A kind whose scenario names no target draws one as
+# `rng.choice(candidates)` would, with one `rng._randbelow(len(candidates))`,
+# but the k-th candidate is computed, not listed: a 3000-block image has some
+# 20,000 mid-block addresses.
 
 def _patch_run(table: tuple, src: int) -> tuple[int, int]:
     """[lo, hi) of the records from block `src` in a sorted patch table."""
     return bisect_left(table, (src,)), bisect_left(table, (src + 1,))
 
 
-def _rogue_target(eimage: EncryptedImage, cur: int, rng: random.Random) -> int:
-    """A block entry, in block order, other than block `cur`'s and those it has a patch to."""
-    image, table = eimage.image, eimage.patch_table
-    lo, hi = _patch_run(table, cur)
-    barred = sorted({cur} | {image.block_index[target][0] for _, target, _ in table[lo:hi]})
-    count = len(image.blocks) - len(barred)
-    if count < 1:
-        raise HarnessError("no rogue target available from current block")
-    k = rng._randbelow(count)
-    for block_id in barred:   # the k-th block id not barred
-        if block_id <= k:
-            k += 1
-    return image.blocks[k][0]
+def _code_injection(engine: Engine, scenario: AttackScenario, rng: random.Random) -> None:
+    """Store the payload's words from `target` on and transfer there."""
+    if scenario.payload is None or scenario.target is None:
+        raise HarnessError("code-injection needs target and payload")
+    if len(scenario.payload) % 4:
+        raise HarnessError("payload must be whole words")
+    for i, word in enumerate(le_words(scenario.payload)):
+        addr = scenario.target + 4 * i
+        if not engine.state.mem.store_word(addr, word):
+            raise HarnessError(f"payload address {addr:#x} is not mapped")
+    engine.state.pc = scenario.target
 
 
-def _mid_block_target(image: Image, cur: int, rng: random.Random) -> int:
-    """A word address past a block's entry, in address order, outside block `cur`."""
-    ends = list(accumulate(length - 1 for _, length in image.blocks))   # candidates up to each block
-    skipped = image.blocks[cur][1] - 1   # same-block skips are out of scope
-    count = ends[-1] - skipped
-    if count < 1:
-        raise HarnessError("no multi-word block to enter mid-body")
-    k = rng._randbelow(count)
-    if k >= ends[cur] - skipped:
-        k += skipped
-    block_id = bisect_right(ends, k)
-    entry, length = image.blocks[block_id]
-    # the block's candidates are its words 1..length-1, and ends[block_id] - k
-    # of them lie at or after the k-th
-    return entry + 4 * (length - (ends[block_id] - k))
-
-
-def _replay_record(eimage: EncryptedImage, cur: int, source: int | None,
-                   rng: random.Random) -> tuple[int, int, bytes]:
-    """A patch record from block `source`, or from any block, other than `cur`."""
-    table = eimage.patch_table
-    if source is None:   # every record outside block cur's run
+def _rogue_edge(engine: Engine, scenario: AttackScenario, rng: random.Random) -> None:
+    """Transfer to a block entry; one is drawn, in block order, other than
+    the current block's and those it has a patch to."""
+    image, target = engine.image, scenario.target
+    if target is None:
+        cur, table = engine.current_block(), engine.target.patch_table
         lo, hi = _patch_run(table, cur)
-        count = len(table) - (hi - lo)
+        barred = sorted({cur} | {image.block_index[dst][0] for _, dst, _ in table[lo:hi]})
+        count = len(image.blocks) - len(barred)
+        if count < 1:
+            raise HarnessError("no rogue target available from current block")
+        k = rng._randbelow(count)
+        for block_id in barred:   # the k-th block id not barred
+            if block_id <= k:
+                k += 1
+        target = image.blocks[k][0]
+    elif target not in image.block_index:
+        raise HarnessError(f"rogue target {target:#x} is not a block entry")
+    engine.state.pc = target
+
+
+def _mid_block_entry(engine: Engine, scenario: AttackScenario, rng: random.Random) -> None:
+    """Transfer past a block's entry; one word is drawn, in address order,
+    outside the current block."""
+    image, target = engine.image, scenario.target
+    if target is None:
+        cur = engine.current_block()
+        ends = list(accumulate(length - 1 for _, length in image.blocks))   # candidates up to each block
+        skipped = image.blocks[cur][1] - 1   # same-block skips are out of scope
+        count = ends[-1] - skipped
+        if count < 1:
+            raise HarnessError("no multi-word block to enter mid-body")
+        k = rng._randbelow(count)
+        if k >= ends[cur] - skipped:
+            k += skipped
+        block_id = bisect_right(ends, k)
+        entry, length = image.blocks[block_id]
+        # the block's candidates are its words 1..length-1, and ends[block_id] - k
+        # of them lie at or after the k-th
+        target = entry + 4 * (length - (ends[block_id] - k))
+    # blocks tile the text, so a text address that is no block entry is mid-block
+    elif (not image.text_base <= target < image.text_base + len(image.text)
+          or target in image.block_index):
+        raise HarnessError(f"{target:#x} is not a mid-block address")
+    engine.state.pc = target
+
+
+def _patch_replay(engine: Engine, scenario: AttackScenario, rng: random.Random) -> None:
+    """Replay a patch record from block `patch_source`, or from any block
+    other than the current one: a drawn one, or the first to `target`."""
+    table, cur, source = engine.target.patch_table, engine.current_block(), scenario.patch_source
+    if source is None:   # every record outside block cur's run, in table order
+        lo, hi = _patch_run(table, cur)
+        candidates = table[:lo] + table[hi:]
     else:                # the records of block source's run
-        lo, hi = _patch_run(table, source)
-        count = hi - lo if source != cur else 0
-    if count < 1:
+        candidates = table[slice(*_patch_run(table, source))] if source != cur else ()
+    named = scenario.target
+    if named is not None:   # the first candidate to it; nothing is drawn
+        candidates = [record for record in candidates if record[1] == named]
+    if not candidates:
         raise HarnessError("no replayable patch from a different source block")
-    k = rng._randbelow(count)
-    if source is None:
-        return table[k + (hi - lo) if k >= lo else k]
-    return table[lo + k]
+    _, target, patch = candidates[0 if named is not None else rng._randbelow(len(candidates))]
+    engine.replay_patch(patch, target)
 
 
-def _apply_scenario(engine: Engine, scenario: AttackScenario, rng: random.Random) -> None:
-    state, eimage, image = engine.state, engine.target, engine.image
-    cur = engine.current_block()
-
-    if scenario.kind == CODE_INJECTION:
-        if scenario.payload is None or scenario.target is None:
-            raise HarnessError("code-injection needs target and payload")
-        if len(scenario.payload) % 4:
-            raise HarnessError("payload must be whole words")
-        for i, word in enumerate(le_words(scenario.payload)):
-            addr = scenario.target + 4 * i
-            if not state.mem.store_word(addr, word):
-                raise HarnessError(f"payload address {addr:#x} is not mapped")
-        state.pc = scenario.target
-
-    elif scenario.kind == ROGUE_EDGE:
-        target = scenario.target
-        if target is None:
-            target = _rogue_target(eimage, cur, rng)
-        elif target not in image.block_index:
-            raise HarnessError(f"rogue target {target:#x} is not a block entry")
-        state.pc = target
-
-    elif scenario.kind == MID_BLOCK_ENTRY:
-        target = scenario.target
-        if target is None:
-            target = _mid_block_target(image, cur, rng)
-        # blocks tile the text, so a text address that is no block entry is mid-block
-        elif (not image.text_base <= target < image.text_base + len(image.text)
-              or target in image.block_index):
-            raise HarnessError(f"{target:#x} is not a mid-block address")
-        state.pc = target
-
-    elif scenario.kind == PATCH_REPLAY:
-        if scenario.target is None:
-            _, target, patch = _replay_record(eimage, cur, scenario.patch_source, rng)
-        else:
-            records = [(target, patch) for src, target, patch in eimage.patch_table
-                       if src != cur and target == scenario.target
-                       and (scenario.patch_source is None or src == scenario.patch_source)]
-            if not records:
-                raise HarnessError("no replayable patch from a different source block")
-            target, patch = records[0]
-        engine.replay_patch(patch, target)
+# kind -> the function that applies it; the order is the CLI's
+_KINDS = {
+    CODE_INJECTION: _code_injection,
+    ROGUE_EDGE: _rogue_edge,
+    MID_BLOCK_ENTRY: _mid_block_entry,
+    PATCH_REPLAY: _patch_replay,
+}
+SCENARIO_KINDS = tuple(_KINDS)
 
 
 def run_attack(eimage: EncryptedImage, scenario: AttackScenario, seed: int = 0,
@@ -292,7 +283,7 @@ def run_attack(eimage: EncryptedImage, scenario: AttackScenario, seed: int = 0,
     fired = (scenario.trigger_step <= step_limit
              and engine.advance(scenario.trigger_step))
     if fired:
-        _apply_scenario(engine, scenario, random.Random(seed))
+        _KINDS[scenario.kind](engine, scenario, random.Random(seed))
     report = engine.run(step_limit)
 
     detected = report.outcome in (INTEGRITY_FAULT, MEMORY_FAULT)

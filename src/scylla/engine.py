@@ -46,24 +46,26 @@ The loop relies on three invariants, each held where the data is made:
 
 Hot blocks. Each call of the fetch loop counts its entries into each
 block in a bytearray, which the collector does not track. A block is hot
-for the rest of the call once it has been entered HOT_BLOCK_VISITS times,
-or at once when a transfer lands on the entry of the block the key
-register belongs to: a self-loop's back edge, the backward-branch trigger
-of Dynamo (Bala et al., PLDI 2000). That test, `pc == base`, is made
-before the patch lookup moves `base`, so a self-loop runs its generated
-function from its second iteration, and a block that never enters itself
-keeps the count. An entry into a hot block decodes its words, decrypted
-with the current key, up to the first illegal word or ecall into one
-generated function (`_compiled`), kept with the key in
-`Image.decoded_blocks` and rebuilt when another key enters the block.
-Inside the block each fetch is the next word at the next stream offset,
-so an entry on its first word whose whole decoded body fits under the
-step limit calls the function. Every other fetch takes the per-word path.
-`trace` retires one instruction per call, so no count reaches
-HOT_BLOCK_VISITS there, but a back edge still builds a self-loop's
-decoded block; its function is called only when the body is one word,
-and the run still equals the reference's. An engine whose memory took a
-store into the text (`Memory.text_written`) uses no decoded block again.
+for the rest of the call once it has been entered HOT_BLOCK_VISITS
+times, or at once when a transfer from the last word of the block the
+key register belongs to lands on its entry: a self-loop's back edge, the
+backward-branch trigger of Dynamo (Bala et al., PLDI 2000). That test,
+`pc == base` after a fetch at the block's end, is made before the patch
+lookup moves `base`, so a self-loop runs its generated function from its
+second iteration, and a block that never enters itself keeps the count,
+as does one a replayed patch (`replay_patch`) lands on. An entry into a
+hot block decodes its words, decrypted with the current key, up to the
+first illegal word or ecall into one generated function (`_compiled`),
+kept with the key in `Image.decoded_blocks` and rebuilt when another key
+enters the block. Inside the block each fetch is the next word at the
+next stream offset, so an entry on its first word whose whole decoded
+body fits under the step limit calls the function. Every other fetch
+takes the per-word path. `trace` retires one instruction per call, so no
+count reaches HOT_BLOCK_VISITS there, but a back edge still builds a
+self-loop's decoded block; its function is called only when the body is
+one word, and the run still equals the reference's. An engine whose
+memory took a store into the text (`Memory.text_written`) uses no
+decoded block again.
 
 Rounds in place. When a block's last decoded word is a branch or jal to
 its first word, the function loops: a taken back edge starts the body
@@ -528,7 +530,7 @@ class Engine:
                 if prev_pc is not None and (pc != prev_pc + 4 or pc == block_end):
                     # patch lookup on a transfer or block-boundary crossing
                     counters.control_transfers += 1
-                    if pc == base:   # a back edge to the key's block: hot from here on
+                    if pc == base and prev_pc == block_end - 4:   # a back edge: hot from here on
                         visits[block_id] = HOT_BLOCK_VISITS
                     if encrypted:
                         counters.patch_lookups += 1

@@ -66,9 +66,9 @@ _COUNTERS = ("instructions_retired", "control_transfers", "key_switches", "patch
 
 class Reference:
     """One run of an `Image` in plaintext or an `EncryptedImage` from its
-    entry key. It is its own `state` and `mem`, so `attacks._apply_scenario`
-    and a test that tampers with a run write its pc and memory as they
-    write an engine's."""
+    entry key. It is its own `state` and `mem`, so the kinds of
+    `attacks._KINDS` and a test that tampers with a run write its pc and
+    memory as they write an engine's."""
 
     def __init__(self, target):
         encrypted = isinstance(target, EncryptedImage)

@@ -3,12 +3,16 @@ import io
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from scylla import attacks
 from scylla.attacks import (
     MID_BLOCK_ENTRY,
+    PATCH_REPLAY,
+    ROGUE_EDGE,
+    SCENARIO_KINDS,
     AttackScenario,
     HarnessError,
     hijack_payload,
@@ -29,6 +33,14 @@ SENT_ADDR, SENT_VAL = 0x10030, 0xC0FFEE42
 @pytest.fixture(scope="module")
 def fib(corpus_encrypted):
     return corpus_encrypted["fib"]
+
+
+def test_docs_kind_table_lists_the_scenario_kinds():
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    section = text.split("## Attack scenario JSON", 1)[1].split("\n## ", 1)[0]
+    kinds = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
+             if line.startswith("| `")]
+    assert tuple(kinds) == SCENARIO_KINDS
 
 
 def test_scenario_validation():
@@ -341,7 +353,7 @@ def test_trials_csv_shape(fib, tmp_path):
 
 # Reference draws: the candidate lists the harness once built, drawn with rng.choice.
 
-def _listed_rogue_target(eimage, cur, rng):
+def _listed_rogue_target(eimage, cur, source, rng):
     image = eimage.image
     cur_entry = image.blocks[cur][0]
     candidates = [entry for entry, _ in image.blocks
@@ -351,7 +363,8 @@ def _listed_rogue_target(eimage, cur, rng):
     return rng.choice(candidates)
 
 
-def _listed_mid_block_target(image, cur, rng):
+def _listed_mid_block_target(eimage, cur, source, rng):
+    image = eimage.image
     cur_entry = image.blocks[cur][0]
     candidates = [entry + 4 * off for entry, length in image.blocks
                   for off in range(1, length) if entry != cur_entry]
@@ -361,11 +374,28 @@ def _listed_mid_block_target(image, cur, rng):
 
 
 def _listed_replay_record(eimage, cur, source, rng):
-    records = [record for record in eimage.patch_table
-               if record[0] != cur and (source is None or record[0] == source)]
+    records = [(target, patch) for src, target, patch in eimage.patch_table
+               if src != cur and (source is None or src == source)]
     if not records:
         raise HarnessError("no replayable patch")
     return rng.choice(records)
+
+
+class _HeldEngine:
+    """What a kind reads of an engine held in block `cur` at its trigger.
+    It records the pc a kind sets, or the (target, patch) it replays, as
+    `tests/reference.py` stands in for the engine in whole runs."""
+
+    def __init__(self, eimage, cur):
+        self.target, self.image, self.cur = eimage, eimage.image, cur
+        self.state = self
+        self.pc = None
+
+    def current_block(self):
+        return self.cur
+
+    def replay_patch(self, patch, target):
+        self.pc = target, patch
 
 
 def _draw(draw, *args):
@@ -378,24 +408,49 @@ def _draw(draw, *args):
     return value, rng.getrandbits(32)
 
 
+def _kind_draw(kind):
+    """`kind`'s draw through the table: the pc it sets or the patch it replays."""
+    def draw(eimage, cur, source, rng):
+        engine = _HeldEngine(eimage, cur)
+        attacks._KINDS[kind](engine, AttackScenario(kind, 0, patch_source=source), rng)
+        return engine.pc
+    return draw
+
+
 def test_target_draws_equal_list_based_reference(corpus_encrypted):
     for name, eimage in corpus_encrypted.items():
-        image = eimage.image
-        for cur in range(len(image.blocks)):
-            for seed in range(50):
-                def both(new, listed, *args):
-                    return (_draw(new, *args, random.Random(seed)),
-                            _draw(listed, *args, random.Random(seed)))
+        n_blocks = len(eimage.image.blocks)
+        for kind, listed, sources in (
+                (ROGUE_EDGE, _listed_rogue_target, (None,)),
+                (MID_BLOCK_ENTRY, _listed_mid_block_target, (None,)),
+                (PATCH_REPLAY, _listed_replay_record, (None, *range(n_blocks)))):
+            drawn = _kind_draw(kind)
+            for cur in range(n_blocks):
+                for source in sources:
+                    for seed in range(50):
+                        args = eimage, cur, source
+                        assert (_draw(drawn, *args, random.Random(seed))
+                                == _draw(listed, *args, random.Random(seed))), \
+                            (name, cur, seed, kind, source)
 
-                drawn, listed = both(attacks._rogue_target, _listed_rogue_target, eimage, cur)
-                assert drawn == listed, (name, cur, seed, "rogue-edge")
-                drawn, listed = both(attacks._mid_block_target, _listed_mid_block_target,
-                                     image, cur)
-                assert drawn == listed, (name, cur, seed, "mid-block-entry")
-                for source in (None, *range(len(image.blocks))):
-                    drawn, listed = both(attacks._replay_record, _listed_replay_record,
-                                         eimage, cur, source)
-                    assert drawn == listed, (name, cur, seed, "patch-replay", source)
+
+def test_named_replay_takes_the_first_candidate_and_draws_nothing(corpus_encrypted):
+    for name, eimage in corpus_encrypted.items():
+        table, n_blocks = eimage.patch_table, len(eimage.image.blocks)
+        for target in sorted({dst for _, dst, _ in table}):
+            for cur in range(n_blocks):
+                for source in (None, *range(n_blocks)):
+                    listed = [(dst, patch) for src, dst, patch in table
+                              if src != cur and dst == target and source in (None, src)]
+                    engine, rng = _HeldEngine(eimage, cur), random.Random(0)
+                    scenario = AttackScenario(PATCH_REPLAY, 0, target=target, patch_source=source)
+                    try:
+                        attacks._KINDS[PATCH_REPLAY](engine, scenario, rng)
+                    except HarnessError:
+                        assert not listed, (name, target, cur, source)
+                    else:
+                        assert engine.pc == listed[0], (name, target, cur, source)
+                    assert rng.getrandbits(32) == random.Random(0).getrandbits(32)
 
 
 def test_explicit_mid_block_target_checked_against_every_block(corpus_encrypted):

@@ -153,10 +153,16 @@ _INJECT = (Path(__file__).resolve().parent.parent / "corpus" / "scenarios"
     _INJECT.replace('"sentinel_value": 3237998146', '"sentinel_value": -1'),
     _INJECT.replace('"sentinel_value": 3237998146', '"sentinel_value": 8589934592'),
     _INJECT.replace('"target": 65552', '"target": ' + "1" * 5000),
+    # a kind that is no key of the kind table, hashable or not
+    *(_INJECT.replace('"code-injection"', kind) for kind in (
+        '["code-injection"]', '{"code-injection": 1}', "null", "1", "true",
+        '"meteor-strike"')),
+    _INJECT.replace('"kind": "code-injection",', ""),
 ], ids=["string-trigger", "string-target", "not-an-object", "non-hex-payload",
         "float-target", "not-json", "nested-too-deep", "misaligned-sentinel",
         "negative-sentinel", "negative-sentinel-value", "sentinel-value-past-32-bits",
-        "integer-past-digit-limit"])
+        "integer-past-digit-limit", "list-kind", "object-kind", "null-kind", "number-kind",
+        "bool-kind", "unknown-kind", "no-kind"])
 def test_attack_rejects_malformed_scenario_file(workdir, capsys, text):
     run_cli(capsys, "assemble", workdir / "fib.s")
     run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)

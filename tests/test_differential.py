@@ -43,7 +43,7 @@ from scylla.attacks import (
     ROGUE_EDGE,
     AttackScenario,
     HarnessError,
-    _apply_scenario,
+    _KINDS,
     hijack_payload,
     run_trials,
 )
@@ -232,8 +232,8 @@ def _reference_trials(eimage, kind, n_trials, seed, limit, horizon):
     for trigger, trial_seed in draws:
         ref = Reference(eimage)
         ref.advance(trigger)
-        _apply_scenario(ref, AttackScenario(kind=kind, trigger_step=trigger),
-                        random.Random(trial_seed))
+        _KINDS[kind](ref, AttackScenario(kind=kind, trigger_step=trigger),
+                     random.Random(trial_seed))
         reports.append(_reference_view(ref, limit)[0])
     return reports
 

@@ -498,6 +498,18 @@ def test_a_self_loop_is_hot_at_its_first_back_edge():
             assert _decoded_ids(target) == decoded
 
 
+def test_a_replayed_patch_does_not_make_its_landing_block_hot(corpus_sources):
+    # A replay moves the key register's block and the pc to the patch's
+    # target, so the next fetch lands on that block's entry, but from outside
+    # the block: no back edge, so one entry leaves fib's loop block undecoded.
+    eimage = encrypt_pipeline(_image(corpus_sources["fib"]), 42)
+    engine = Engine(eimage)
+    engine.advance(3)
+    engine.replay_patch(eimage.patch_map[(2, 0x28)], 0x28)
+    engine.advance(4)
+    assert _decoded_ids(eimage) == set()
+
+
 def test_trace_calls_a_one_word_self_loop_at_its_back_edges(monkeypatch):
     # One instruction per call: only a one-word body fits under the step
     # limit, so the fallthrough into the loop runs per word, and each fetch at
