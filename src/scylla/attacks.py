@@ -9,11 +9,11 @@ carries on under normal engine rules. The key register is the engine's;
 a scenario reads it only through `Engine.current_block` and changes it
 only through `Engine.replay_patch`.
 
-A randomized campaign (`run_trials`) runs the unattacked prefix once: a
-checkpoint engine advances through the sorted triggers and is forked
-(`Engine.fork`) at each, and every trial runs on a fork of the engine at
-its trigger. A trial's counters still count from reset, and every
-outcome, digest and CSV row is the one a trial run from reset would give.
+A randomized campaign (`run_trials`) runs the unattacked prefix once: its
+trials run in trigger order, each on a fork (`Engine.fork`) of one
+checkpoint engine advanced to its trigger, so one fork is alive at a
+time. A trial's counters still count from reset, and every outcome,
+digest and CSV row is the one a trial run from reset would give.
 
 Success is operationalized concretely: the attack "hijacked" the run
 if the sentinel memory cell holds the attacker-chosen value when the
@@ -79,19 +79,6 @@ class AttackScenario:
         if not 0 <= self.sentinel_value < ADDRESS_SPACE:   # a stored word is 32-bit
             raise HarnessError(f"sentinel_value must lie in [0, 2^32), got {self.sentinel_value}")
 
-    def to_json_dict(self) -> dict:
-        doc = {"kind": self.kind, "trigger_step": self.trigger_step}
-        if self.target is not None:
-            doc["target"] = self.target
-        if self.payload is not None:
-            doc["payload_hex"] = self.payload.hex()
-        if self.sentinel_addr is not None:
-            doc["sentinel_addr"] = self.sentinel_addr
-            doc["sentinel_value"] = self.sentinel_value
-        if self.patch_source is not None:
-            doc["patch_source"] = self.patch_source
-        return doc
-
 
 def scenario_from_json_dict(doc: dict) -> AttackScenario:
     if not isinstance(doc, dict):
@@ -136,6 +123,7 @@ class AttackOutcome:
     instructions_until_fault: int | None   # 1-based fetch index after the trigger
     hijack_succeeded: bool
     report: RunReport
+    step_limit: int   # the limit the run ran under; not in the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,9 +134,9 @@ class AttackOutcome:
             "counters": self.report.counters.as_dict(),
         }
 
-    def censored_latency(self, step_limit: int) -> int:
-        """Fault latency; an undetected trial is censored at `step_limit`."""
-        return self.instructions_until_fault if self.detected else step_limit
+    def censored_latency(self) -> int:
+        """Fault latency; an undetected trial is censored at its step limit."""
+        return self.instructions_until_fault if self.detected else self.step_limit
 
 
 def hijack_payload(sentinel_addr: int, sentinel_value: int) -> bytes:
@@ -295,19 +283,19 @@ def run_attack(eimage: EncryptedImage, scenario: AttackScenario, seed: int = 0,
         hijacked = (engine.state.mem.load_word(scenario.sentinel_addr)
                     == scenario.sentinel_value)
     return AttackOutcome(detected=detected, instructions_until_fault=latency,
-                         hijack_succeeded=hijacked, report=report)
+                         hijack_succeeded=hijacked, report=report, step_limit=step_limit)
 
 
 def run_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
                step_limit: int = DEFAULT_STEP_LIMIT) -> list[AttackOutcome]:
     """Randomized attack instances with trigger/target drawn from `seed`.
 
-    One checkpoint engine runs the unattacked program forward through the
-    distinct triggers in ascending order and is forked at each, so a
-    campaign holds one fork and one scenario per distinct trigger. The
-    trials then run in trial order, each from the fork at its trigger, and
-    a campaign stops at its first inapplicable trial, as it did when every
-    trial ran from reset.
+    The trials run in trigger order, in trial order within a trigger, each
+    from a fork of one checkpoint engine that runs the unattacked program
+    forward to its trigger; so one fork is alive at a time, and the
+    outcomes come back in trial order. A campaign with an inapplicable
+    trial stops with its kind's error, which is the same for every
+    inapplicable trial of the kind.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -321,30 +309,26 @@ def run_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
                            "steps; cannot place triggers")
     rng = random.Random(seed)
     trials = [(rng.randrange(horizon), rng.getrandbits(63)) for _ in range(n_trials)]
-    checkpoint = Engine(eimage)
-    starts = {}   # trigger -> (its scenario, the fork at it)
-    for trigger in sorted({trigger for trigger, _ in trials}):
-        checkpoint.advance(trigger)
-        starts[trigger] = AttackScenario(kind=kind, trigger_step=trigger), checkpoint.fork()
-    outcomes = []
-    for trigger, trial_seed in trials:
-        scenario, start = starts[trigger]
-        outcomes.append(run_attack(eimage, scenario, seed=trial_seed,
-                                   step_limit=step_limit, start=start))
+    outcomes = [None] * n_trials
+    checkpoint, scenario = Engine(eimage), None
+    for i in sorted(range(n_trials), key=lambda i: trials[i][0]):
+        trigger, trial_seed = trials[i]
+        if scenario is None or scenario.trigger_step != trigger:   # one scenario per trigger
+            checkpoint.advance(trigger)
+            scenario = AttackScenario(kind=kind, trigger_step=trigger)
+        outcomes[i] = run_attack(eimage, scenario, seed=trial_seed,
+                                 step_limit=step_limit, start=checkpoint)
     return outcomes
 
 
 def survival_trials(eimage: EncryptedImage, kind: str, n_trials: int, seed: int,
                     step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
     """Fault-latency sample; undetected runs are censored at step_limit."""
-    outcomes = run_trials(eimage, kind, n_trials, seed, step_limit)
-    return [o.censored_latency(step_limit) for o in outcomes]
+    return [o.censored_latency() for o in run_trials(eimage, kind, n_trials, seed, step_limit)]
 
 
-def write_trials_csv(outcomes: list[AttackOutcome], fh,
-                     step_limit: int = DEFAULT_STEP_LIMIT) -> None:
+def write_trials_csv(outcomes: list[AttackOutcome], fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(["trial", "detected", "latency"])
     for trial, outcome in enumerate(outcomes):
-        writer.writerow([trial, int(outcome.detected),
-                         outcome.censored_latency(step_limit)])
+        writer.writerow([trial, int(outcome.detected), outcome.censored_latency()])

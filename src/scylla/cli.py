@@ -257,7 +257,7 @@ def cmd_attack(args, parser) -> int:
     outcomes = run_trials(eimage, args.kind, trials, seed=args.harness_seed,
                           step_limit=args.step_limit)
     if args.curve:
-        latencies = [o.censored_latency(args.step_limit) for o in outcomes]
+        latencies = [o.censored_latency() for o in outcomes]
         fit = fit_survival(latencies, exact_valid_decode_fraction())
         with open(args.curve, "w", newline="") as fh:
             write_survival_csv(fit, fh)
@@ -265,7 +265,7 @@ def cmd_attack(args, parser) -> int:
         _emit_doc({"trials": [o.to_json_dict() for o in outcomes]}, args)
     else:
         buf = io.StringIO()
-        write_trials_csv(outcomes, buf, step_limit=args.step_limit)
+        write_trials_csv(outcomes, buf)
         _emit(buf.getvalue(), args.out)
     return 0
 

@@ -136,19 +136,10 @@ class PerfCounters:
     cycles: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "instructions_retired": self.instructions_retired,
-            "control_transfers": self.control_transfers,
-            "key_switches": self.key_switches,
-            "patch_lookups": self.patch_lookups,
-            "keystream_invocations": self.keystream_invocations,
-            "cycles": self.cycles,
-        }
+        return self.__dict__.copy()   # in field order
 
     def copy(self) -> PerfCounters:
-        return PerfCounters(self.instructions_retired, self.control_transfers,
-                            self.key_switches, self.patch_lookups,
-                            self.keystream_invocations, self.cycles)
+        return PerfCounters(**self.__dict__)
 
 
 def cycles_for(counters: PerfCounters, decrypt_cost: int, switch_cost: int) -> int:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,11 +87,13 @@ def test_scenario_fields_take_json_integers_and_hex(field, value):
         scenario_from_json_dict({**doc, field: value})
 
 
-def test_scenario_json_round_trip():
-    scenario = AttackScenario("code-injection", 7, target=0x10010,
-                              payload=b"\x13\x00\x00\x00",
-                              sentinel_addr=SENT_ADDR, sentinel_value=SENT_VAL)
-    assert scenario_from_json_dict(scenario.to_json_dict()) == scenario
+def test_scenario_json_parses_every_field():
+    doc = json.loads('{"kind": "code-injection", "trigger_step": 7, "target": 65552, '
+                     '"payload_hex": "13000000", "sentinel_addr": 65584, '
+                     '"sentinel_value": 3237998146}')
+    assert scenario_from_json_dict(doc) == AttackScenario(
+        "code-injection", 7, target=0x10010, payload=b"\x13\x00\x00\x00",
+        sentinel_addr=SENT_ADDR, sentinel_value=SENT_VAL)
 
 
 def test_committed_scenarios_parse(corpus_dir):
@@ -144,11 +147,12 @@ def test_rogue_edge_detected(fib):
 def test_rogue_edge_to_legal_successor_not_detected(fib):
     # control: the "rogue" target is the current block's real successor
     # at trigger 7 the engine sits at block 2 (entry 24); (2 -> 40) is an edge
-    outcome = run_attack(fib, AttackScenario("rogue-edge", 7, target=40), seed=5)
+    outcome = run_attack(fib, AttackScenario("rogue-edge", 7, target=40), seed=5,
+                         step_limit=4096)
     assert not outcome.detected
     assert outcome.report.outcome == HALT
     assert not outcome.hijack_succeeded
-    assert outcome.censored_latency(123) == 123  # undetected: censored
+    assert outcome.censored_latency() == 4096  # undetected: censored at the run's limit
 
 
 def test_mid_block_entry_detected(fib):
@@ -273,7 +277,7 @@ def test_campaigns_match_golden(corpus_encrypted):
                     doc.append([name, kind, seed, str(exc)])
                     continue
                 csv_text = io.StringIO()
-                write_trials_csv(outcomes, csv_text, step_limit=4096)
+                write_trials_csv(outcomes, csv_text)
                 doc.append([name, kind, seed, csv_text.getvalue(),
                             [{**o.to_json_dict(), "digest": o.report.final_state_digest}
                              for o in outcomes]])
@@ -292,22 +296,60 @@ def test_attack_from_a_start_engine(fib):
         run_attack(fib, scenario, seed=5, start=start)
 
 
-def test_campaign_stops_at_first_inapplicable_trial(corpus_encrypted, monkeypatch):
-    # diamond's trials are inapplicable from some blocks; under seed 1 the
-    # first such trial is trial 12, so trials 0-12 run, in trial order
-    diamond = corpus_encrypted["diamond"]
-    calls = []
+def _error_from_reset(eimage, kind, n_trials, seed, step_limit):
+    """The error of the first of `run_trials`'s drawn trials that raises when
+    each runs from reset in trial order, or None."""
+    rng = random.Random(seed)
+    horizon = Engine(eimage).run(step_limit).counters.instructions_retired
+    for _ in range(n_trials):
+        trigger, trial_seed = rng.randrange(horizon), rng.getrandbits(63)
+        try:
+            run_attack(eimage, AttackScenario(kind, trigger), seed=trial_seed,
+                       step_limit=step_limit)
+        except HarnessError as exc:
+            return str(exc)
+    return None
 
-    def recording(eimage, scenario, seed=0, step_limit=4096, *, start=None):
-        calls.append((scenario.trigger_step, seed))
-        return run_attack(eimage, scenario, seed, step_limit, start=start)
 
-    monkeypatch.setattr("scylla.attacks.run_attack", recording)
-    with pytest.raises(HarnessError, match="mid-body"):
-        run_trials(diamond, "mid-block-entry", 40, seed=1, step_limit=4096)
-    rng = random.Random(1)
-    horizon = Engine(diamond).run().counters.instructions_retired
-    assert calls == [(rng.randrange(horizon), rng.getrandbits(63)) for _ in range(13)]
+def test_campaign_fails_as_its_trials_from_reset(corpus_encrypted):
+    # A campaign raises if and only if one of its trials raises when run from
+    # reset, and with the same text, whichever of them its trigger order
+    # reaches first: on diamond under seed 1, trials 0-11 of mid-block-entry
+    # apply and trial 12 does not. The grid is the golden campaigns'.
+    inapplicable = []
+    for name in sorted(corpus_encrypted):
+        for kind in ("rogue-edge", "mid-block-entry", "patch-replay"):
+            for seed in (1, 2):
+                eimage = corpus_encrypted[name]
+                expected = _error_from_reset(eimage, kind, 40, seed, 4096)
+                try:
+                    run_trials(eimage, kind, 40, seed=seed, step_limit=4096)
+                    error = None
+                except HarnessError as exc:
+                    error = str(exc)
+                assert error == expected, (name, kind, seed)
+                if error is not None:
+                    inapplicable.append((name, kind, seed))
+    assert ("diamond", "mid-block-entry", 1) in inapplicable
+    assert len(inapplicable) == 16
+
+
+def test_a_campaign_holds_one_fork_at_a_time(fib, monkeypatch):
+    # the 100 trials have 54 distinct triggers, and no fork outlives its trial
+    forks, most = [], 0
+    fork = Engine.fork
+
+    def recording(self):
+        nonlocal most
+        clone = fork(self)
+        forks.append(weakref.ref(clone))
+        most = max(most, sum(ref() is not None for ref in forks))
+        return clone
+
+    monkeypatch.setattr(Engine, "fork", recording)
+    assert len(run_trials(fib, "rogue-edge", 100, seed=3, step_limit=4096)) == 100
+    assert most == 1
+    assert len(forks) == 100   # one per trial
 
 
 def test_committed_scenarios_all_fault_before_sentinel(fib, corpus_dir):
