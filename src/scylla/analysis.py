@@ -56,13 +56,7 @@ class DiversificationReport:
     valid_decode_p: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "plaintext_entropy": self.plaintext_entropy,
-            "ciphertext_entropy": self.ciphertext_entropy,
-            "distinct_ciphertext_words_fraction": self.distinct_ciphertext_words_fraction,
-            "repeated_instruction_diversification": self.repeated_instruction_diversification,
-            "valid_decode_p": self.valid_decode_p,
-        }
+        return self.__dict__.copy()   # in field order
 
 
 def diversification_report(image: Image, eimage: EncryptedImage) -> DiversificationReport:
@@ -99,15 +93,6 @@ class SurvivalFit:
     points: tuple[tuple[int, float, float, float], ...]
     max_abs_deviation: float
     within_bounds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [
-                {"k": k, "empirical": emp, "model": model, "stderr": se}
-                for k, emp, model, se in self.points],
-            "max_abs_deviation": self.max_abs_deviation,
-            "within_bounds": self.within_bounds,
-        }
 
 
 def fit_survival(samples, p: float) -> SurvivalFit:

@@ -29,7 +29,6 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 # derive_next_key is unused here but stays importable: perfbench/tracer.py wraps it by name
 from .crypto import EncryptedImage, derive_next_key  # noqa: F401
@@ -204,20 +203,24 @@ def _mid_block_entry(engine: Engine, scenario: AttackScenario, rng: random.Rando
     outside the current block."""
     image, target = engine.image, scenario.target
     if target is None:
-        cur = engine.current_block()
-        ends = list(accumulate(length - 1 for _, length in image.blocks))   # candidates up to each block
-        skipped = image.blocks[cur][1] - 1   # same-block skips are out of scope
-        count = ends[-1] - skipped
+        blocks, cur = image.blocks, engine.current_block()
+
+        def ends(block_id):   # the candidates in blocks 0..block_id, which tile the text
+            entry, length = blocks[block_id]
+            return ((entry - image.text_base) >> 2) + length - block_id - 1
+
+        skipped = blocks[cur][1] - 1   # same-block skips are out of scope
+        count = ends(len(blocks) - 1) - skipped
         if count < 1:
             raise HarnessError("no multi-word block to enter mid-body")
         k = rng._randbelow(count)
-        if k >= ends[cur] - skipped:
+        if k >= ends(cur) - skipped:
             k += skipped
-        block_id = bisect_right(ends, k)
-        entry, length = image.blocks[block_id]
-        # the block's candidates are its words 1..length-1, and ends[block_id] - k
+        block_id = bisect_right(range(len(blocks)), k, key=ends)
+        entry, length = blocks[block_id]
+        # the block's candidates are its words 1..length-1, and ends(block_id) - k
         # of them lie at or after the k-th
-        target = entry + 4 * (length - (ends[block_id] - k))
+        target = entry + 4 * (length - (ends(block_id) - k))
     # blocks tile the text, so a text address that is no block entry is mid-block
     elif (not image.text_base <= target < image.text_base + len(image.text)
           or target in image.block_index):

@@ -73,9 +73,8 @@ again, at most `rounds` times, then returns `base`. An entry allows
 rounds only when the self edge has no patch or the zero patch, since
 either keeps the key and the block, and as many as fit whole under the
 step limit. Each round counts what a trip through the fetch loop would:
-`size` retired instructions and one control transfer; encrypted, `size`
-keystream invocations, one patch lookup and, under the zero patch, one
-key switch.
+`size` retired instructions, one control transfer and, under the zero
+patch, one key switch. Nothing else is counted there (see `PerfCounters`).
 
 Generated functions are memoised by their instruction tuple alone in a
 bounded `lru_cache`: one depends on neither the key, nor the block's
@@ -128,6 +127,11 @@ class ReportError(ValueError):
 
 @dataclass
 class PerfCounters:
+    """The modelled hardware's counters. The fetch loop counts what it
+    decides: retired instructions, control transfers and key switches. The
+    run report derives the other three on its copy, by docs/formats.md
+    (`Engine._report`), so the live counters of a run hold 0 in them."""
+
     instructions_retired: int = 0
     control_transfers: int = 0
     key_switches: int = 0
@@ -447,8 +451,7 @@ class Engine:
         self._end: tuple | None = None   # (outcome, fault_pc, fault_word); it sticks
 
     def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunReport:
-        if self._end is None:
-            self._end = self._fetch_loop(step_limit)
+        self.advance(step_limit)
         return self._report(*(self._end or (STEP_LIMIT,)))
 
     def fork(self) -> Engine:
@@ -502,7 +505,7 @@ class Engine:
         encrypted = self.encrypted
         handlers = _HANDLERS
         pc, prev_pc = state.pc, self.prev_pc
-        retired, invocations = counters.instructions_retired, counters.keystream_invocations
+        retired = counters.instructions_retired
         key, base = state.cur_key, state.cur_block_base
         block_id, length = block_index[base]
         block_end = base + 4 * length
@@ -524,7 +527,6 @@ class Engine:
                     if pc == base and prev_pc == block_end - 4:   # a back edge: hot from here on
                         visits[block_id] = HOT_BLOCK_VISITS
                     if encrypted:
-                        counters.patch_lookups += 1
                         patch = patch_map.get((block_id, pc))
                         if patch is not None:
                             key = derive_next_key(key, patch)
@@ -558,14 +560,9 @@ class Engine:
                         if taken:
                             retired += taken * size
                             counters.control_transfers += taken
-                            if encrypted:
-                                invocations += taken * size
-                                counters.patch_lookups += taken
                             if patch is not None:
                                 counters.key_switches += taken
                             prev_pc = base + 4 * size - 4
-                        if encrypted:
-                            invocations += k + 1
                         if next_pc is None:   # word k faulted
                             retired += k
                             if k:
@@ -577,7 +574,6 @@ class Engine:
                         continue
 
                 if encrypted:
-                    invocations += 1
                     offset = ((pc - base) >> 2) & _OFFSET_MASK
                     if offset < n_stream:
                         word ^= stream[offset]
@@ -602,19 +598,22 @@ class Engine:
         finally:
             state.pc, self.prev_pc = pc, prev_pc
             counters.instructions_retired = retired
-            counters.keystream_invocations = invocations
             state.cur_key, state.cur_block_base = key, base
 
     def _report(self, outcome: str, fault_pc: int | None = None,
                 fault_word: int | None = None) -> RunReport:
-        counters = self.state.counters.copy()
+        state = self.state
+        counters = state.counters.copy()
+        died = outcome in (INTEGRITY_FAULT, MEMORY_FAULT)
+        until_fault = counters.instructions_retired + 1 if died else None   # dying fetch's index
+        if self.encrypted:   # a fetch from an unmapped or unaligned pc is not decrypted
+            counters.patch_lookups = counters.control_transfers
+            counters.keystream_invocations = counters.instructions_retired + (
+                outcome == INTEGRITY_FAULT
+                or outcome == MEMORY_FAULT and state.mem.load_word(state.pc) is not None)
         counters.cycles = cycles_for(counters, self.decrypt_cost, self.switch_cost)
-        until_fault = None
-        if outcome in (INTEGRITY_FAULT, MEMORY_FAULT):
-            # 1-based index of the fetch that died
-            until_fault = counters.instructions_retired + 1
         return RunReport(outcome=outcome, counters=counters,
-                         final_state_digest=self.state.digest(),
+                         final_state_digest=state.digest(),
                          fault_pc=fault_pc, fault_word=fault_word,
                          instructions_until_fault=until_fault)
 

@@ -4,12 +4,12 @@ A case is a target (an `Image`, run in plaintext, or an `EncryptedImage`),
 a step limit and, for some, a start: steps taken and a tamper made before
 the case's run. The cases are the corpus programs, programs that each
 reach one mechanism of the engine (rounds in place, stores into the text,
-memory faults inside decoded blocks, stale keys, illegal words, cut and
-key-flipping patch tables, a payload over a decoded loop) and 16 seeded
-random programs: self-loops of more than HOT_BLOCK_VISITS rounds, calls,
-loops that call, forward branches, jalr jumps, loads and stores, stores
-into their own text and loops that rewrite their own body in a late
-round.
+memory faults inside decoded blocks, fetches from unmapped and unaligned
+pcs, stale keys, illegal words, cut and key-flipping patch tables, a
+payload over a decoded loop) and 16 seeded random programs: self-loops of
+more than HOT_BLOCK_VISITS rounds, calls, loops that call, forward
+branches, jalr jumps, loads and stores, stores into their own text and
+loops that rewrite their own body in a late round.
 
 At HOT_BLOCK_VISITS 0, 1 and the default, each case runs through
 `Engine.run` (twice: the second run reuses the blocks the first one
@@ -505,6 +505,12 @@ def _decodes(block_id):
 _LW_FAULT = "addi x1, x0, 3\nloop:\naddi x1, x1, -1\nbne x1, x0, loop\nlui x5, 32\nlw x6, 0(x5)\necall"
 
 
+# a loop, then a jump to an unmapped pc (offset 0) or an unaligned one (offset
+# 2): the fetch there faults before it is decrypted
+_FETCH_FAULT = ("addi x1, x0, 3\nloop:\naddi x1, x1, -1\nbne x1, x0, loop\nlui x5, 48\n"
+                "jalr x0, x5, {}\n.targets end\nend:\necall")
+
+
 def _lw_fault_probe(run):
     # the lw after lui in block 2: pc at the lw, prev_pc at the lui
     assert run.report["outcome"] == eng.MEMORY_FAULT
@@ -664,6 +670,10 @@ _NAMED_CASES = {
     **_corpus_cases(),
     **_round_cases(),
     **_pair("lw fault", lambda: _image(_LW_FAULT), _lw_fault_probe),
+    **_pair("fetch from an unmapped pc", lambda: _image(_FETCH_FAULT.format(0)),
+            _fault(eng.MEMORY_FAULT)),
+    **_pair("fetch from an unaligned pc", lambda: _image(_FETCH_FAULT.format(2)),
+            _fault(eng.MEMORY_FAULT)),
     **_pair("payload over loop_sum's loop", lambda: _corpus_image("loop_sum"), _payload_probe,
             limit=4096, start=_attack_loop_sum),
     "stale key, stream shorter than its block": _Case(_short_stream_target,
