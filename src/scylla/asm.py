@@ -108,8 +108,9 @@ def parse_assembly(text: str) -> Program:
     instruction's label-free statement text; the second resolves the
     statements in source order, so the first bad one raises with its
     line. A statement without a label operand resolves to the same
-    Instruction wherever it stands, so each distinct one is resolved
-    once and its Instruction reused.
+    Instruction wherever it stands, and a branch or jal to the same
+    Instruction wherever its label lies at the same offset from it; so
+    each distinct one is resolved once and its Instruction reused.
     """
     pending: list[tuple[str, int]] = []     # (statement, line) per instruction
     labels: dict[str, int] = {}
@@ -194,15 +195,22 @@ def parse_assembly(text: str) -> Program:
         else:
             raise AsmError(f"unknown directive {head!r}", line_no)
 
-    instr_of: dict[str, Instruction] = {}   # statement -> its Instruction, successes only
+    # statement, or (text before its last comma, offset to its label) of a
+    # branch or jal -> its Instruction; successes only
+    instr_of: dict[str | tuple[str, int], Instruction] = {}
     instructions = []
     for index, (statement, line_no) in enumerate(pending):
-        instr = instr_of.get(statement)
+        head, _, target = statement.rpartition(",")
+        target = target.strip()
+        key = (head, labels[target] - index) if target in labels else statement
+        instr = instr_of.get(key)
         if instr is None:
             op, rest = _split_statement(statement)
             instr = _resolve_instruction(op, rest, line_no, index, labels)
-            if op not in _PC_RELATIVE:
-                instr_of[statement] = instr
+            # (head, offset) fixes only a branch or jal: to any other op, a last
+            # operand that is also a label's name (`t0`) is a register
+            if op in _PC_RELATIVE or key is statement:
+                instr_of[key] = instr
         instructions.append(instr)
 
     indirect: dict[int, tuple[int, ...]] = {}

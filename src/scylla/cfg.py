@@ -76,6 +76,9 @@ def build_cfg(program: Program) -> ControlFlowGraph:
                 raise AnalysisError(
                     f"jalr at address {4 * i:#x} has no declared .targets set")
             for t in program.indirect_targets.get(i, ()):
+                if not 0 <= t < n:
+                    raise AnalysisError(f"jalr at address {4 * i:#x} targets {4 * t:#x}, "
+                                        "outside the text segment")
                 leaders.add(t)
             if i + 1 < n:
                 leaders.add(i + 1)
@@ -85,14 +88,12 @@ def build_cfg(program: Program) -> ControlFlowGraph:
         elif i + 1 == n:
             raise AnalysisError("control falls off the end of the text segment")
 
+    # every edge below ends at a leader (a transfer target, a return site, a
+    # .targets entry, or the instruction after a block's last), so only
+    # leaders need a block id
     order = sorted(leaders)
-    block_of_index: dict[int, int] = {}
-    blocks = []
-    for block_id, start in enumerate(order):
-        end = order[block_id + 1] if block_id + 1 < len(order) else n
-        blocks.append((4 * start, end - start))
-        for i in range(start, end):
-            block_of_index[i] = block_id
+    block_of = {start: block_id for block_id, start in enumerate(order)}   # leader -> block id
+    blocks = [(4 * start, end - start) for start, end in zip(order, order[1:] + [n])]
 
     # map function entries to their return sites for return-edge synthesis
     fn_entries = sorted({0} | set(call_sites.values()))
@@ -105,11 +106,11 @@ def build_cfg(program: Program) -> ControlFlowGraph:
         last = entry // 4 + length - 1
         instr = instrs[last]
         if instr.op in _BRANCHES:
-            edges.add((src, block_of_index[_branch_target(last, instr, n)], BRANCH_TAKEN))
-            edges.add((src, block_of_index[last + 1], FALLTHROUGH))
+            edges.add((src, block_of[_branch_target(last, instr, n)], BRANCH_TAKEN))
+            edges.add((src, block_of[last + 1], FALLTHROUGH))
         elif instr.op == "jal":
             target = _branch_target(last, instr, n)
-            edges.add((src, block_of_index[target], CALL if instr.rd != 0 else JUMP))
+            edges.add((src, block_of[target], CALL if instr.rd != 0 else JUMP))
         elif instr.op == "jalr":
             if _is_return(instr):   # of the function with the last entry at or before it
                 sites = return_sites.get(fn_entries[bisect_right(fn_entries, last) - 1], [])
@@ -120,14 +121,14 @@ def build_cfg(program: Program) -> ControlFlowGraph:
                     if site >= n:
                         raise AnalysisError(
                             f"call at address {4 * (site - 1):#x} has no return site")
-                    edges.add((src, block_of_index[site], RETURN))
+                    edges.add((src, block_of[site], RETURN))
             else:
                 for t in program.indirect_targets[last]:
-                    edges.add((src, block_of_index[t], INDIRECT))
+                    edges.add((src, block_of[t], INDIRECT))
         elif instr.op == "ecall":
             pass  # halting block
         else:
-            edges.add((src, block_of_index[last + 1], FALLTHROUGH))
+            edges.add((src, block_of[last + 1], FALLTHROUGH))
 
     return ControlFlowGraph(blocks=tuple(blocks), edges=tuple(sorted(edges)))
 

@@ -67,11 +67,16 @@ def seed_bytes(seed: int | bytes) -> bytes:
 
 
 _ECB = modes.ECB()   # stateless; sharing it saves a few microseconds per key setup
+# `algorithms` is a deprecation proxy whose attribute lookup runs Python code
+_AES = algorithms.AES
+# BE128(i) for i < 256, concatenated: the counter blocks of any block's stream
+# up to 1024 words, and of the first 256 block keys
+_COUNTERS = b"".join([i.to_bytes(KEY_BYTES, "big") for i in range(256)])
 
 
 @lru_cache(maxsize=1024)
 def _encryptor(key: bytes):
-    return Cipher(algorithms.AES(key), _ECB).encryptor()
+    return Cipher(_AES(key), _ECB).encryptor()
 
 
 def _prf_block(key: bytes, index: int) -> bytes:
@@ -80,7 +85,11 @@ def _prf_block(key: bytes, index: int) -> bytes:
 
 def _prf_blocks(key: bytes, count: int) -> bytes:
     """AES-128(key, BE128(i)) for i < count, concatenated, in one AES call."""
-    return _encryptor(key).update(b"".join([i.to_bytes(KEY_BYTES, "big") for i in range(count)]))
+    if KEY_BYTES * count <= len(_COUNTERS):
+        counters = _COUNTERS[:KEY_BYTES * count]
+    else:
+        counters = b"".join([i.to_bytes(KEY_BYTES, "big") for i in range(count)])
+    return _encryptor(key).update(counters)
 
 
 def _stream_bytes(key: bytes, n_words: int) -> bytes:
@@ -123,9 +132,10 @@ def gen_keys(image: Image, master_seed: int | bytes) -> KeySchedule:
     blocks = image.blocks
     keys = _prf_blocks(seed_bytes(master_seed), len(blocks))
     block_keys = {i: keys[KEY_BYTES * i:KEY_BYTES * (i + 1)] for i in range(len(blocks))}
-    patches = {}
-    for src, tgt, _kind in image.edges:
-        patches[(src, blocks[tgt][0])] = derive_next_key(block_keys[src], block_keys[tgt])
+    # derive_next_key on each edge, with each key read as an int once
+    values = [int.from_bytes(key, "big") for key in block_keys.values()]
+    patches = {(src, blocks[tgt][0]): (values[src] ^ values[tgt]).to_bytes(KEY_BYTES, "big")
+               for src, tgt, _kind in image.edges}
     return KeySchedule(block_keys=block_keys, patches=patches,
                        entry_key=block_keys[image.block_index[image.entry][0]])
 

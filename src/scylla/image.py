@@ -117,10 +117,11 @@ class Image:
 def layout_image(program: Program, text_base: int = 0) -> Image:
     """Place the program at `text_base`; byte-deterministic."""
     graph = build_cfg(program)
-    words = dict.fromkeys(program.instructions)    # each distinct Instruction -> its word
-    for instr in words:
-        words[instr] = encode(instr)
-    text = le_bytes(array("I", map(words.__getitem__, program.instructions)))
+    # each distinct Instruction object, by id, -> its word: the parser shares one
+    # object among equal statements, and an id hashes without a Python call
+    ids = list(map(id, program.instructions))
+    words = {key: encode(instr) for key, instr in dict(zip(ids, program.instructions)).items()}
+    text = le_bytes(array("I", map(words.__getitem__, ids)))
     return Image(
         text_base=text_base,
         entry=text_base,

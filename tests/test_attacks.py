@@ -24,7 +24,7 @@ from scylla.attacks import (
     survival_trials,
     write_trials_csv,
 )
-from scylla.crypto import encrypt_pipeline, gen_keys
+from scylla.crypto import encrypt_pipeline, gen_keys, keystream_word
 from scylla.engine import HALT, INTEGRITY_FAULT, STEP_LIMIT, Engine
 from scylla.isa import exact_valid_decode_fraction
 
@@ -197,6 +197,22 @@ def test_trigger_at_step_zero_fires_before_first_fetch(fib):
     outcome = run_attack(fib, AttackScenario("rogue-edge", 0, target=12), seed=5)
     assert outcome.detected
     assert outcome.instructions_until_fault == outcome.report.instructions_until_fault
+
+
+def test_trigger_at_step_zero_is_no_transfer(corpus_images):
+    # no previous pc: the redirected first fetch looks up no patch and is
+    # decrypted under the entry key, so even the entry block's call target faults
+    eimage = encrypt_pipeline(corpus_images["fib"], bytes(range(16)))
+    target = 0x18
+    assert (0, target) in eimage.patch_map
+    outcome = run_attack(eimage, AttackScenario(ROGUE_EDGE, 0, target=target))
+    report = outcome.report
+    assert report.outcome == INTEGRITY_FAULT and outcome.instructions_until_fault == 1
+    assert report.counters.patch_lookups == report.counters.key_switches == 0
+    offset = (target - eimage.image.blocks[0][0]) // 4
+    cipher = eimage.image.text_words()[target // 4]
+    assert (report.fault_pc, report.fault_word) == (
+        target, cipher ^ keystream_word(eimage.entry_key, offset))
 
 
 def test_trigger_at_step_limit_applies_then_stops(fib):

@@ -64,7 +64,8 @@ def test_block_keystream_matches_per_word_keystream(fixtures_dir):
         if line.startswith("ks "):
             keys.add(bytes.fromhex(line.split()[1]))
     for key in keys:
-        for n in (*range(10), 17, 1000):
+        # 1024 words take the module's 256 counter blocks; 1025 and 1028 build theirs
+        for n in (*range(10), 17, 1000, 1020, 1024, 1025, 1028):
             stream = crypto.block_keystream(key, n)
             assert isinstance(stream, array) and stream.typecode == "I"
             assert stream.tolist() == [keystream_word(key, m) for m in range(n)]
@@ -217,6 +218,11 @@ def test_encrypt_many_blocks_matches_word_definition_and_round_trips():
     image = layout_image(parse_assembly("\n".join(lines)), text_base=0x400)
     assert len(image.blocks) == 601
     schedule = gen_keys(image, SEED)
+    # more block keys than the 256 counter blocks the module holds
+    keys = schedule.block_keys
+    assert keys == {i: derive_block_key(SEED, i) for i in range(601)}
+    assert schedule.patches == {(s, image.blocks[t][0]): derive_next_key(keys[s], keys[t])
+                                for s, t, _ in image.edges}
     eimage = encrypt_image(image, schedule)
     plain, cipher = image.text_words(), eimage.image.text_words()
     for block_id, (entry, length) in enumerate(image.blocks):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from scylla import image as image_module
 from scylla.asm import AsmError, Program, parse_assembly
 from scylla.cfg import AnalysisError, build_cfg
 from scylla.image import (
@@ -14,7 +15,7 @@ from scylla.image import (
     layout_image,
     load_image_bytes,
 )
-from scylla.isa import Instruction
+from scylla.isa import Instruction, decode, encode
 
 
 def test_parse_single_line():
@@ -96,6 +97,40 @@ def test_repeated_statements_parse_as_each_parsed_alone():
     program = parse_assembly("\n".join(lines))
     assert program.instructions == tuple(expected)
     assert program.instructions[0] is program.instructions[len(alone) + 2]
+
+
+def test_branches_to_different_labels_at_one_offset_share_one_instruction():
+    program = parse_assembly("beq x1, x0, a\na: beq x1, x0, b\nb: jal x0, c\n"
+                             "c: jal x0, d\nd: ecall")
+    beq, beq_again, jal, jal_again, _ = program.instructions
+    assert beq == Instruction("beq", rs1=1, rs2=0, imm=4) and beq is beq_again
+    assert jal == Instruction("jal", rd=0, imm=4) and jal is jal_again
+
+
+def test_one_branch_head_at_two_offsets_gives_two_instructions():
+    program = parse_assembly("top: beq x1, x0, top\nbeq x1, x0, top\necall")
+    first, second, _ = program.instructions
+    assert (first.imm, second.imm) == (0, -4)
+
+
+def test_label_named_like_a_register_is_no_branch_target():
+    # labels t0 and a0 each lie one word past an add that names them as registers
+    program = parse_assembly("add x1, x2, t0\nt0: add x1, x2, a0\na0: ecall")
+    assert program.instructions[:2] == (Instruction("add", rd=1, rs1=2, rs2=5),
+                                        Instruction("add", rd=1, rs1=2, rs2=10))
+
+
+def test_branch_out_of_range_reports_its_own_line():
+    # the head `beq x1, x0` resolves first at a near label, then at one 4 KiB away
+    source = "\n".join(["beq x1, x0, near", "near: beq x1, x0, far",
+                        *["addi x1, x1, 1"] * 1100, "far: ecall"])
+    with pytest.raises(AsmError, match=r"^line 2: "):
+        parse_assembly(source)
+
+
+def test_unresolved_branch_label_reports_its_own_line():
+    with pytest.raises(AsmError, match=r"^line 2: unresolved label 'nowhere'$"):
+        parse_assembly("a: beq x1, x0, a\nbeq x1, x0, nowhere\necall")
 
 
 def test_repeated_bad_statement_reports_its_first_line():
@@ -202,6 +237,13 @@ def test_cfg_jalr_without_targets_rejected():
         build_cfg(parse_assembly("addi x1, x0, 8\njalr x0, x6, 0\necall"))
 
 
+def test_cfg_indirect_target_past_the_text_rejected():
+    # a label after the last instruction names no block
+    program = parse_assembly("top: jalr x0, x6, 0\n.targets top, end\necall\nend:")
+    with pytest.raises(AnalysisError, match=r"jalr at address 0x0 targets 0x8, outside"):
+        build_cfg(program)
+
+
 def test_cfg_return_without_callers_rejected():
     with pytest.raises(AnalysisError, match="no known call sites"):
         build_cfg(parse_assembly("jalr x0, x1, 0"))
@@ -279,6 +321,32 @@ def test_layout_deterministic(corpus_sources):
         a = dump_image(layout_image(parse_assembly(source)))
         b = dump_image(layout_image(parse_assembly(source)))
         assert a == b
+
+
+def test_layout_of_equal_but_distinct_instructions(corpus_sources, monkeypatch):
+    # layout calls encode and build_cfg by their names in scylla.image, which
+    # the benchmark's tracer wraps
+    calls = {"encode": [], "build_cfg": []}
+    for name in calls:
+        original = getattr(image_module, name)
+        monkeypatch.setattr(image_module, name, lambda arg, name=name, original=original: (
+            calls[name].append(arg) or original(arg)))
+    for name, source in corpus_sources.items():
+        parsed = parse_assembly(source)
+        redecoded = replace(parsed, instructions=tuple(
+            decode(encode(instr)) for instr in parsed.instructions))
+        assert redecoded.instructions == parsed.instructions, name
+        assert set(map(id, redecoded.instructions)).isdisjoint(map(id, parsed.instructions))
+        images = []
+        for program in (parsed, redecoded):
+            calls["encode"].clear()
+            images.append(layout_image(program))
+            # one encode per distinct Instruction object
+            assert (sorted(map(id, calls["encode"]))
+                    == sorted(set(map(id, program.instructions)))), name
+        assert images[0] == images[1], name
+        assert dump_image(images[0]) == dump_image(images[1]), name
+    assert len(calls["build_cfg"]) == 2 * len(corpus_sources)
 
 
 def test_layout_fib_digest_stable(corpus_sources, fixtures_dir):
