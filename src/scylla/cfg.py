@@ -4,11 +4,12 @@ Blocks are the unit of key assignment: leaders are the first
 instruction, every branch/jump target, and every instruction after a
 terminator. Edges carry a kind so call/return chaining stays visible.
 
-The graph's tables have the format of `Image.blocks` and `Image.edges`,
-which the key schedule and the engine read: a block is an
-`(entry_addr, length_words)` tuple whose id is its index, at text
-base 0 here, and an edge is `(source id, target id, kind)`. Laying
-out an image only adds the text base to each entry.
+A block is an `(entry_addr, length_words)` tuple whose id is its
+index, at text base 0 here, and an edge is `(source id, target id,
+kind)`. Laying out an image adds the text base to each block entry,
+which gives `Image.blocks`, and packs the edges, in order, into the
+container's `(source id, target id, kind code)` words, `Image.edges`,
+which iterates as these triples again.
 
 Indirect transfers: a `jalr x0, ra, 0` is recognized as a return and
 gets one return edge per legal return site of the enclosing function's

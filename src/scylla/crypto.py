@@ -132,10 +132,12 @@ def gen_keys(image: Image, master_seed: int | bytes) -> KeySchedule:
     blocks = image.blocks
     keys = _prf_blocks(seed_bytes(master_seed), len(blocks))
     block_keys = {i: keys[KEY_BYTES * i:KEY_BYTES * (i + 1)] for i in range(len(blocks))}
-    # derive_next_key on each edge, with each key read as an int once
+    # derive_next_key on each edge, with each key read as an int once; the
+    # edge words run source, target, kind code
     values = [int.from_bytes(key, "big") for key in block_keys.values()]
+    words = image.edges.words()
     patches = {(src, blocks[tgt][0]): (values[src] ^ values[tgt]).to_bytes(KEY_BYTES, "big")
-               for src, tgt, _kind in image.edges}
+               for src, tgt in zip(words[0::3], words[1::3])}
     return KeySchedule(block_keys=block_keys, patches=patches,
                        entry_key=block_keys[image.block_index[image.entry][0]])
 

@@ -14,6 +14,10 @@ section (see crypto.py). The edge records make the container
 self-contained: encrypting an image needs the graph, not the source.
 Only the `Image` constructor checks the container rules, edge kinds
 included, and its block-tiling check builds the image's `block_index`.
+
+An image keeps its edge records as the container's words, an
+`EdgeTable`, from load to dump: running or attacking an image reads no
+edge, so loading one makes no object per edge record.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ FLAG_ENCRYPTED = 0x1
 
 _HEADER = struct.Struct("<4sIIIIIIIII")
 _BLOCK_REC = struct.Struct("<II")
-_EDGE_REC = struct.Struct("<III")
-_KIND_NAMES = dict(enumerate(EDGE_KINDS))   # kind code -> kind
+_EDGE_BYTES = 12   # an edge record: u32 source id, u32 target id, u32 kind code
 
 
 class LayoutError(ValueError):
@@ -47,9 +50,43 @@ class ImageFormatError(ValueError):
 
 
 @dataclass(frozen=True)
+class EdgeTable:
+    """Edge records as the container holds them: little-endian u32
+    (source id, target id, kind code) words, in immutable bytes. Its
+    length is the edge count, and iterating a table that an `Image`
+    accepted yields (source id, target id, kind) triples, as `build_cfg`
+    gives them."""
+
+    records: bytes
+
+    def __post_init__(self):
+        if not isinstance(self.records, bytes) or len(self.records) % _EDGE_BYTES:
+            raise LayoutError(f"edge records must be bytes of whole {_EDGE_BYTES}-byte records")
+
+    @classmethod
+    def of(cls, edges) -> EdgeTable:
+        """The table of (source id, target id, kind) triples, in their order."""
+        return cls(le_bytes(array("I", [word for src, tgt, kind in edges
+                                         for word in (src, tgt, EDGE_KIND_CODES[kind])])))
+
+    def __len__(self) -> int:
+        return len(self.records) // _EDGE_BYTES
+
+    def __iter__(self):
+        words = iter(self.words())
+        return ((src, tgt, EDGE_KINDS[code]) for src, tgt, code in zip(words, words, words))
+
+    def words(self) -> array:
+        """The records' words, source, target and kind code in turn, as a new array."""
+        return le_words(self.records)
+
+
+@dataclass(frozen=True)
 class Image:
     """Laid-out program: text/data bytes plus the block and edge tables,
-    which the constructor checks (edge kinds too) and indexes as it goes."""
+    which the constructor checks (edge kinds too) and indexes as it goes.
+    The blocks are tuples, which the engine reads on every transfer; the
+    edges stay the container's words."""
 
     text_base: int
     entry: int
@@ -57,7 +94,7 @@ class Image:
     data_base: int
     data: bytes
     blocks: tuple[tuple[int, int], ...]        # (entry addr, length in words)
-    edges: tuple[tuple[int, int, str], ...]    # (source id, target id, kind)
+    edges: EdgeTable                           # (source id, target id, kind code) words
     # block entry address -> (block id, length in words), built by the tiling check
     block_index: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
     # host-side, shared by every engine on the image (see engine.py): the
@@ -96,12 +133,13 @@ class Image:
             raise LayoutError(f"blocks end at {at:#x}, the text at {text_end:#x}")
         if self.entry not in index:
             raise LayoutError(f"entry {self.entry:#x} is not a block entry")
-        for src, tgt, kind in self.edges:
+        kinds, words = len(EDGE_KINDS), iter(self.edges.words())
+        for src, tgt, code in zip(words, words, words):
             if src >= block_count or tgt >= block_count:
                 raise LayoutError(
                     f"edge {src} -> {tgt} names a block past the last id {block_count - 1}")
-            if kind not in EDGE_KIND_CODES:
-                raise LayoutError(f"edge {src} -> {tgt} has unknown kind {kind!r}")
+            if code >= kinds:
+                raise LayoutError(f"edge {src} -> {tgt} has unknown kind {code}")
         object.__setattr__(self, "block_index", index)
         object.__setattr__(self, "fetch_cache", {})
         object.__setattr__(self, "decoded_blocks", {})
@@ -129,7 +167,7 @@ def layout_image(program: Program, text_base: int = 0) -> Image:
         data_base=program.data_base,
         data=program.data,
         blocks=tuple((text_base + entry, length) for entry, length in graph.blocks),
-        edges=graph.edges,
+        edges=EdgeTable.of(graph.edges),
     )
 
 
@@ -140,8 +178,7 @@ def dump_image(image: Image, *, flags: int = 0) -> bytes:
                         len(image.blocks), len(image.edges))
     for entry, length in image.blocks:
         out += _BLOCK_REC.pack(entry, length)
-    for src, tgt, kind in image.edges:
-        out += _EDGE_REC.pack(src, tgt, EDGE_KIND_CODES[kind])
+    out += image.edges.records
     out += image.text
     out += image.data
     return bytes(out)
@@ -165,19 +202,15 @@ def parse_container(blob: bytes) -> tuple[Image, int, int]:
     if version != VERSION:
         raise ImageFormatError(f"unsupported container version {version}")
     blocks_end = _HEADER.size + block_count * _BLOCK_REC.size
-    text_at = blocks_end + edge_count * _EDGE_REC.size
+    text_at = blocks_end + edge_count * _EDGE_BYTES
     data_at = text_at + text_len
     if data_at + data_len > len(blob):
         raise ImageFormatError("container truncated")
-
-    # an unknown kind code stays a code, for the Image constructor to refuse
-    edges = tuple([(src, tgt, _KIND_NAMES.get(code, code))
-                   for src, tgt, code in _EDGE_REC.iter_unpack(blob[blocks_end:text_at])])
     try:
         image = Image(text_base=text_base, entry=entry, text=blob[text_at:data_at],
                       data_base=data_base, data=blob[data_at:data_at + data_len],
                       blocks=tuple(_BLOCK_REC.iter_unpack(blob[_HEADER.size:blocks_end])),
-                      edges=edges)
+                      edges=EdgeTable(blob[blocks_end:text_at]))
     except LayoutError as err:
         raise ImageFormatError(str(err)) from None
     return image, flags, data_at + data_len

@@ -11,6 +11,7 @@ from http import HTTPStatus
 from pathlib import Path
 
 import pytest
+from test_program import BROKEN_TABLES
 
 from scylla import cli
 from scylla.cli import main
@@ -286,6 +287,26 @@ def test_run_rejects_malformed_container(workdir, capsys, suffix, field, value):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "scylla: error:" in captured.err
+
+
+@pytest.mark.parametrize("scenario", [True, False], ids=["scenario", "kind"])
+@pytest.mark.parametrize("field, value, message",
+                         [row for row in BROKEN_TABLES if row[0] >= 80])   # the edge records
+def test_attack_rejects_broken_edge_tables(workdir, corpus_dir, capsys, scenario,
+                                           field, value, message):
+    # running or attacking an image reads no edge; the loader checks them all the same
+    run_cli(capsys, "assemble", workdir / "fib.s")
+    run_cli(capsys, "encrypt", workdir / "fib.img", "--seed", SEED)
+    path = workdir / "fib.eimg"
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, field, value)
+    path.write_bytes(bytes(blob))
+    mode = [corpus_dir / "scenarios" / "rogue_fib.json"] if scenario else ["--kind", "rogue-edge"]
+    code = main(["attack", str(path), *map(str, mode)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"scylla: error: {message}\n"
 
 
 def test_encrypt_rejects_a_block_longer_than_the_offset_range(workdir, capsys, monkeypatch):

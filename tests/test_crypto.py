@@ -286,10 +286,12 @@ def test_wrong_edge_yields_wrong_key(corpus_sources):
             assert schedule.block_keys[s] != schedule.block_keys[t] or s == t
 
 
-def test_encrypted_container_round_trip(corpus_sources):
-    for source in corpus_sources.values():
-        eimage = encrypt_pipeline(_image(source), SEED)
-        assert load_encrypted_image_bytes(dump_encrypted_image(eimage)) == eimage
+def test_encrypted_container_round_trip(corpus_sources, large_image):
+    images = [_image(source) for source in corpus_sources.values()]
+    for eimage in (encrypt_pipeline(image, SEED) for image in (*images, large_image)):
+        blob = dump_encrypted_image(eimage)
+        assert load_encrypted_image_bytes(blob) == eimage
+        assert dump_encrypted_image(load_encrypted_image_bytes(blob)) == blob
 
 
 def test_constructors_index_every_image(corpus_sources):

@@ -28,7 +28,7 @@ from scylla.engine import (
     overhead_report,
     trace,
 )
-from scylla.image import Image, ImageFormatError, LayoutError, layout_image
+from scylla.image import EdgeTable, Image, ImageFormatError, LayoutError, layout_image
 from scylla.isa import MASK32, Instruction, decode, encode
 
 
@@ -542,7 +542,7 @@ def test_trace_calls_a_one_word_self_loop_at_its_back_edges(monkeypatch):
 # at a data or text word, at the word just past or below a segment, at an
 # unaligned address or at the top of the address space.
 _DIFF_IMAGE = Image(text_base=0, entry=0, text=bytes(range(32)), data_base=0x1000,
-                    data=bytes(range(100, 116)), blocks=((0, 8),), edges=())
+                    data=bytes(range(100, 116)), blocks=((0, 8),), edges=EdgeTable(b""))
 _DIFF_ADDRS = (0x1000, 0x100C, 0x1010, 0xFFC, 0, 28, 32, 0x1002, 6, 0xFFFFFFFC)
 _DIFF_VALUES = (0, 1, 4, 0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFF, 0xFFFFF800)
 _DIFF_IMMS = {   # by format: the range's ends, -1, 0, the next word (4) and a random one

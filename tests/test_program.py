@@ -1,14 +1,20 @@
+import dataclasses
+import gc
 import json
 import re
 import struct
+import sys
+from array import array
 from dataclasses import replace
 
 import pytest
 
 from scylla import image as image_module
 from scylla.asm import AsmError, Program, parse_assembly
-from scylla.cfg import AnalysisError, build_cfg
+from scylla.cfg import EDGE_KIND_CODES, AnalysisError, build_cfg
+from scylla.crypto import dump_encrypted_image, encrypt_pipeline, load_encrypted_image_bytes
 from scylla.image import (
+    EdgeTable,
     ImageFormatError,
     LayoutError,
     dump_image,
@@ -355,10 +361,54 @@ def test_layout_fib_digest_stable(corpus_sources, fixtures_dir):
     assert layout_image(parse_assembly(corpus_sources["fib"])).digest() == expected
 
 
-def test_container_round_trip(corpus_sources):
-    for source in corpus_sources.values():
-        image = layout_image(parse_assembly(source), text_base=0x400)
-        assert load_image_bytes(dump_image(image)) == image
+def test_container_round_trip(corpus_sources, large_image):
+    images = [layout_image(parse_assembly(source), text_base=0x400)
+              for source in corpus_sources.values()]
+    for image in (*images, large_image):
+        blob = dump_image(image)
+        assert load_image_bytes(blob) == image
+        assert dump_image(load_image_bytes(blob)) == blob
+
+
+def test_edge_table_is_the_graphs_edges_as_container_words(corpus_sources):
+    for name, source in corpus_sources.items():
+        program = parse_assembly(source)
+        edges, image = build_cfg(program).edges, layout_image(program)
+        assert len(image.edges) == len(edges) and tuple(image.edges) == edges, name
+        assert image.edges.records == b"".join(
+            struct.pack("<III", src, tgt, EDGE_KIND_CODES[kind]) for src, tgt, kind in edges)
+    # a table is immutable bytes of whole records
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        image.edges.records = b""
+    for records in (bytearray(12), array("I", [0, 0, 0]), bytes(13)):
+        with pytest.raises(LayoutError, match="whole 12-byte records"):
+            EdgeTable(records)
+
+
+def _allocated_by_load(blob: bytes) -> int:
+    """Memory blocks still allocated after `load_image_bytes(blob)`, while
+    the image lives, with the collector off."""
+    load_image_bytes(blob)   # warm every cache the loader touches
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        image = load_image_bytes(blob)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    del image
+    return grown
+
+
+def test_loading_allocates_nothing_per_edge(large_image):
+    # 10,000 parallel edges of other kinds between the image's own block pairs
+    extra = [(src, tgt, kind) for src, tgt, own in large_image.edges
+             for kind in EDGE_KIND_CODES if kind != own]
+    more = replace(large_image, edges=EdgeTable.of([*large_image.edges, *extra]))
+    assert len(more.edges) == 6 * len(large_image.edges) == 12_000
+    assert (_allocated_by_load(dump_image(more))
+            <= _allocated_by_load(dump_image(large_image)) + 8)
 
 
 def test_container_rejects_garbage():
@@ -393,10 +443,15 @@ BROKEN_TABLES = [
 
 @pytest.mark.parametrize("field, value, message", BROKEN_TABLES)
 def test_container_rejects_broken_tables(corpus_sources, field, value, message):
-    blob = bytearray(dump_image(layout_image(parse_assembly(corpus_sources["fib"]))))
-    struct.pack_into("<I", blob, field, value)
-    with pytest.raises(ImageFormatError, match=re.escape(message)):
-        load_image_bytes(bytes(blob))
+    image = layout_image(parse_assembly(corpus_sources["fib"]))
+    # an encrypted container's SCY1 part lies as a plaintext one's
+    for blob, load in ((dump_image(image), load_image_bytes),
+                       (dump_encrypted_image(encrypt_pipeline(image, 42)),
+                        load_encrypted_image_bytes)):
+        blob = bytearray(blob)
+        struct.pack_into("<I", blob, field, value)
+        with pytest.raises(ImageFormatError, match=re.escape(message)):
+            load(bytes(blob))
 
 
 def _changed_field(image, field, value):
@@ -404,10 +459,13 @@ def _changed_field(image, field, value):
     (see BROKEN_TABLES), with that u32 set to `value`."""
     if field < 40:
         return {12: "text_base", 16: "entry", 24: "data_base"}[field], value
-    name, at, size = ("blocks", 40, 8) if field < 80 else ("edges", 80, 12)
-    records = [list(record) for record in getattr(image, name)]
-    records[(field - at) // size][(field - at) % size // 4] = value
-    return name, tuple(map(tuple, records))
+    if field >= 80:   # the edge table is the container's edge records
+        records = bytearray(image.edges.records)
+        struct.pack_into("<I", records, field - 80, value)
+        return "edges", EdgeTable(bytes(records))
+    records = [list(record) for record in image.blocks]
+    records[(field - 40) // 8][(field - 40) % 8 // 4] = value
+    return "blocks", tuple(map(tuple, records))
 
 
 @pytest.mark.parametrize("field, value, message", BROKEN_TABLES)
