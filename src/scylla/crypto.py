@@ -20,14 +20,28 @@ correct key misaligns when entering a block mid-body.
 
 A block's keystream is the CTR keystream of its key, so
 `block_keystream(k, n)` and `keystream_word(k, m)` agree word for word
-for every m < n; the first takes one AES call per block, the second one
-per word and stays as the reference the frozen vectors test.
+for every m < n; the second takes one AES call per word and stays as the
+reference the frozen vectors test.
+
+Block streams come from one process-wide cache from key to keystream
+bytes (`_streams`), which `encrypt_image` and `block_keystream` both read
+through, so a run finds the streams its image's encryption computed. An
+entry holds the longest prefix computed for its key, in whole AES blocks;
+a miss, or a prefix too short for the words asked, costs one AES call
+under a fresh context and replaces the entry. The cache holds at most
+STREAM_CACHE_SIZE keys, and a miss on a full cache evicts the entry
+inserted first. A stream depends only on its key, so the cache changes no
+output. A `scylla run` or `scylla attack` call loads an encrypted image
+in a fresh process, so it starts with the cache empty. The LRU of AES
+contexts (`_encryptor`) serves only random access: the words of
+`keystream_word` and the block keys of `derive_block_key` and `gen_keys`.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -74,9 +88,24 @@ _AES = algorithms.AES
 _COUNTERS = b"".join([i.to_bytes(KEY_BYTES, "big") for i in range(256)])
 
 
-@lru_cache(maxsize=1024)
+# Both bounds are sized by resident memory: an AES context takes about
+# 0.8 KB, a short block's stream (two AES blocks) about 0.2 KB with its key
+# and entry, so 4096 streams take what 1024 contexts did. Random access
+# reaches only a few dozen keys at a time.
+STREAM_CACHE_SIZE = 4096
+_streams: OrderedDict[bytes, bytes] = OrderedDict()
+
+
+@lru_cache(maxsize=64)
 def _encryptor(key: bytes):
     return Cipher(_AES(key), _ECB).encryptor()
+
+
+def _counter_blocks(count: int) -> bytes:
+    """BE128(i) for i < count, concatenated."""
+    if KEY_BYTES * count <= len(_COUNTERS):
+        return _COUNTERS[:KEY_BYTES * count]
+    return b"".join([i.to_bytes(KEY_BYTES, "big") for i in range(count)])
 
 
 def _prf_block(key: bytes, index: int) -> bytes:
@@ -85,16 +114,20 @@ def _prf_block(key: bytes, index: int) -> bytes:
 
 def _prf_blocks(key: bytes, count: int) -> bytes:
     """AES-128(key, BE128(i)) for i < count, concatenated, in one AES call."""
-    if KEY_BYTES * count <= len(_COUNTERS):
-        counters = _COUNTERS[:KEY_BYTES * count]
-    else:
-        counters = b"".join([i.to_bytes(KEY_BYTES, "big") for i in range(count)])
-    return _encryptor(key).update(counters)
+    return _encryptor(key).update(_counter_blocks(count))
 
 
 def _stream_bytes(key: bytes, n_words: int) -> bytes:
-    """Keystream bytes of words 0..n_words-1 under `key`, from one AES call."""
-    return _prf_blocks(key, (n_words + 3) // 4)[:4 * n_words]
+    """Keystream bytes of words 0..n_words-1 under `key`: a prefix of its
+    cached stream, or one AES call that replaces the entry."""
+    size = 4 * n_words
+    stream = _streams.get(key)
+    if stream is None or len(stream) < size:
+        if stream is None and len(_streams) >= STREAM_CACHE_SIZE:
+            _streams.popitem(last=False)
+        stream = _streams[key] = Cipher(_AES(key), _ECB).encryptor().update(
+            _counter_blocks((n_words + 3) // 4))
+    return stream[:size]
 
 
 def derive_block_key(master_seed: int | bytes, block_id: int) -> bytes:
@@ -110,7 +143,7 @@ def keystream_word(key: bytes, word_offset: int) -> int:
 
 
 def block_keystream(key: bytes, n_words: int) -> array:
-    """Keystream words 0..n_words-1 under `key`, from one AES call."""
+    """Keystream words 0..n_words-1 under `key`, through the stream cache."""
     return le_words(_stream_bytes(key, n_words))
 
 
@@ -181,7 +214,7 @@ class EncryptedImage:
 def encrypt_image(image: Image, schedule: KeySchedule) -> EncryptedImage:
     """XOR each text word with its block keystream; involution, in place.
 
-    One AES call per block builds that block's stream, and one XOR over
+    Each block's stream comes through the stream cache, and one XOR over
     the whole text applies them all."""
     if set(schedule.block_keys) != set(range(len(image.blocks))):
         raise KeyScheduleError(

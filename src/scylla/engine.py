@@ -23,9 +23,16 @@ of the per-word path, as `tests/reference.py`, a reference interpreter
 that shares no code with this module, checks. Two dicts, made with each
 image, serve every engine and attack trial on it, and depend on neither
 memory, nor the key state, nor the patch table: `Image.fetch_cache` maps
-a key to its keystream array, from one AES call, and a word, plaintext or
-decrypted, to its decode result (a full cache is cleared);
-`Image.decoded_blocks` holds the hot blocks (below).
+a key to its keystream array, and a word, plaintext or decrypted, to its
+decode result (a full cache is cleared); `Image.decoded_blocks` holds the
+hot blocks (below). A key's array comes from `crypto.block_keystream`,
+which reads the process-wide stream cache: in the process that encrypted
+the image, the streams its encryption computed, up to the last
+STREAM_CACHE_SIZE keys inserted (the first inserted is evicted first).
+A `scylla run` or `scylla attack` call starts a fresh process with that
+cache empty, so each key it enters a block under costs one AES call.
+`crypto`'s LRU of AES contexts serves only the off-stream fetches
+(`keystream_word`).
 
 The fetch loop keeps its state (pc, previous pc, counters, key register,
 block base, the key's stream) in locals and writes it back on every

@@ -8,6 +8,14 @@ CORPUS = REPO / "corpus"
 FIXTURES = REPO / "fixtures"
 
 
+@pytest.fixture(autouse=True)
+def _empty_stream_cache():
+    """Every test starts with an empty keystream cache, so no outcome depends
+    on the tests that ran before it."""
+    from scylla import crypto
+    crypto._streams.clear()
+
+
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS

@@ -58,17 +58,97 @@ def test_keystream_matches_library_ctr_mode():
         assert keystream_word(key, m) == int.from_bytes(stream[4 * m:4 * m + 4], "little")
 
 
-def test_block_keystream_matches_per_word_keystream(fixtures_dir):
+def _vector_keys(fixtures_dir):
     keys = {seed_bytes(0xA5A5), seed_bytes(7)}
     for line in (fixtures_dir / "prf_vectors").read_text().splitlines():
         if line.startswith("ks "):
             keys.add(bytes.fromhex(line.split()[1]))
-    for key in keys:
+    return sorted(keys)
+
+
+def test_block_keystream_matches_per_word_keystream(fixtures_dir):
+    for key in _vector_keys(fixtures_dir):
         # 1024 words take the module's 256 counter blocks; 1025 and 1028 build theirs
         for n in (*range(10), 17, 1000, 1020, 1024, 1025, 1028):
-            stream = crypto.block_keystream(key, n)
-            assert isinstance(stream, array) and stream.typecode == "I"
-            assert stream.tolist() == [keystream_word(key, m) for m in range(n)]
+            expected = [keystream_word(key, m) for m in range(n)]
+            # the stream cache holds nothing for the key, a longer prefix (kept),
+            # a shorter one (replaced unless its AES blocks cover n words) or an empty one
+            for held in (None, n + 9, n // 2, 0):
+                crypto._streams.clear()
+                if held is not None:
+                    crypto.block_keystream(key, held)
+                stream = crypto.block_keystream(key, n)
+                assert isinstance(stream, array) and stream.typecode == "I"
+                assert stream.tolist() == expected, (key, n, held)
+                assert list(crypto._streams) == [key]
+                assert len(crypto._streams[key]) == 16 * ((max(n, held or 0) + 3) // 4)
+
+
+# -- the stream cache ----------------------------------------------------------
+#
+# conftest.py empties it before every test.
+
+def _set_stream_cache(state, keys):
+    """Empty the stream cache ("cold"), leave it as it is ("warm"), or make it
+    hold one AES block of stream for each of `keys` ("short")."""
+    if state != "warm":
+        crypto._streams.clear()
+    if state == "short":
+        for key in keys:
+            crypto.block_keystream(key, 1)
+
+
+def test_encryption_and_runs_are_the_same_cold_and_warm(corpus_sources, large_image):
+    images = [_image(corpus_sources[name]) for name in ("fib", "diamond", "loop_sum")]
+    for image in (*images, large_image):
+        schedule = gen_keys(image, SEED)
+        keys = schedule.block_keys.values()
+        results = []
+        for state in ("cold", "warm", "short"):
+            _set_stream_cache(state, keys)
+            blob = dump_encrypted_image(encrypt_image(image, schedule))
+            _set_stream_cache(state, keys)
+            # a loaded image starts with an empty fetch cache, so its run
+            # takes every stream from the stream cache
+            engine = Engine(load_encrypted_image_bytes(blob))
+            report = engine.run()
+            assert report.outcome == HALT
+            results.append((blob, report.to_json_dict(), list(engine.state.regs)))
+        assert results[0] == results[1] == results[2]
+
+
+def test_a_run_after_encryption_builds_no_cipher(large_image, monkeypatch):
+    built = []
+
+    def counting_cipher(*args):
+        built.append(args)
+        return Cipher(*args)
+
+    eimage = encrypt_pipeline(large_image, SEED)
+    blob = dump_encrypted_image(eimage)
+    monkeypatch.setattr(crypto, "Cipher", counting_cipher)
+    report = Engine(load_encrypted_image_bytes(blob)).run()
+    assert report.outcome == HALT and report.counters.key_switches == 1199
+    assert built == []
+    # the count is live: the same run on an empty cache builds one per key it
+    # enters a block under (the chain skips every other block)
+    crypto._streams.clear()
+    Engine(load_encrypted_image_bytes(blob)).run()
+    assert len(built) == len(crypto._streams) == 802
+
+
+def test_stream_cache_keeps_the_most_recent_keys(large_image, monkeypatch):
+    monkeypatch.setattr(crypto, "STREAM_CACHE_SIZE", 50)
+    schedule = gen_keys(large_image, SEED)
+    encrypt_image(large_image, schedule)
+    blocks = len(large_image.blocks)
+    assert list(crypto._streams) == [schedule.block_keys[i] for i in range(blocks - 50, blocks)]
+    # a prefix that is replaced keeps its place, and a new key evicts the oldest
+    oldest = next(iter(crypto._streams))
+    crypto.block_keystream(oldest, 1024)
+    assert next(iter(crypto._streams)) == oldest and len(crypto._streams[oldest]) == 4096
+    crypto.block_keystream(seed_bytes(7), 1)
+    assert len(crypto._streams) == 50 and oldest not in crypto._streams
 
 
 def test_keystream_deterministic_and_offset_sensitive():
@@ -206,7 +286,7 @@ def test_encrypt_word_level_definition(corpus_sources):
 
 def test_encrypt_many_blocks_matches_word_definition_and_round_trips():
     # 600 blocks of 1-9 words, at a nonzero text base, so block streams of
-    # several AES blocks, and far more block keys than the cipher LRU holds
+    # several AES blocks
     rng = random.Random(5)
     lines = []
     for i in range(600):
