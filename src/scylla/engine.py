@@ -20,17 +20,31 @@ scalars: cycles = instructions + decrypt_cost * keystream invocations
 
 The rest is host-side: counters, outcomes, digests and outputs are those
 of the per-word path, as `tests/reference.py`, a reference interpreter
-that shares no code with this module, checks. Two dicts, made with each
-image, serve every engine and attack trial on it, and depend on neither
-memory, nor the key state, nor the patch table: `Image.fetch_cache` maps
-a key to its keystream array, and a word, plaintext or decrypted, to its
-decode result (a full cache is cleared); `Image.decoded_blocks` holds the
-hot blocks (below). A key's array comes from `crypto.block_keystream`,
-which reads the process-wide stream cache: in the process that encrypted
-the image, the streams its encryption computed, up to the last
-STREAM_CACHE_SIZE keys inserted (the first inserted is evicted first).
-A `scylla run` or `scylla attack` call starts a fresh process with that
-cache empty, so each key it enters a block under costs one AES call.
+that shares no code with this module, checks. Three tables serve every
+engine and attack trial, and depend on neither memory, nor the key
+state, nor the patch table. A word is decrypted before it is decoded, so
+the decoder sees a program's plaintext words whatever the key: one
+process-wide table, `_decodes`, maps a word, plaintext or decrypted, to
+its decode result for every image, run and attack trial in the process,
+up to DECODE_TABLE_SIZE words (a full table is cleared). It holds the
+results of the `decode` that filled it: a run that finds the module
+global replaced (a tracer's counting wrapper, a test's decoder) empties
+it first, so every word is decoded again by the new one. Two dicts are
+made with each image: `Image.key_streams` maps a key to its keystream
+array (up to FETCH_CACHE_SIZE keys; a full dict is cleared), and
+`Image.decoded_blocks` holds the hot blocks (below). A key's array comes
+from `crypto.block_keystream`, which reads the process-wide stream cache:
+in the process that encrypted the image, the streams its encryption
+computed, up to the last STREAM_CACHE_SIZE keys inserted (the first
+inserted is evicted first). A `scylla run` or `scylla attack` command
+starts in a fresh process with both process-wide tables empty, so each
+key it enters a block under costs one AES call, and each distinct word
+one decode. A `scylla attack` call runs every trial on the one image it
+loads, which a table per image would serve as well. Sharing the table
+saves decodes only in a process that runs several images of a program:
+`scylla bench` (a plaintext run, then an encrypted one), a library caller
+running one program under several keys, or one making many `cli.main`
+calls.
 `crypto`'s LRU of AES contexts serves only the off-stream fetches
 (`keystream_word`).
 
@@ -108,7 +122,7 @@ from .crypto import (
     keystream_word,
 )
 from .image import Image
-from .isa import MASK32, Instruction, decode, le_bytes, le_words
+from .isa import MASK32, DecodeError, Instruction, decode, le_bytes, le_words
 
 HALT = "halt"
 INTEGRITY_FAULT = "integrity-fault"
@@ -118,7 +132,8 @@ MEMORY_FAULT = "memory-fault"
 DEFAULT_STEP_LIMIT = 10 ** 6
 DEFAULT_DECRYPT_COST = 1
 DEFAULT_SWITCH_COST = 4
-FETCH_CACHE_SIZE = 1 << 16   # entries in one image's fetch cache; a full cache is cleared
+FETCH_CACHE_SIZE = 1 << 16   # keys in one image's `key_streams`; a full dict is cleared
+DECODE_TABLE_SIZE = 1 << 12  # words in the process-wide decode table; a full table is cleared
 
 _OFFSET_MASK = MAX_WORD_OFFSET - 1
 # entries into a block in one call before it is decoded, unless a back edge to
@@ -272,19 +287,34 @@ class MachineState:
         return hashlib.sha256(le_bytes(words)).hexdigest()
 
 
-def _remember(cache: dict, key, value):
-    if len(cache) >= FETCH_CACHE_SIZE:
+# word -> _decoder(word), for every image and run in the process (see above)
+_decodes: dict[int, Instruction | DecodeError] = {}
+_decoder = decode
+
+
+def _decode_table() -> dict[int, Instruction | DecodeError]:
+    """The decode table, emptied first if `decode` is no longer the function
+    whose results it holds."""
+    global _decoder
+    if _decoder is not decode:
+        _decodes.clear()
+        _decoder = decode
+    return _decodes
+
+
+def _remember(cache: dict, key, value, size: int):
+    if len(cache) >= size:
         cache.clear()
     cache[key] = value
     return value
 
 
-def _key_stream(cache: dict, key: bytes, length: int) -> array:
+def _key_stream(streams: dict, key: bytes, length: int) -> array:
     """`key`'s stream, covering at least `length` words: a stream cached for
     a shorter block (a stale key's) is replaced."""
-    stream = cache.get(key)
+    stream = streams.get(key)
     if stream is None or len(stream) < length:
-        stream = _remember(cache, key, block_keystream(key, length))
+        stream = _remember(streams, key, block_keystream(key, length), FETCH_CACHE_SIZE)
     return stream
 
 
@@ -414,17 +444,18 @@ def _compiled(instrs: tuple[Instruction, ...]):
     return namespace["run"]
 
 
-def _decoded_block(cache: dict, words: array, stream: array) -> tuple[int, Callable | None]:
+def _decoded_block(decodes: dict, words: array, stream: array) -> tuple[int, Callable | None]:
     """The number of a block's words, decrypted with `stream` (empty in a
     plaintext run), that decode before the first illegal word or ecall, and
-    their generated function (None if there are none)."""
+    their generated function (None if there are none). Each word is looked
+    up in `decodes`, the process-wide decode table, as the per-word path does."""
     instrs = []
     for k, word in enumerate(words):
         if stream:
             word ^= stream[k]
-        instr = cache.get(word)
+        instr = decodes.get(word)
         if instr is None:
-            instr = _remember(cache, word, decode(word))
+            instr = _remember(decodes, word, decode(word), DECODE_TABLE_SIZE)
         if instr.__class__ is not Instruction or instr.op == "ecall":
             break
         instrs.append(instr)
@@ -505,7 +536,7 @@ class Engine:
         n_words = len(words)
         regs = state.regs
         image = self.image
-        cache = image.fetch_cache
+        streams, decodes = image.key_streams, _decode_table()
         block_index = image.block_index
         visits = bytearray(len(image.blocks))   # entries per block in this call
         patch_map = self.patch_map
@@ -516,7 +547,7 @@ class Engine:
         key, base = state.cur_key, state.cur_block_base
         block_id, length = block_index[base]
         block_end = base + 4 * length
-        stream = _key_stream(cache, key, length) if encrypted else _NO_STREAM
+        stream = _key_stream(streams, key, length) if encrypted else _NO_STREAM
         n_stream = len(stream)
         try:
             while retired < limit:
@@ -544,7 +575,7 @@ class Engine:
                     block_id, length = block_index[base]
                     block_end = base + 4 * length
                     if encrypted:
-                        stream = _key_stream(cache, key, length)
+                        stream = _key_stream(streams, key, length)
                         n_stream = len(stream)
                     # a block entry: once the block is hot, run its decoded words
                     hot = None
@@ -555,7 +586,7 @@ class Engine:
                         if hot is None or hot[0] != key:
                             first = (base - text_base) >> 2
                             hot = image.decoded_blocks[block_id] = (
-                                key, *_decoded_block(cache, words[first:first + length], stream))
+                                key, *_decoded_block(decodes, words[first:first + length], stream))
                     if hot is not None and pc == base and 0 < (size := hot[1]) <= limit - retired:
                         # the whole body fits under the step limit; a self edge
                         # that keeps the key runs further rounds in place
@@ -586,9 +617,9 @@ class Engine:
                         word ^= stream[offset]
                     else:
                         word ^= keystream_word(key, offset)
-                instr = cache.get(word)
+                instr = decodes.get(word)
                 if instr is None:
-                    instr = _remember(cache, word, decode(word))
+                    instr = _remember(decodes, word, decode(word), DECODE_TABLE_SIZE)
                 if instr.__class__ is not Instruction:
                     return INTEGRITY_FAULT, pc, instr.word
 

@@ -97,10 +97,10 @@ class Image:
     edges: EdgeTable                           # (source id, target id, kind code) words
     # block entry address -> (block id, length in words), built by the tiling check
     block_index: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
-    # host-side, shared by every engine on the image (see engine.py): the
-    # decode table and key streams, and hot block id -> (key, decoded word
-    # count, their generated function)
-    fetch_cache: dict = field(init=False, repr=False, compare=False)
+    # host-side, shared by every engine on the image (see engine.py): key ->
+    # its keystream array, and hot block id -> (key, decoded word count, their
+    # generated function); decode results are shared by every image instead
+    key_streams: dict = field(init=False, repr=False, compare=False)
     decoded_blocks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,7 +141,7 @@ class Image:
             if code >= kinds:
                 raise LayoutError(f"edge {src} -> {tgt} has unknown kind {code}")
         object.__setattr__(self, "block_index", index)
-        object.__setattr__(self, "fetch_cache", {})
+        object.__setattr__(self, "key_streams", {})
         object.__setattr__(self, "decoded_blocks", {})
 
     def text_words(self) -> array:

@@ -9,11 +9,12 @@ FIXTURES = REPO / "fixtures"
 
 
 @pytest.fixture(autouse=True)
-def _empty_stream_cache():
-    """Every test starts with an empty keystream cache, so no outcome depends
-    on the tests that ran before it."""
-    from scylla import crypto
+def _empty_stream_and_decode_tables():
+    """Every test starts with an empty keystream cache and decode table, so
+    no outcome depends on the tests that ran before it."""
+    from scylla import crypto, engine
     crypto._streams.clear()
+    engine._decodes.clear()
 
 
 @pytest.fixture(scope="session")

@@ -564,7 +564,7 @@ def _short_stream_target():
 
 def _short_stream_probe(run):
     key = derive_next_key(run.target.entry_key, run.target.patch_map[(0, 8)])
-    assert len(run.target.image.fetch_cache[key]) == 7
+    assert len(run.target.image.key_streams[key]) == 7
     assert run.offsets == []
     assert run.report["outcome"] == eng.HALT and run.engine.state.regs[10] == 7
     assert run.hot != 0 or set(run.target.image.decoded_blocks) == {1}
@@ -899,8 +899,18 @@ def test_targets_sharing_an_image_run_under_their_own_tables(monkeypatch):
 
 
 def test_fetch_cache_bound_changes_no_result(monkeypatch):
-    # a fetch cache of two entries is cleared at nearly every miss
+    # an image's key streams and the decode table, each bounded at two
+    # entries, are cleared at nearly every miss
     monkeypatch.setattr(eng, "FETCH_CACHE_SIZE", 2)
+    monkeypatch.setattr(eng, "DECODE_TABLE_SIZE", 2)
+    sizes = []
+    decode = eng.decode
+
+    def decode_and_measure(word):
+        sizes.append(len(eng._decodes))
+        return decode(word)
+
+    monkeypatch.setattr(eng, "decode", decode_and_measure)
     for name, case in _NAMED_CASES.items():
         if name.startswith("corpus "):
             target = case.make()
@@ -908,7 +918,8 @@ def test_fetch_cache_bound_changes_no_result(monkeypatch):
     fib = _NAMED_CASES["corpus fib encrypted"].make()
     assert [o.report.to_json_dict() for o in run_trials(fib, ROGUE_EDGE, 40, 5, step_limit=4096)] \
         == _reference_trials(fib, ROGUE_EDGE, 40, 5, 4096, 62)
-    assert len(fib.image.fetch_cache) <= 2
+    assert len(fib.image.key_streams) <= 2
+    assert sizes and max(sizes) <= 2 and len(eng._decodes) <= 2
 
 
 def test_forks_share_decoded_blocks_but_not_text(monkeypatch):

@@ -398,23 +398,31 @@ def test_fetch_cache_follows_stores_into_text(corpus_sources):
         "966a7d1d63a6b3b0fc38ba518fb95d9f966f0b4d19cc48f5ec61f4f1ced8a118")
 
 
-def test_fetch_cache_holds_words_and_streams_only(corpus_sources):
+def _run_corpus_and_campaign(corpus_sources):
     eimages = {name: encrypt_pipeline(_image(source), 42)
                for name, source in corpus_sources.items()}
     for eimage in eimages.values():
         assert Engine(eimage).run().outcome == HALT
     run_trials(eimages["fib"], "rogue-edge", 40, seed=5, step_limit=4096)
-    for name, eimage in eimages.items():
-        cache = eimage.image.fetch_cache
-        assert any(type(key) is int for key in cache), name
-        assert any(type(key) is bytes for key in cache), name
-        for key, value in cache.items():
-            if type(key) is int:
-                assert value == eng.decode(key), (name, key)
-            else:
-                assert type(key) is bytes and len(key) == 16, (name, key)
-                assert type(value) is array
-                assert value == eng.block_keystream(key, len(value)), (name, key)
+    return eimages
+
+
+def test_key_streams_hold_keys_and_their_streams_only(corpus_sources):
+    for name, eimage in _run_corpus_and_campaign(corpus_sources).items():
+        streams = eimage.image.key_streams
+        assert streams, name
+        for key, value in streams.items():
+            assert type(key) is bytes and len(key) == 16, (name, key)
+            assert type(value) is array
+            assert value == eng.block_keystream(key, len(value)), (name, key)
+
+
+def test_decode_table_holds_words_and_their_decodes_only(corpus_sources):
+    _run_corpus_and_campaign(corpus_sources)
+    assert eng._decodes
+    for word, result in eng._decodes.items():
+        assert type(word) is int and 0 <= word <= MASK32, word
+        assert result == decode(word), word
 
 
 def test_fetch_misses_decode_and_decrypt_through_module_globals(corpus_sources, monkeypatch):
@@ -426,14 +434,65 @@ def test_fetch_misses_decode_and_decrypt_through_module_globals(corpus_sources, 
             return fn(*args)
         return wrapped
 
+    # the real decoder fills the table first; replacing it empties the table,
+    # so the counted run decodes its words again
+    source = corpus_sources["loop_sum"]
+    assert Engine(encrypt_pipeline(_image(source), 42)).run().outcome == HALT
+    assert eng._decodes
     monkeypatch.setattr(eng, "decode", counting("decode", eng.decode))
     monkeypatch.setattr(eng, "block_keystream", counting("keystream", eng.block_keystream))
-    report = Engine(encrypt_pipeline(_image(corpus_sources["loop_sum"]), 42)).run()
+    eimage = encrypt_pipeline(_image(source), 42)
+    report = Engine(eimage).run()
     assert report.outcome == HALT
     fetches = report.counters.instructions_retired   # a halted run retires every fetch
     assert report.counters.keystream_invocations == fetches == 105
     assert 1 <= calls["decode"] < fetches
     assert 1 <= calls["keystream"] < fetches
+    calls.clear()   # the image's streams and the decode table now hold the run's
+    assert Engine(eimage).run() == report
+    assert calls == Counter()
+
+
+def _fib_targets(source):
+    """fib's image, its encryptions under two master seeds, and a copy of the
+    second loaded from its container, as a `scylla attack` call loads one."""
+    fib = _image(source)
+    first, second = encrypt_pipeline(fib, 42), encrypt_pipeline(fib, 43)
+    return fib, first, second, load_encrypted_image_bytes(dump_encrypted_image(second))
+
+
+def test_images_of_a_program_share_its_decodes(corpus_sources, monkeypatch):
+    # A fetched word is decrypted before it is decoded, so every image of fib
+    # fetches the same decoded words: after the plaintext run, neither
+    # encrypted run decodes a word, and a campaign on the loaded copy decodes
+    # only the words that its trials' wrong keys decrypt to.
+    decoded = []
+
+    def recording(word):
+        decoded.append(word)
+        return decode(word)
+
+    monkeypatch.setattr(eng, "decode", recording)
+    source = corpus_sources["fib"]
+    steps = (lambda targets: Engine(targets[0]).run(),
+             lambda targets: Engine(targets[1]).run(),
+             lambda targets: Engine(targets[2]).run(),
+             lambda targets: [outcome.report for outcome in run_trials(
+                 targets[3], "rogue-edge", 40, seed=5, step_limit=4096)])
+    expected = []
+    for step in steps:
+        eng._decodes.clear()
+        expected.append(step(_fib_targets(source)))
+
+    eng._decodes.clear()
+    targets = _fib_targets(source)
+    assert steps[0](targets) == expected[0]
+    assert decoded
+    decoded.clear()
+    assert [steps[1](targets), steps[2](targets)] == expected[1:3]
+    assert decoded == []
+    assert steps[3](targets) == expected[3]
+    assert not set(decoded) & set(targets[0].text_words())
 
 
 # -- decoded blocks ------------------------------------------------------------
